@@ -116,10 +116,7 @@ def eps_min_squeezed_exact(r: float) -> float:
 
 def single_cat_generator_variance(alpha: float) -> float:
     """Var(G) of (|a> + |-a>)/norm in one mode: 1 + 4 a^2 / (1 + e^{-2 a^2})."""
-    a = float(alpha)
-    if a < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return 1.0 + 4.0 * a * a / (1.0 + _exp_neg(2.0 * a * a))
+    return entangled_cat_generator_variance(alpha, 1)
 
 
 def entangled_cat_generator_variance(alpha: float, n_modes: int) -> float:

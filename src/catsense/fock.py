@@ -180,10 +180,6 @@ def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
 
 
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).conj().T
-
-
 def number_operator(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 from xml.sax.saxutils import escape
 
+from .outputs import write_all
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _DASHES = {"solid": None, "dashed": "8 5", "dotted": "2 4"}
 
@@ -181,6 +183,4 @@ def render_line_plot(
 
 
 def write_line_plot(path: str, curves: Sequence[Curve], **kwargs) -> None:
-    doc = render_line_plot(curves, **kwargs)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(doc)
+    write_all({path: render_line_plot(curves, **kwargs)})
