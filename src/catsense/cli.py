@@ -36,22 +36,24 @@ def _sig17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_cell(v) -> str:
+def _csv_format(v) -> str:
     if isinstance(v, (int, np.integer)):  # bool too: True -> 1
-        return str(int(v))
+        return "%d"
     if isinstance(v, (float, np.floating)):
-        return _sig17(v)
-    return str(v)
+        return "%.17g"
+    return "%s"
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    if len(rows):
+        template = ",".join(map(_csv_format, rows[0]))
+        lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """CSV with 17-significant-digit floats and LF line endings."""
+    """CSV with 17-significant-digit floats and LF line endings; rows typed like the first."""
     write_all({path: _csv_text(header, rows)})
 
 
@@ -79,23 +81,22 @@ def run_figure1(
     spacing: str,
     out: str,
     svg: str | None = None,
-) -> list[list]:
+) -> list[tuple]:
     """Sweep the photon budget and tabulate the three cat-probe bounds."""
     grid = _make_grid(ntot_min, ntot_max, points, spacing)
-    # the separable and single-cat columns are the closed forms that `curve`
-    # evaluates for those families; calling them directly spares two lists
-    # of per-point BoundResult objects (+5 MB and +30% CPU at 1e4 points)
-    ent = bounds.curve(bounds.ProbeFamily(bounds.FamilyKind.ENTANGLED_CAT, n_modes), grid)
-    rows = [[e.n_tot, e.eps_min, bounds.eps_min_separable_cats(e.n_tot, n_modes),
-             bounds.eps_min_single_cat(e.n_tot), e.alpha] for e in ent]
+    family, kinds = bounds.ProbeFamily, bounds.FamilyKind
+    ent = bounds.curve(family(kinds.ENTANGLED_CAT, n_modes), grid)
+    sep = bounds.curve(family(kinds.SEPARABLE_CATS, n_modes), grid)
+    one = bounds.curve(family(kinds.SINGLE_CAT), grid)
+    columns = (ent.n_tot, ent.eps_min, sep.eps_min, one.eps_min, ent.alpha)
+    rows = list(zip(*(c.tolist() for c in columns)))
     header = ["n_tot", "eps_entangled", "eps_separable", "eps_single_cat", "alpha_entangled"]
     docs = {out: _csv_text(header, rows)}
     if svg is not None:
-        xs = [r[0] for r in rows]
         curves = [
-            svgplot.Curve(f"entangled cat, {n_modes} modes", xs, [r[1] for r in rows], "solid"),
-            svgplot.Curve(f"{n_modes} separable cats", xs, [r[2] for r in rows], "dotted"),
-            svgplot.Curve("single-mode cat", xs, [r[3] for r in rows], "dashed"),
+            svgplot.Curve(f"entangled cat, {n_modes} modes", grid, ent.eps_min, "solid"),
+            svgplot.Curve(f"{n_modes} separable cats", grid, sep.eps_min, "dotted"),
+            svgplot.Curve("single-mode cat", grid, one.eps_min, "dashed"),
         ]
         docs[svg] = svgplot.render_line_plot(
             curves,
@@ -119,16 +120,15 @@ def run_bounds(
     points: int,
     spacing: str,
     out: str,
-) -> list[list]:
+) -> list[tuple]:
     """Tabulate one bound family on a photon-number grid."""
     kind = bounds.FamilyKind(family)
     fam = bounds.ProbeFamily(kind, n_modes if kind in (
         bounds.FamilyKind.SEPARABLE_CATS, bounds.FamilyKind.ENTANGLED_CAT) else 1)
     grid = _make_grid(ntot_min, ntot_max, points, spacing)
-    results = bounds.curve(fam, grid)
-    rows = [
-        [fam.kind.value, fam.n_modes, r.n_tot, r.alpha, r.eps_min, r.qfi] for r in results
-    ]
+    res = bounds.curve(fam, grid)
+    columns = (res.n_tot, res.alpha, res.eps_min, res.qfi)
+    rows = [(fam.kind.value, fam.n_modes, *r) for r in zip(*(c.tolist() for c in columns))]
     write_csv(out, ["family", "n_modes", "n_tot", "alpha", "eps_min", "qfi"], rows)
     return rows
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .outputs import write_all
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
@@ -27,17 +29,23 @@ class Curve:
     style: str = "solid"  # solid | dashed | dotted
 
 
-def _finite_pairs(curve: Curve) -> list[tuple[float, float]]:
-    if len(curve.xs) != len(curve.ys):
+def _finite_points(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.asarray(curve.xs, dtype=np.float64)
+    ys = np.asarray(curve.ys, dtype=np.float64)
+    if len(xs) != len(ys):
         raise ValueError(f"curve {curve.label!r}: x/y length mismatch")
-    pts = [
-        (float(x), float(y))
-        for x, y in zip(curve.xs, curve.ys)
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    if len(pts) < 2:
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if np.count_nonzero(keep) < 2:
         raise ValueError(f"curve {curve.label!r}: fewer than 2 finite points")
-    return pts
+    return xs[keep], ys[keep]
+
+
+def _unit_map(lo: float, hi: float, log: bool):
+    """The map of [lo, hi] onto [0, 1], through log10 on a log axis, for scalars or arrays."""
+    f = np.log10 if log else np.asarray
+    f_lo = f(lo)
+    f_span = f(hi) - f_lo
+    return lambda v: (f(v) - f_lo) / f_span
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
@@ -68,16 +76,16 @@ def render_line_plot(
     """Return a complete standalone SVG document as a string."""
     if not curves:
         raise ValueError("nothing to plot")
-    pts = {c.label: _finite_pairs(c) for c in curves}
-    xs_all = [x for p in pts.values() for x, _ in p]
-    ys_all = [y for p in pts.values() for _, y in p]
-    if log_x and min(xs_all) <= 0.0:
+    pts = {c.label: _finite_points(c) for c in curves}
+    xs_all = np.concatenate([xs for xs, _ in pts.values()])
+    ys_all = np.concatenate([ys for _, ys in pts.values()])
+    if log_x and xs_all.min() <= 0.0:
         raise ValueError("log x axis needs strictly positive x values")
-    if log_y and min(ys_all) <= 0.0:
+    if log_y and ys_all.min() <= 0.0:
         raise ValueError("log y axis needs strictly positive y values")
 
-    def span(values: list[float], log: bool) -> tuple[float, float]:
-        lo, hi = min(values), max(values)
+    def span(values: np.ndarray, log: bool) -> tuple[float, float]:
+        lo, hi = float(values.min()), float(values.max())
         if lo == hi:  # degenerate; widen a hair so the transform is defined
             pad = abs(lo) * 0.05 or 0.5
             return (lo / (1 + 0.1) if log else lo - pad, hi * (1 + 0.1) if log else hi + pad)
@@ -89,17 +97,11 @@ def render_line_plot(
     margin_l, margin_r, margin_t, margin_b = 72, 24, 46, 58
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
+    tx = _unit_map(x_lo, x_hi, log_x)
+    ty = _unit_map(y_lo, y_hi, log_y)
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        if log_x:
-            tx = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            tx = (x - x_lo) / (x_hi - x_lo)
-        if log_y:
-            ty = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            ty = (y - y_lo) / (y_hi - y_lo)
-        return margin_l + tx * plot_w, margin_t + (1.0 - ty) * plot_h
+    def to_px(x, y):
+        return margin_l + tx(x) * plot_w, margin_t + (1.0 - ty(y)) * plot_h
 
     out: list[str] = []
     out.append(
@@ -159,7 +161,8 @@ def render_line_plot(
         if c.style not in _DASHES:
             raise ValueError(f"unknown line style {c.style!r}")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in map(lambda p: to_px(*p), pts[c.label]))
+        px, py = to_px(*pts[c.label])
+        coords = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8"{dash_attr} '
             f'points="{coords}"/>'

@@ -1,8 +1,10 @@
+import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from catsense import bounds, coherent, fock
@@ -21,6 +23,7 @@ from catsense.bounds import (
     eps_min_squeezed_exact,
     invert_ntot,
 )
+from catsense.cli import main
 
 
 class TestScalarBounds:
@@ -160,31 +163,113 @@ class TestCurve:
             (FamilyKind.SEPARABLE_CATS, 10),
             (FamilyKind.ENTANGLED_CAT, 10),
         ]:
-            eps = [r.eps_min for r in curve(ProbeFamily(kind, n_modes), self.grid)]
-            assert all(a > b for a, b in zip(eps, eps[1:])), kind
+            eps = curve(ProbeFamily(kind, n_modes), self.grid).eps_min
+            assert eps.shape == self.grid.shape, kind
+            assert (eps[:-1] > eps[1:]).all(), kind
 
     def test_sql_curve_is_flat(self):
-        eps = [r.eps_min for r in curve(ProbeFamily(FamilyKind.COHERENT_SQL), self.grid)]
-        assert eps == [0.5] * len(eps)
+        eps = curve(ProbeFamily(FamilyKind.COHERENT_SQL), self.grid).eps_min
+        assert eps.tolist() == [0.5] * len(self.grid)
 
     def test_entangled_below_separable_below_single(self):
         fam_e = ProbeFamily(FamilyKind.ENTANGLED_CAT, 10)
         fam_s = ProbeFamily(FamilyKind.SEPARABLE_CATS, 10)
         fam_1 = ProbeFamily(FamilyKind.SINGLE_CAT)
-        for re, rs, r1 in zip(curve(fam_e, self.grid), curve(fam_s, self.grid),
-                              curve(fam_1, self.grid)):
-            assert re.eps_min < rs.eps_min < r1.eps_min
+        e, s, o = (curve(fam, self.grid).eps_min for fam in (fam_e, fam_s, fam_1))
+        assert e.shape == s.shape == o.shape == self.grid.shape
+        assert ((e < s) & (s < o)).all()
 
     def test_rows_carry_requested_ntot_and_qfi(self):
-        rows = curve(ProbeFamily(FamilyKind.ENTANGLED_CAT, 3), [0.5, 5.0])
-        for want, row in zip([0.5, 5.0], rows):
-            assert row.n_tot == want
-            assert row.qfi == pytest.approx(1.0 / row.eps_min**2, rel=1e-14)
-            assert entangled_cat_ntot(row.alpha, 3) == pytest.approx(want, rel=1e-10)
+        res = curve(ProbeFamily(FamilyKind.ENTANGLED_CAT, 3), [0.5, 5.0])
+        assert res.n_tot.tolist() == [0.5, 5.0]
+        assert res.qfi == pytest.approx(1.0 / res.eps_min**2, rel=1e-14)
+        assert entangled_cat_ntot(res.alpha, 3) == pytest.approx([0.5, 5.0], rel=1e-10)
 
     def test_single_mode_family_rejects_multimode(self):
         with pytest.raises(ValueError):
             ProbeFamily(FamilyKind.SINGLE_CAT, 3)
+
+
+def _mp_entangled(n_tot: float, n_modes: int) -> tuple:
+    """(alpha, eps_min, qfi) of the N-mode entangled cat holding n_tot photons, at 50 digits."""
+    with mpmath.workdps(50):
+        n = mpmath.mpf(n_tot)
+        lo = max(n, mpmath.sqrt(n))
+        u = mpmath.findroot(lambda v: v * mpmath.tanh(v) - n, (lo, lo + 1), solver="anderson")
+        var = n_modes * (1 + 4 * u / (1 + mpmath.exp(-2 * u)))
+        return mpmath.sqrt(u / n_modes), 1 / mpmath.sqrt(var), var
+
+
+def _rel_err(got: float, want) -> float:
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(got) / want - 1))
+
+
+# log10 of n_tot: log-uniform budgets over the whole range the bounds promise
+log_budgets = st.floats(-300.0, 300.0)
+
+
+class TestHighPrecisionReference:
+    @given(log_n=log_budgets, n_modes=st.integers(1, 10_000))
+    @example(log_n=1.5, n_modes=1)  # u = 31.6: tanh saturates to 1.0
+    @example(log_n=3.0, n_modes=7)  # 2u = 2000 > 700: the _exp_neg clamp is active
+    @example(log_n=-200.0, n_modes=1000)
+    def test_entangled_curve_matches_mpmath(self, log_n, n_modes):
+        n_tot = 10.0**log_n
+        res = curve(ProbeFamily(FamilyKind.ENTANGLED_CAT, n_modes), [n_tot])
+        for got, want in zip((res.alpha, res.eps_min, res.qfi), _mp_entangled(n_tot, n_modes)):
+            assert _rel_err(float(got[0]), want) <= 1e-14
+
+    @given(log_ns=st.lists(log_budgets, min_size=1, max_size=20), n_modes=st.integers(1, 10_000))
+    def test_invert_ntot_scalar_and_array_calls_agree_bitwise(self, log_ns, n_modes):
+        grid = 10.0 ** np.array(log_ns)
+        scalars = [invert_ntot(n, n_modes) for n in grid.tolist()]
+        assert all(type(a) is float for a in scalars)
+        assert invert_ntot(grid, n_modes).tolist() == scalars
+
+    @given(log_ns=st.lists(log_budgets, min_size=1, max_size=20), n_modes=st.integers(1, 10_000))
+    def test_closed_form_families_equal_math_formulas(self, log_ns, n_modes):
+        grid = 10.0 ** np.array(log_ns)
+        formulas = {  # (alpha, eps_min) at one point, in plain float arithmetic
+            ProbeFamily(FamilyKind.COHERENT_SQL): lambda n: (math.nan, 0.5),
+            ProbeFamily(FamilyKind.SQUEEZED): lambda n: (math.nan, 1.0 / math.sqrt(4.0 * n)),
+            ProbeFamily(FamilyKind.SINGLE_CAT): lambda n: (
+                math.sqrt(n), 1.0 / math.sqrt(1.0 + 4.0 * n)),
+            ProbeFamily(FamilyKind.SEPARABLE_CATS, n_modes): lambda n: (
+                math.sqrt(n / n_modes), 1.0 / math.sqrt(n_modes + 4.0 * n)),
+        }
+        for fam, formula in formulas.items():
+            res = curve(fam, grid)
+            want = np.array([formula(n) for n in grid.tolist()])
+            np.testing.assert_array_equal(res.alpha, want[:, 0])
+            np.testing.assert_array_equal(res.eps_min, want[:, 1])
+            np.testing.assert_array_equal(res.qfi, 1.0 / (want[:, 1] * want[:, 1]))
+        for n in grid.tolist():
+            assert eps_min_squeezed(n) == 1.0 / math.sqrt(4.0 * n)
+            assert eps_min_single_cat(n) == 1.0 / math.sqrt(1.0 + 4.0 * n)
+            assert eps_min_separable_cats(n, n_modes) == 1.0 / math.sqrt(n_modes + 4.0 * n)
+
+
+class TestExtremeBudgetsThroughCli:
+    def _alphas(self, tmp_path, ntot_min: str, ntot_max: str, points: int, n_modes: int):
+        out = tmp_path / "bounds.csv"
+        code = main(["bounds", "--ntot-min", ntot_min, "--ntot-max", ntot_max,
+                     "--points", str(points), "--modes", str(n_modes), "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == points
+        return [(float(r["n_tot"]), float(r["alpha"])) for r in rows]
+
+    def test_large_budgets_keep_their_bracket(self, tmp_path):
+        # sqrt(n/N) + 1 rounds to sqrt(n/N) up here, which broke the old bisection bracket
+        for n_tot, alpha in self._alphas(tmp_path, "1e40", "1e50", 50, 10):
+            assert _rel_err(alpha, _mp_entangled(n_tot, 10)[0]) <= 1e-14
+
+    def test_tiny_budgets_resolve_alpha(self, tmp_path):
+        # a capped bisection from alpha = 1 runs out of halvings long before 1e-75
+        for n_tot, alpha in self._alphas(tmp_path, "1e-300", "1e-290", 3, 1):
+            assert _rel_err(alpha, _mp_entangled(n_tot, 1)[0]) <= 1e-14
 
 
 class TestAgainstOracleConventions:
