@@ -92,11 +92,11 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
     return np.where(x > 700.0, 0.0, np.exp(-x))
 
 
-def _require_positive(name: str, value: float | np.ndarray) -> np.ndarray:
-    v = np.asarray(value, dtype=np.float64)
-    ok = (v > 0.0) & (v < np.inf)  # false for NaN too
+def _require_ntot(n_tot: float | np.ndarray, strict: bool = False) -> np.ndarray:
+    v = np.asarray(n_tot, dtype=np.float64)
+    ok = ((v > 0.0) if strict else (v >= 0.0)) & (v < np.inf)  # false for NaN too
     if not ok.all():
-        raise ValueError(f"{name} must be finite and > 0, got {v[~ok][0]}")
+        raise ValueError(f"n_tot must be finite and {'>' if strict else '>='} 0, got {v[~ok][0]}")
     return v
 
 
@@ -124,7 +124,7 @@ def eps_min_sql() -> float:
 
 def eps_min_squeezed(n_tot: float | np.ndarray) -> float | np.ndarray:
     """Squeezed-vacuum bound 1/sqrt(4 n_tot) with n_tot = sinh^2 r photons."""
-    n = _require_positive("n_tot", n_tot)
+    n = _require_ntot(n_tot, strict=True)
     return _out(1.0 / np.sqrt(4.0 * n))
 
 
@@ -172,7 +172,7 @@ def eps_min_single_cat(n_tot: float | np.ndarray) -> float | np.ndarray:
     at small n_tot it deviates from the oracle at the percent level, which
     the tests document rather than hide.
     """
-    n = _require_positive("n_tot", n_tot)
+    n = _require_ntot(n_tot)
     return _out(1.0 / np.sqrt(1.0 + 4.0 * n))
 
 
@@ -180,7 +180,7 @@ def eps_min_separable_cats(n_tot: float | np.ndarray, n_copies: int) -> float | 
     """N independent single-mode cats sharing n_tot photons: 1/sqrt(N + 4 n_tot)."""
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    n = _require_positive("n_tot", n_tot)
+    n = _require_ntot(n_tot)
     return _out(1.0 / np.sqrt(n_copies + 4.0 * n))
 
 
@@ -211,7 +211,7 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    n = _require_positive("n_tot", n_tot)
+    n = _require_ntot(n_tot)
     lo = np.maximum(n, np.sqrt(n))
     hi = lo + np.minimum(lo, 1.0)
     u = lo
@@ -220,7 +220,8 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
         g = u * t - n
         lo = np.where(g < 0.0, u, lo)
         hi = np.where(g > 0.0, u, hi)
-        step = g / (t + u * (1.0 - t * t))
+        # g' > 0 except at u = 0, where n_tot = 0 and g = 0 give step 0
+        step = g / np.maximum(t + u * (1.0 - t * t), np.finfo(np.float64).tiny)
         ulp = np.spacing(u)
         done = (np.abs(step) <= ulp) | (hi - lo <= ulp)
         if done.all():

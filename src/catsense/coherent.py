@@ -1,9 +1,11 @@
 """Exact algebra for finite superpositions of multimode coherent states.
 
-A state is a list of (coefficient, label) pairs, where a label is the tuple
-of complex amplitudes, one per mode.  Overlaps, displacements and low-order
-moments of such states have closed forms, so nothing in this module touches
-a Fock-space cutoff; results are exact up to floating point.
+A state sum_i c_i |L_i> is a coefficient vector c (T terms) and a label
+matrix L (T x M), one row of complex amplitudes per term.  Overlaps,
+displacements and low-order moments of such states have closed forms, so
+nothing in this module touches a Fock-space cutoff; results are exact up to
+floating point.  Every quantity is a weighted sum over one Gram matrix
+W_ij = conj(c_i) d_j <L_i|K_j>, and moments are taken about their mean.
 
 Quadrature convention, fixed package-wide:
 
@@ -18,10 +20,11 @@ what separates one probe family from another.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConsistencyError, DegenerateState, DimensionMismatch
 
@@ -54,91 +57,91 @@ class CoherentLabel:
     def mode_count(self) -> int:
         return len(self.amplitudes)
 
-    def close_to(self, other: "CoherentLabel", tol: float = TOL_LABEL) -> bool:
-        if self.mode_count != other.mode_count:
-            return False
-        return all(abs(x - y) <= tol for x, y in zip(self.amplitudes, other.amplitudes))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SuperpositionState:
-    """Finite sum  sum_i c_i |label_i>,  not necessarily normalized.
+    """Finite sum  sum_i c_i |L_i>,  not necessarily normalized.
 
-    Construction merges labels that coincide within `TOL_LABEL` (coefficients
-    add), so the stored expansion has pairwise distinct labels.  The state may
-    still be a numerical null vector (e.g. perfectly cancelling coefficients);
+    `coeffs` (T,) and `labels` (T, M) are read-only complex arrays.  A label
+    within `TOL_LABEL` per component of an earlier one merges into it
+    (coefficients add), so the stored labels are pairwise distinct, in order
+    of first appearance.  The state may still be a numerical null vector;
     that is only rejected where a moment would divide by the norm.
     """
 
-    terms: tuple[tuple[complex, CoherentLabel], ...]
+    coeffs: np.ndarray
+    labels: np.ndarray
 
     def __init__(self, terms: Sequence[tuple[ComplexLike, CoherentLabel]]) -> None:
         if not terms:
             raise ValueError("state needs at least one term")
-        merged: list[tuple[complex, CoherentLabel]] = []
-        n_modes = terms[0][1].mode_count
-        for coeff, label in terms:
-            if label.mode_count != n_modes:
-                raise DimensionMismatch(
-                    f"mixed mode counts in one state: {label.mode_count} vs {n_modes}"
-                )
-            c = complex(coeff)
-            for i, (c_prev, l_prev) in enumerate(merged):
-                if l_prev.close_to(label):
-                    merged[i] = (c_prev + c, l_prev)
-                    break
-            else:
-                merged.append((c, label))
-        object.__setattr__(self, "terms", tuple(merged))
+        coeffs, labels = zip(*terms)
+        if len({label.mode_count for label in labels}) > 1:
+            raise DimensionMismatch("mixed mode counts in one state")
+        amps = np.array([label.amplitudes for label in labels], dtype=np.complex128)
+        self._store(np.asarray(coeffs, dtype=np.complex128), amps)
+
+    def _store(self, coeffs: np.ndarray, labels: np.ndarray) -> None:
+        if not np.isfinite(labels).all():
+            raise ValueError("non-finite amplitude in a label")
+        close = np.all(np.abs(labels[:, None, :] - labels[None, :, :]) <= TOL_LABEL, axis=2)
+        keep, group = np.unique(np.argmax(close, axis=0), return_inverse=True)
+        merged = np.zeros(len(keep), dtype=np.complex128)
+        np.add.at(merged, group, coeffs)
+        for name, value in (("coeffs", merged), ("labels", labels[keep])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def mode_count(self) -> int:
-        return self.terms[0][1].mode_count
+        return self.labels.shape[1]
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+
+def _gram(s: SuperpositionState, t: SuperpositionState) -> np.ndarray:
+    """W_ij = conj(c_i) d_j <L_i|K_j> for s = sum c_i |L_i> and t = sum d_j |K_j>.
+
+    With D = L_i - K_j and P = (L_i + K_j) / 2, log <L_i|K_j> is written
+    sum_k -|D_k|^2 / 2 - i Im(conj(P_k) D_k): it does not cancel for large,
+    close labels, and swapping the labels conjugates it exactly, so W of a
+    state with itself is Hermitian to the last bit.  Below the double range
+    an overlap underflows to 0.
+    """
+    if s.mode_count != t.mode_count:
+        raise DimensionMismatch(f"overlap of {s.mode_count}- and {t.mode_count}-mode states")
+    bra, ket = s.labels[:, None, :], t.labels[None, :, :]
+    diff, mid = bra - ket, 0.5 * (bra + ket)
+    z = np.sum(-0.5 * (diff.real**2 + diff.imag**2) - 1j * (mid.conj() * diff).imag, axis=2)
+    return s.coeffs.conj()[:, None] * t.coeffs[None, :] * np.exp(z)
 
 
 def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
     """<a|b> = exp( sum_k  -|a_k|^2/2 - |b_k|^2/2 + conj(a_k) b_k )."""
-    if a.mode_count != b.mode_count:
-        raise DimensionMismatch(f"overlap of {a.mode_count}- and {b.mode_count}-mode labels")
-    z = 0j
-    for x, y in zip(a.amplitudes, b.amplitudes):
-        z += -0.5 * (abs(x) ** 2 + abs(y) ** 2) + x.conjugate() * y
-    if z.real > 700.0:  # cannot happen: real part is -|a-b|^2/2 <= 0
-        raise ConsistencyError(f"overlap exponent {z.real} > 0")
-    if z.real < -745.0:
-        return 0j  # underflow region, the true value is denormal or zero
-    return cmath.exp(z)
+    return complex(_gram(SuperpositionState([(1.0, a)]), SuperpositionState([(1.0, b)]))[0, 0])
 
 
 def inner(s: SuperpositionState, t: SuperpositionState) -> complex:
     """<s|t> expanded over all label pairs."""
-    if s.mode_count != t.mode_count:
-        raise DimensionMismatch("inner product of states with different mode counts")
-    acc = 0j
-    for c_i, l_i in s.terms:
-        for d_j, m_j in t.terms:
-            acc += c_i.conjugate() * d_j * overlap(l_i, m_j)
-    return acc
+    return complex(np.sum(_gram(s, t)))
 
 
-def _coefficient_mass(s: SuperpositionState) -> float:
-    return sum(abs(c) ** 2 for c, _ in s.terms)
-
-
-def norm_squared(s: SuperpositionState) -> float:
-    """<s|s> as a float.  Raises DegenerateState if it is not safely positive."""
-    v = inner(s, s)
+def _positive_norm(s: SuperpositionState, v: complex) -> float:
+    """v = <s|s> as a float, or DegenerateState if it is not safely positive."""
     if abs(v.imag) > TOL_HERM * max(1.0, abs(v.real)):
         raise ConsistencyError(f"norm^2 has imaginary part {v.imag}")
     # Relative floor: coefficients of unit size with norm^2 ~ 1e-12 mean the
     # labels nearly cancel and any moment would amplify roundoff.
-    floor = 1e-12 * max(_coefficient_mass(s), 1e-300)
+    floor = 1e-12 * max(float(np.sum(np.abs(s.coeffs) ** 2)), 1e-300)
     if v.real <= floor:
         raise DegenerateState(f"norm^2 = {v.real} is not safely positive")
     return v.real
+
+
+def norm_squared(s: SuperpositionState) -> float:
+    """<s|s> as a float.  Raises DegenerateState if it is not safely positive."""
+    return _positive_norm(s, inner(s, s))
 
 
 def fidelity(s: SuperpositionState, t: SuperpositionState) -> float:
@@ -173,87 +176,83 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
         D(beta)|g> = exp(i Im(beta conj(g))) |g + beta>,
     which follows from splitting exp(beta a* - conj(beta) a) with the BCH
     identity for operators whose commutator is a scalar.
+
+    The stored label h = fl(g + beta) misses g + beta by err (exact, from
+    TwoSum).  <g + beta|h> has phase Im(err conj(g + beta)) to first order,
+    so that phase joins the coefficient, or the overlaps of displaced terms
+    would be off in phase by about |beta| ulp(beta).
     """
-    kicks = tuple(complex(b) for b in betas)
-    if len(kicks) != s.mode_count:
+    kicks = np.array([complex(b) for b in betas])
+    if kicks.shape != (s.mode_count,):
         raise DimensionMismatch(
             f"{len(kicks)} displacement amplitudes for a {s.mode_count}-mode state"
         )
-    out = []
-    for c, label in s.terms:
-        phase = 0.0
-        for b, g in zip(kicks, label.amplitudes):
-            phase += (b * g.conjugate()).imag
-        shifted = CoherentLabel(tuple(g + b for g, b in zip(label.amplitudes, kicks)))
-        out.append((c * cmath.exp(1j * phase), shifted))
-    return SuperpositionState(out)
+    moved = s.labels + kicks
+    part = moved - s.labels
+    err = (s.labels - (moved - part)) + (kicks - part)
+    phase = np.sum((kicks * s.labels.conj()).imag + (err * moved.conj()).imag, axis=1)
+    out = object.__new__(SuperpositionState)  # arrays in hand, no term list to convert
+    out._store(s.coeffs * np.exp(1j * phase), moved)
+    return out
 
 
-def _normalized_moment(
-    s: SuperpositionState,
-    element: Callable[[CoherentLabel, CoherentLabel], complex],
-) -> float:
-    """<s|O|s> / <s|s> where element(bra, ket) = <bra|O|ket> / <bra|ket>."""
-    num = 0j
-    den = 0j
-    for c_i, l_i in s.terms:
-        for c_j, l_j in s.terms:
-            w = c_i.conjugate() * c_j * overlap(l_i, l_j)
-            den += w
-            num += w * element(l_i, l_j)
-    floor = 1e-12 * max(_coefficient_mass(s), 1e-300)
-    if den.real <= floor:
-        raise DegenerateState(f"norm^2 = {den.real} is not safely positive")
-    val = num / den
+def _weights(s: SuperpositionState) -> np.ndarray:
+    """W / <s|s>: the Gram matrix of s as weights, so <O> = sum_ij W_ij O_ij."""
+    w = _gram(s, s)
+    return w / _positive_norm(s, complex(np.sum(w)))
+
+
+def _expect(w: np.ndarray, element: np.ndarray) -> float:
+    """The weighted sum of label-pair elements: a Hermitian expectation value."""
+    val = complex(np.sum(w * element))
     if abs(val.imag) > TOL_HERM * max(1.0, abs(val.real)):
         raise ConsistencyError(f"Hermitian expectation has imaginary part {val.imag}")
     return val.real
 
 
-def _sum_bra_ket(bra: CoherentLabel, ket: CoherentLabel) -> complex:
+def _generator_element(s: SuperpositionState) -> np.ndarray:
     # a_k|g> = g_k|g> and <b|a_k* = <b|conj(b_k), so the collective X picks
     # up ket amplitudes from annihilators and conjugate bra amplitudes from
     # creators:
     #     <b| sum_k (a_k + a_k*) |g> = (sum_k g_k + sum_k conj(b_k)) <b|g>
-    return sum(ket.amplitudes) + sum(b.conjugate() for b in bra.amplitudes)
+    u = np.sum(s.labels, axis=1)
+    return u[None, :] + u.conj()[:, None]
 
 
 def expect_generator(s: SuperpositionState) -> float:
     """Mean of the collective quadrature  G = sum_k (a_k + a_k*)."""
-    return _normalized_moment(s, _sum_bra_ket)
+    return _expect(_weights(s), _generator_element(s))
 
 
 def variance_generator(s: SuperpositionState) -> float:
-    """Variance of the collective quadrature G, clamped at 0 within tolerance.
+    """Variance of the collective quadrature G, as the central moment <(G - m)^2>.
 
     Second moment: expand G^2 and normal-order.  Each cross term a_k a_l*
     with k = l contributes one commutator [a_k, a_k*] = 1, so with M modes
         G^2 = sum_{k,l} ( a_k a_l + a_k* a_l* + a_k* a_l + a_l* a_k )  +  M.
     Every normal-ordered word is diagonal in the labels, giving
-        <b|G^2|g> = ( (u + v)^2 + M ) <b|g>,   u = sum_k g_k,  v = sum_k conj(b_k),
-    i.e. the square of the first-moment element plus the mode count.
+        <b|G^2|g> = ( e1^2 + M ) <b|g>,   e1 = sum_k g_k + sum_k conj(b_k),
+    and with m = <G> the element of (G - m)^2 is (e1 - m)^2 + M, which
+    never cancels against m^2 however far the state sits from the origin.
     """
-    m = s.mode_count
-
-    def second(bra: CoherentLabel, ket: CoherentLabel) -> complex:
-        e1 = _sum_bra_ket(bra, ket)
-        return e1 * e1 + m
-
-    mean = _normalized_moment(s, _sum_bra_ket)
-    mean_sq = _normalized_moment(s, second)
-    var = mean_sq - mean * mean
-    if var < -TOL_HERM * max(1.0, abs(mean_sq)):
+    w = _weights(s)
+    e1 = _generator_element(s)
+    var = _expect(w, (e1 - _expect(w, e1)) ** 2 + s.mode_count)
+    if var < -TOL_HERM:
         raise ConsistencyError(f"variance {var} < 0 beyond tolerance")
     return max(var, 0.0)
 
 
 def mean_photon_number(s: SuperpositionState) -> float:
-    """Mean of  sum_k a_k* a_k,  total photon number over all modes."""
+    """Mean of  sum_k a_k* a_k,  total photon number over all modes.
 
-    def number(bra: CoherentLabel, ket: CoherentLabel) -> complex:
-        return sum(b.conjugate() * g for b, g in zip(bra.amplitudes, ket.amplitudes))
-
-    n = _normalized_moment(s, number)
+    Taken as |mu|^2 + <(a - mu)* . (a - mu)> with mu_k = <a_k>, whose
+    label-pair element is conj(L_i - mu) . (L_j - mu).
+    """
+    w = _weights(s)
+    mu = np.sum(w, axis=0) @ s.labels
+    dev = s.labels - mu
+    n = float(np.sum(np.abs(mu) ** 2)) + _expect(w, dev.conj() @ dev.T)
     if n < -TOL_HERM:
         raise ConsistencyError(f"photon number {n} < 0 beyond tolerance")
     return max(n, 0.0)

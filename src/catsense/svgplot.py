@@ -52,7 +52,8 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         first = math.ceil(math.log10(lo) - 1e-9)
         last = math.floor(math.log10(hi) + 1e-9)
-        vals = [10.0**k for k in range(first, last + 1)]
+        every = max(1, math.ceil((last - first) / 10))  # at most 11 labelled decades
+        vals = [10.0**k for k in range(first, last + 1, every)]
         return vals or [lo, hi]
     step = (hi - lo) / 4.0
     return [lo + i * step for i in range(5)]

@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import math
+import re
+import xml.etree.ElementTree as ET
 
 import mpmath
 import numpy as np
@@ -65,7 +68,22 @@ class TestScalarBounds:
         with pytest.raises(ValueError):
             eps_min_separable_cats(1.0, 0)
         with pytest.raises(ValueError):
-            eps_min_separable_cats(0.0, 2)
+            eps_min_separable_cats(-1.0, 2)
+
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf])
+    def test_budget_must_be_finite_and_nonnegative(self, bad):
+        for fn in (eps_min_single_cat, lambda n: eps_min_separable_cats(n, 2),
+                   lambda n: invert_ntot(n, 3), eps_min_squeezed):
+            with pytest.raises(ValueError):
+                fn(bad)
+
+    def test_zero_budget_is_the_vacuum(self):
+        assert eps_min_single_cat(0.0) == 1.0
+        assert eps_min_separable_cats(0.0, 4) == 0.5
+        assert invert_ntot(0.0, 3) == 0.0
+        res = curve(ProbeFamily(FamilyKind.ENTANGLED_CAT, 4), [0.0, 1.0])
+        assert res.alpha[0] == 0.0
+        assert res.eps_min[0] == 0.5
 
 
 class TestVarianceForms:
@@ -148,7 +166,7 @@ class TestInvertNtot:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            invert_ntot(0.0, 1)
+            invert_ntot(-1.0, 1)
         with pytest.raises(ValueError):
             invert_ntot(1.0, 0)
 
@@ -270,6 +288,33 @@ class TestExtremeBudgetsThroughCli:
         # a capped bisection from alpha = 1 runs out of halvings long before 1e-75
         for n_tot, alpha in self._alphas(tmp_path, "1e-300", "1e-290", 3, 1):
             assert _rel_err(alpha, _mp_entangled(n_tot, 1)[0]) <= 1e-14
+
+    def test_linear_grid_from_zero(self, tmp_path):
+        out = tmp_path / "figure1.csv"
+        code = main(["figure1", "--spacing", "linear", "--ntot-min", "0", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert float(first["eps_entangled"]) == 1.0 / math.sqrt(10.0)
+        assert float(first["eps_single_cat"]) == 1.0
+
+    def test_svg_thins_decade_labels(self, tmp_path):
+        svg = tmp_path / "wide.svg"
+        code = main(["figure1", "--ntot-min", "1e-300", "--ntot-max", "1e300", "--points", "50",
+                     "--out", str(tmp_path / "wide.csv"), "--svg", str(svg)])
+        assert code == 0
+        # x tick labels are the centred texts that read as numbers
+        texts = ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+        centred = [t.text for t in texts if t.get("text-anchor") == "middle"]
+        x_labels = [float(v) for v in centred if re.fullmatch(r"[-+.0-9e]+", v)]
+        assert 2 <= len(x_labels) <= 11
+        assert x_labels == sorted(x_labels)
+
+    def test_default_svg_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure1", "--svg", "figure1.svg"]) == 0
+        digest = hashlib.sha256((tmp_path / "figure1.svg").read_bytes()).hexdigest()
+        assert digest.startswith("e39933fe03ddaf99")
 
 
 class TestAgainstOracleConventions:

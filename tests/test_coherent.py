@@ -32,6 +32,25 @@ def label(*amps):
     return CoherentLabel(tuple(amps))
 
 
+@st.composite
+def separated_terms(draw):
+    """1..6-mode (coeff, label) lists whose labels lie at least 1 apart.
+
+    Term i sits at 1.5 i (+-0.25) on the real axis of mode 0, so any two
+    labels differ by >= 1 there; every other component is free in a box.
+    """
+    modes = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    box = st.floats(-1.5, 1.5)
+    terms = []
+    for i in range(n):
+        amps = [complex(1.5 * i + draw(st.floats(-0.25, 0.25)), draw(box))]
+        amps += [complex(draw(box), draw(box)) for _ in range(modes - 1)]
+        coeff = draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        terms.append((coeff, amps))
+    return terms
+
+
 class TestOverlap:
     def test_matches_direct_exponential(self):
         a, b = label(0.5 + 0.25j, -1.0), label(1.5j, 0.75)
@@ -85,7 +104,15 @@ class TestSuperpositionState:
             [(1.0, label(1.0, 2.0)), (2.0, label(1.0 + 1e-13, 2.0 - 1e-13))]
         )
         assert len(s) == 1
-        assert s.terms[0][0] == pytest.approx(3.0)
+        assert s.coeffs[0] == pytest.approx(3.0)
+
+    def test_arrays_frozen(self):
+        s = SuperpositionState([(1.0, label(0.5, 1.0)), (2.0, label(-0.5, 0.0))])
+        assert s.coeffs.shape == (2,) and s.labels.shape == (2, 2)
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 0.0
+        with pytest.raises(ValueError):
+            s.labels[0, 0] = 0.0
 
     def test_distinct_labels_kept(self):
         s = SuperpositionState([(1.0, label(1.0)), (1.0, label(1.0 + 1e-9))])
@@ -116,7 +143,7 @@ class TestEntangledCat:
     def test_zero_amplitude_collapses_to_vacuum(self):
         cat = make_entangled_cat(0.0, 2)
         assert len(cat) == 1
-        assert cat.terms[0][0] == pytest.approx(math.sqrt(2.0))
+        assert cat.coeffs[0] == pytest.approx(math.sqrt(2.0))
         assert norm_squared(cat) == pytest.approx(2.0, rel=1e-14)
 
     def test_negative_alpha_rejected(self):
@@ -157,9 +184,9 @@ class TestDisplace:
         a0, eps = 1.7, 0.3
         s = SuperpositionState([(1.0, label(a0))])
         d = displace(s, [1j * eps])
-        (c, lab), = d.terms
+        (c,), ((lab,),) = d.coeffs, d.labels
         assert c == pytest.approx(cmath.exp(1j * eps * a0), rel=1e-14)
-        assert lab.amplitudes[0] == pytest.approx(a0 + 1j * eps)
+        assert lab == pytest.approx(a0 + 1j * eps)
 
     def test_wrong_kick_count(self):
         with pytest.raises(DimensionMismatch):
@@ -259,3 +286,49 @@ class TestMoments:
         dim = 26
         brute = fock.inner_fock(fock.to_fock(s, dim), fock.to_fock(t, dim))
         assert brute == pytest.approx(exact, abs=1e-10)
+
+
+class TestTranslationInvariance:
+    def test_far_displaced_coherent_state(self):
+        # E[G^2] - E[G]^2 cancelled to exactly 0 here
+        s = displace(SuperpositionState([(1.0, label(0.0))]), [1e8])
+        assert variance_generator(s) == pytest.approx(1.0, rel=1e-12)
+        assert expect_generator(s) == pytest.approx(2e8, rel=1e-15)
+        assert mean_photon_number(s) == pytest.approx(1e16, rel=1e-15)
+
+    def test_far_displaced_cat(self):
+        cat = make_entangled_cat(1.0, 3)
+        moved = displace(cat, [1e6] * 3)
+        assert variance_generator(moved) == pytest.approx(
+            variance_generator(cat), rel=1e-12
+        )
+
+    @given(
+        terms=separated_terms(),
+        log_beta=st.floats(-2.0, 8.0),
+        phases=st.lists(st.floats(0.0, 2 * math.pi), min_size=6, max_size=6),
+    )
+    def test_variance_unchanged_by_displacement(self, terms, log_beta, phases):
+        s = SuperpositionState([(c, label(*amps)) for c, amps in terms])
+        beta = 10.0**log_beta
+        moved = displace(s, [beta * cmath.exp(1j * p) for p in phases[: s.mode_count]])
+        # a label at |beta| is stored to ulp(beta) / 2, so each displaced term
+        # sits up to ~1e-16 |beta| off its exact place and Var(G) moves by that
+        # much to first order: 4.5e-16 |beta| was the worst of 2e4 random states
+        tol = 1e-12 + 4e-15 * beta
+        assert variance_generator(moved) == pytest.approx(variance_generator(s), rel=tol)
+
+    @given(
+        terms=separated_terms(),
+        offset=st.floats(10.0, 1e6),
+        data=st.data(),
+    )
+    def test_moments_independent_of_term_order(self, terms, offset, data):
+        # labels far from the origin: a moment that cancels against the mean
+        # comes out different for each summation order
+        shifted = [(c, label(*(a + offset for a in amps))) for c, amps in terms]
+        s = SuperpositionState(shifted)
+        t = SuperpositionState(data.draw(st.permutations(shifted)))
+        assert expect_generator(t) == pytest.approx(expect_generator(s), rel=1e-12)
+        assert variance_generator(t) == pytest.approx(variance_generator(s), rel=1e-12)
+        assert mean_photon_number(t) == pytest.approx(mean_photon_number(s), rel=1e-12)

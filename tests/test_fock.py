@@ -139,6 +139,14 @@ class TestOperators:
         assert fock.variance(vac, fock.quad_x(dim)) == pytest.approx(1.0, abs=1e-12)
         assert fock.variance(vac, fock.quad_y(dim)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_variance_survives_a_large_mean(self):
+        # <X^2> - <X>^2 cancelled to exactly 0 under a 1e8 shift
+        dim = 40
+        shifted = fock.quad_x(dim) + 1e8 * np.eye(dim)
+        assert fock.variance(fock.coherent_vector(1.5, dim), shifted) == pytest.approx(
+            1.0, rel=1e-8
+        )
+
     def test_lift_targets_requested_mode(self):
         # two modes, state |1, 0>: number operator lifted to mode 0 sees 1,
         # lifted to mode 1 sees 0; pins mode 0 as the slow index
