@@ -242,8 +242,7 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
     alpha = np.full(n.shape, np.nan)
     kind = family.kind
     if kind is FamilyKind.COHERENT_SQL:
-        if (n < 0.0).any():
-            raise ValueError(f"n_tot must be >= 0, got {n[n < 0.0][0]}")
+        _require_ntot(n)
         eps = np.full(n.shape, eps_min_sql())
     elif kind is FamilyKind.SQUEEZED:
         eps = eps_min_squeezed(n)

@@ -60,8 +60,8 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
 def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> np.ndarray:
     if points < 2:
         raise click.UsageError(f"points must be >= 2, got {points}")
-    if not ntot_min < ntot_max:
-        raise click.UsageError(f"need ntot-min < ntot-max, got {ntot_min} >= {ntot_max}")
+    if not (math.isfinite(ntot_min) and math.isfinite(ntot_max) and ntot_min < ntot_max):
+        raise click.UsageError(f"need finite ntot-min < ntot-max, got {ntot_min} and {ntot_max}")
     if spacing == "log":
         if ntot_min <= 0.0:
             raise click.UsageError("log spacing needs ntot-min > 0")

@@ -1,19 +1,20 @@
 """Brute-force oracle: truncated number-basis simulation of 1 to 3 modes.
 
-This module deliberately does everything the slow way (dense and sparse
-matrices in a finite Fock basis) so the closed forms in `coherent` and
-`bounds` have something independent to be checked against.  Capacity is
-hard-capped at MAX_MODES modes and MAX_DIM levels per mode, because state
-vectors grow like dim**modes; the exact algebra covers everything beyond.
+This module deliberately does everything the slow way (dense matrices in
+a finite Fock basis) so the closed forms in `coherent` and `bounds` have
+something independent to be checked against.  Capacity is hard-capped
+at MAX_MODES modes and MAX_DIM levels per mode, because state vectors
+grow like dim**modes; the exact algebra covers everything beyond.
 
 Conventions:
   * mode 0 is the slowest-varying tensor index.  A vector of a k-mode
     system reshaped to (dim,) * k indexes as [n_0, n_1, ..., n_{k-1}],
-    which is also what consecutive `numpy.kron`/`scipy.sparse.kron` calls
-    produce.
-  * operators returned by the single-mode constructors are dense
-    (dim, dim) arrays; `lift` embeds them into the full tensor space as
-    sparse CSR.
+    which is also what consecutive `numpy.kron` calls produce.
+  * a single-mode operator is a dense (dim, dim) array.  An operator on a
+    k-mode state is a sequence of k such arrays, None for a mode with no
+    term, and stands for the sum of its per-mode terms; `lift` and
+    `collective_quad_x` build that form.  Every term acts by contracting
+    its matrix along one tensor axis, so no full-space matrix is formed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import coherent
 from .errors import (
@@ -48,7 +48,7 @@ TAIL_TOL = 1e-12
 # wanting better must raise dim until the gate passes a stricter tol.
 SQUEEZED_TAIL_TOL = 1e-8
 
-Operator = np.ndarray | sp.spmatrix
+Operator = np.ndarray | Sequence[np.ndarray | None]
 
 
 def recommended_dim(alpha_max: float) -> int:
@@ -61,9 +61,9 @@ def recommended_dim(alpha_max: float) -> int:
     return math.ceil(a * a + 8.0 * a + 20.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockVector:
-    """State vector over (dim,)*mode_count number states, flattened C-order."""
+    """State over (dim,)*mode_count number states, flattened C-order; equal only to itself."""
 
     amplitudes: np.ndarray
     dim: int
@@ -196,7 +196,7 @@ def quad_y(dim: int) -> np.ndarray:
     return -1j * (a - a.conj().T)
 
 
-def lift(op: np.ndarray, mode: int, mode_count: int) -> sp.csr_matrix:
+def lift(op: np.ndarray, mode: int, mode_count: int) -> tuple[np.ndarray | None, ...]:
     """Embed a single-mode operator at position `mode` of a mode_count system."""
     dim = op.shape[0]
     if op.shape != (dim, dim):
@@ -205,22 +205,15 @@ def lift(op: np.ndarray, mode: int, mode_count: int) -> sp.csr_matrix:
         raise DimensionMismatch(f"mode {mode} outside 0..{mode_count - 1}")
     if mode_count > MAX_MODES or dim > MAX_DIM:
         raise CapacityError("lift request exceeds oracle caps")
-    out = sp.csr_matrix(op)
-    if mode > 0:
-        out = sp.kron(sp.identity(dim**mode, format="csr"), out, format="csr")
-    rest = mode_count - mode - 1
-    if rest > 0:
-        out = sp.kron(out, sp.identity(dim**rest, format="csr"), format="csr")
-    return out
+    return (None,) * mode + (op,) + (None,) * (mode_count - mode - 1)
 
 
-def collective_quad_x(dim: int, mode_count: int) -> sp.csr_matrix:
+def collective_quad_x(dim: int, mode_count: int) -> tuple[np.ndarray, ...]:
     """G = sum_k (a_k + a_k*), the displacement generator used everywhere."""
     x = quad_x(dim)
-    total = lift(x, 0, mode_count)
-    for k in range(1, mode_count):
-        total = total + lift(x, k, mode_count)
-    return total.tocsr()
+    x.setflags(write=False)  # one array serves every mode
+    lift(x, 0, mode_count)  # the input checks of a lifted term
+    return (x,) * mode_count
 
 
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
@@ -237,6 +230,11 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
+def _contract(mat: np.ndarray, tens: np.ndarray, k: int) -> np.ndarray:
+    """mat applied to axis k of an amplitude tensor: how any single-mode matrix acts."""
+    return np.moveaxis(np.tensordot(mat, tens, axes=([1], [k])), 0, k)
+
+
 def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
     """Apply per-mode displacements without forming the full-space matrix.
 
@@ -249,8 +247,7 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
         )
     tens = state.tensor()
     for k, b in enumerate(betas):
-        d = displacement_matrix(complex(b), state.dim)
-        tens = np.moveaxis(np.tensordot(d, tens, axes=([1], [k])), 0, k)
+        tens = _contract(displacement_matrix(complex(b), state.dim), tens, k)
     return FockVector(tens, state.dim, state.mode_count)
 
 
@@ -260,36 +257,38 @@ def inner_fock(u: FockVector, v: FockVector) -> complex:
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-def _check_hermitian(op: Operator) -> None:
-    delta = op - (op.conj().T if isinstance(op, np.ndarray) else op.getH())
-    if isinstance(delta, np.ndarray):
-        worst = float(np.max(np.abs(delta))) if delta.size else 0.0
-    else:
-        worst = float(np.max(np.abs(delta.data))) if delta.nnz else 0.0
-    if worst > 1e-10:
-        raise HermiticityError(f"operator deviates from Hermitian by {worst:.3e}")
+def _moment(state: FockVector, op: Operator) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """psi, op psi, <op> and ||psi||^2, checking every term and that <op> is real."""
+    terms = [op] if isinstance(op, np.ndarray) else list(op)
+    if len(terms) != state.mode_count:
+        raise DimensionMismatch(f"operator has {len(terms)} terms for {state.mode_count} modes")
+    psi = state.tensor()
+    opsi = np.zeros_like(psi)
+    for k, term in enumerate(terms):
+        if term is None:
+            continue
+        if term.shape != (state.dim, state.dim):
+            raise DimensionMismatch(f"term on mode {k} has shape {term.shape}, dim is {state.dim}")
+        worst = float(np.max(np.abs(term - term.conj().T)))
+        if worst > 1e-10:
+            raise HermiticityError(f"term on mode {k} deviates from Hermitian by {worst:.3e}")
+        opsi += _contract(term, psi, k)
+    nrm2 = float(np.vdot(psi, psi).real)
+    m = complex(np.vdot(psi, opsi)) / nrm2
+    if abs(m.imag) > 1e-9 * max(1.0, abs(m.real)):
+        raise ConsistencyError(f"Hermitian expectation has imaginary part {m.imag}")
+    return psi, opsi, m.real, nrm2
 
 
 def expectation(state: FockVector, op: Operator) -> float:
     """<psi|op|psi> / <psi|psi> for Hermitian op."""
-    _check_hermitian(op)
-    psi = state.amplitudes
-    val = complex(np.vdot(psi, op @ psi)) / float(np.vdot(psi, psi).real)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise ConsistencyError(f"Hermitian expectation has imaginary part {val.imag}")
-    return val.real
+    return _moment(state, op)[2]
 
 
 def variance(state: FockVector, op: Operator) -> float:
     """Var(op) = ||(op - m) psi||^2 / ||psi||^2, m = <op>: never cancels against m^2."""
-    _check_hermitian(op)
-    psi = state.amplitudes
-    nrm2 = float(np.vdot(psi, psi).real)
-    opsi = op @ psi
-    m1 = complex(np.vdot(psi, opsi)) / nrm2
-    if abs(m1.imag) > 1e-9 * max(1.0, abs(m1.real)):
-        raise ConsistencyError(f"Hermitian expectation has imaginary part {m1.imag}")
-    dev = opsi - m1.real * psi
+    psi, opsi, m, nrm2 = _moment(state, op)
+    dev = opsi - m * psi
     return float(np.vdot(dev, dev).real) / nrm2
 
 

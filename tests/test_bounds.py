@@ -207,6 +207,11 @@ class TestCurve:
         with pytest.raises(ValueError):
             ProbeFamily(FamilyKind.SINGLE_CAT, 3)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_sql_checks_the_budget_like_every_family(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            curve(ProbeFamily(FamilyKind.COHERENT_SQL), [1.0, bad])
+
 
 def _mp_entangled(n_tot: float, n_modes: int) -> tuple:
     """(alpha, eps_min, qfi) of the N-mode entangled cat holding n_tot photons, at 50 digits."""
@@ -309,6 +314,17 @@ class TestExtremeBudgetsThroughCli:
         x_labels = [float(v) for v in centred if re.fullmatch(r"[-+.0-9e]+", v)]
         assert 2 <= len(x_labels) <= 11
         assert x_labels == sorted(x_labels)
+
+    @pytest.mark.parametrize("family", ["sql", "entangled-cat"])
+    @pytest.mark.parametrize("flag, value", [("--ntot-max", "inf"), ("--ntot-max", "nan"),
+                                             ("--ntot-min", "nan")])
+    def test_nonfinite_grid_end_exits_1(self, tmp_path, capsys, family, flag, value):
+        # an inf end once went through geomspace and wrote n_tot = inf rows for sql
+        code = main(["bounds", "--family", family, flag, value, "--points", "3",
+                     "--out", str(tmp_path / "bounds.csv")])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_svg_unchanged(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -160,9 +163,6 @@ class TestOperators:
         assert fock.expectation(psi, fock.lift(n, 0, 2)) == pytest.approx(1.0)
         assert fock.expectation(psi, fock.lift(n, 1, 2)) == pytest.approx(0.0)
 
-    def test_lift_is_sparse(self):
-        assert sp.issparse(fock.lift(fock.quad_x(8), 1, 3))
-
     def test_lift_bad_mode(self):
         with pytest.raises(DimensionMismatch):
             fock.lift(fock.quad_x(4), 2, 2)
@@ -174,6 +174,68 @@ class TestOperators:
         assert fock.variance(psi, g) == pytest.approx(
             coherent.variance_generator(cat), rel=1e-11
         )
+
+
+def _kron_reference(terms, dim: int) -> np.ndarray:
+    """Full-space matrix of a per-mode operator, one explicit np.kron product per term."""
+    total = np.zeros((dim ** len(terms),) * 2, dtype=np.complex128)
+    for k, term in enumerate(terms):
+        if term is not None:
+            factors = [np.eye(dim)] * len(terms)
+            factors[k] = term
+            product = factors[0]
+            for f in factors[1:]:
+                product = np.kron(product, f)
+            total += product
+    return total
+
+
+class TestAgainstKronReference:
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_lifted_and_collective_moments(self, modes, dim):
+        rng = np.random.default_rng(100 * modes + dim)
+        amps = rng.normal(size=dim**modes) + 1j * rng.normal(size=dim**modes)
+        psi = fock.FockVector(amps, dim, modes)
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        herm = raw + raw.conj().T
+        ops = [fock.lift(herm, k, modes) for k in range(modes)]
+        ops.append(fock.collective_quad_x(dim, modes))
+        for op in ops:
+            full = _kron_reference(op, dim)
+            nrm2 = np.vdot(amps, amps).real
+            mean = np.vdot(amps, full @ amps).real / nrm2
+            dev = full @ amps - mean * amps
+            var = np.vdot(dev, dev).real / nrm2
+            assert fock.expectation(psi, op) == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            assert fock.variance(psi, op) == pytest.approx(var, rel=1e-12, abs=1e-12)
+
+    def test_non_hermitian_term_on_mode_1(self):
+        psi = fock.to_fock(coherent.make_entangled_cat(0.5, 2))
+        op = (fock.quad_x(psi.dim), fock.annihilation(psi.dim))
+        with pytest.raises(HermiticityError, match="mode 1"):
+            fock.variance(psi, op)
+
+    def test_wrong_term_shape_or_count(self):
+        psi = fock.to_fock(coherent.make_entangled_cat(0.5, 2))
+        x = fock.quad_x(psi.dim)
+        bad = [
+            (x, fock.quad_x(psi.dim + 1)),  # term shape
+            (x,),  # term count
+            (x, None, x),
+            x,  # a bare matrix is the one-mode case
+            np.kron(x, np.eye(psi.dim)),  # full-space matrices are not the operator format
+        ]
+        for op in bad:
+            with pytest.raises(DimensionMismatch):
+                fock.expectation(psi, op)
+            with pytest.raises(DimensionMismatch):
+                fock.variance(psi, op)
+
+    def test_idle_modes_and_the_zero_operator(self):
+        psi = fock.to_fock(coherent.make_entangled_cat(0.7, 3))
+        assert fock.expectation(psi, (None, None, None)) == 0.0
+        assert fock.variance(psi, (None, None, None)) == 0.0
 
 
 class TestDisplacement:
@@ -273,6 +335,12 @@ class TestQfi:
 
 
 class TestFockVectorValidation:
+    def test_compares_by_identity_and_hashes(self):
+        v, w = fock.coherent_vector(0.5, 20), fock.coherent_vector(0.5, 20)
+        assert (v == w) is False
+        assert v == v
+        assert len({v, w}) == 2
+
     def test_length_must_match(self):
         with pytest.raises(DimensionMismatch):
             fock.FockVector(np.zeros(7), 3, 2)
@@ -284,3 +352,20 @@ class TestFockVectorValidation:
     def test_dim_cap(self):
         with pytest.raises(CapacityError):
             fock.FockVector(np.zeros(200), 200, 1)
+
+
+def test_oracle_runs_without_scipy(tmp_path):
+    # the oracle is numpy alone: a fresh interpreter running qfi-check never loads scipy
+    src = Path(fock.__file__).resolve().parents[1]
+    paths = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    script = (
+        "import sys\n"
+        "from catsense.cli import main\n"
+        "code = main(['qfi-check', '--modes-list', '1,2', '--alpha-list', '0.5',"
+        f" '--out', {str(tmp_path / 'qfi.csv')!r}])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert code == 0 and not loaded, (code, loaded)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
