@@ -101,12 +101,13 @@ def _require_ntot(n_tot: float | np.ndarray, strict: bool = False) -> np.ndarray
 
 
 def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
-    """u = N alpha^2, after checking N >= 1 and alpha >= 0."""
+    """u = N alpha^2, after checking N >= 1 and 0 <= alpha < inf."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     a = np.asarray(alpha, dtype=np.float64)
-    if (a < 0.0).any():
-        raise ValueError(f"alpha must be >= 0, got {a[a < 0.0][0]}")
+    ok = (a >= 0.0) & (a < np.inf)  # false for NaN too
+    if not ok.all():
+        raise ValueError(f"alpha must be finite and >= 0, got {a[~ok][0]}")
     return n_modes * a * a
 
 

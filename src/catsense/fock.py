@@ -51,6 +51,13 @@ SQUEEZED_TAIL_TOL = 1e-8
 Operator = np.ndarray | Sequence[np.ndarray | None]
 
 
+def _require_capacity(dim: int, mode_count: int) -> None:
+    """The oracle's one capacity rule, checked before anything of that size is built."""
+    if not (1 <= mode_count <= MAX_MODES and 1 <= dim <= MAX_DIM):
+        raise CapacityError(f"{mode_count} modes of {dim} levels exceed the oracle caps "
+                            f"of 1..{MAX_MODES} modes and 1..{MAX_DIM} levels per mode")
+
+
 def recommended_dim(alpha_max: float) -> int:
     """Cutoff that keeps the Poisson tail of |alpha| << alpha_max far below TAIL_TOL.
 
@@ -70,10 +77,7 @@ class FockVector:
     mode_count: int
 
     def __init__(self, amplitudes: np.ndarray, dim: int, mode_count: int) -> None:
-        if not 1 <= mode_count <= MAX_MODES:
-            raise CapacityError(f"mode_count {mode_count} outside 1..{MAX_MODES}")
-        if not 1 <= dim <= MAX_DIM:
-            raise CapacityError(f"dim {dim} outside 1..{MAX_DIM}")
+        _require_capacity(dim, mode_count)
         amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
         if amps.size != dim**mode_count:
             raise DimensionMismatch(
@@ -130,8 +134,8 @@ def squeezed_vector(r: float, dim: int) -> FockVector:
     flipping it would squeeze X instead.
     """
     rr = float(r)
-    if rr < 0.0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {rr}")
+    if not math.isfinite(rr) or rr < 0.0:
+        raise ValueError(f"r must be finite and >= 0, got {r}")
     nbar = math.sinh(rr) ** 2
     need = recommended_dim(math.sqrt(nbar))
     if dim < need:
@@ -152,13 +156,9 @@ def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVecto
     against the closed forms are apples to apples.  The cutoff defaults to
     `recommended_dim` of the largest label component.
     """
-    if s.mode_count > MAX_MODES:
-        raise CapacityError(f"{s.mode_count} modes exceeds oracle cap {MAX_MODES}")
-    biggest = float(np.max(np.abs(s.labels)))
     if dim is None:
-        dim = recommended_dim(biggest)
-    if dim > MAX_DIM:
-        raise CapacityError(f"dim {dim} exceeds oracle cap {MAX_DIM}")
+        dim = recommended_dim(float(np.max(np.abs(s.labels))))
+    _require_capacity(dim, s.mode_count)
     total = np.zeros((dim,) * s.mode_count, dtype=np.complex128)
     for coeff, label in zip(s.coeffs, s.labels):
         columns = [coherent_vector(a, dim).amplitudes for a in label]
@@ -203,8 +203,7 @@ def lift(op: np.ndarray, mode: int, mode_count: int) -> tuple[np.ndarray | None,
         raise DimensionMismatch(f"operator shape {op.shape} is not square")
     if not 0 <= mode < mode_count:
         raise DimensionMismatch(f"mode {mode} outside 0..{mode_count - 1}")
-    if mode_count > MAX_MODES or dim > MAX_DIM:
-        raise CapacityError("lift request exceeds oracle caps")
+    _require_capacity(dim, mode_count)
     return (None,) * mode + (op,) + (None,) * (mode_count - mode - 1)
 
 
@@ -239,15 +238,19 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
     """Apply per-mode displacements without forming the full-space matrix.
 
     Each D(beta_k) is a dim x dim dense matrix contracted along axis k of
-    the amplitude tensor; memory stays at one state vector.
+    the amplitude tensor; memory stays at one state vector.  Each distinct
+    amplitude builds its matrix once, and D(0) = I is skipped.
     """
-    if len(betas) != state.mode_count:
+    kicks = [complex(b) for b in betas]
+    if len(kicks) != state.mode_count:
         raise DimensionMismatch(
-            f"{len(betas)} displacement amplitudes for {state.mode_count} modes"
+            f"{len(kicks)} displacement amplitudes for {state.mode_count} modes"
         )
+    matrices = {b: displacement_matrix(b, state.dim) for b in set(kicks) - {0j}}
     tens = state.tensor()
-    for k, b in enumerate(betas):
-        tens = _contract(displacement_matrix(complex(b), state.dim), tens, k)
+    for k, b in enumerate(kicks):
+        if b in matrices:
+            tens = _contract(matrices[b], tens, k)
     return FockVector(tens, state.dim, state.mode_count)
 
 
@@ -309,8 +312,8 @@ def qfi_fidelity_fd(
     toward double-precision roundoff the quotient is garbage; that is
     reported as StepTooSmallError rather than returned.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
     base = family(float(eps0))
     base_norm = base.norm()
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def render_line_plot(
     out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     out.append(
         f'<text x="{width / 2:.0f}" y="26" text-anchor="middle" font-size="16">'
-        f"{escape(title)}</text>"
+        f"{escape(title, quote=False)}</text>"
     )
 
     # gridlines + tick labels
@@ -148,11 +148,12 @@ def render_line_plot(
     )
     out.append(
         f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 14}" text-anchor="middle">'
-        f"{escape(xlabel)}</text>"
+        f"{escape(xlabel, quote=False)}</text>"
     )
     out.append(
         f'<text x="20" y="{margin_t + plot_h / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {margin_t + plot_h / 2:.0f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {margin_t + plot_h / 2:.0f})">'
+        f"{escape(ylabel, quote=False)}</text>"
     )
 
     # curves
@@ -180,7 +181,7 @@ def render_line_plot(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 34}" y2="{ly}" stroke="{color}" '
             f'stroke-width="1.8"{dash_attr}/>'
         )
-        out.append(f'<text x="{lx + 42}" y="{ly + 4}">{escape(c.label)}</text>')
+        out.append(f'<text x="{lx + 42}" y="{ly + 4}">{escape(c.label, quote=False)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

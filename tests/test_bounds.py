@@ -111,6 +111,17 @@ class TestVarianceForms:
         want = coherent.mean_photon_number(coherent.make_entangled_cat(alpha, n))
         assert entangled_cat_ntot(alpha, n) == pytest.approx(want, rel=1e-11, abs=1e-13)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("fn", [
+        entangled_cat_generator_variance, entangled_cat_ntot, eps_min_entangled_cat])
+    def test_amplitude_must_be_finite_and_nonnegative(self, fn, bad):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            fn(bad, 2)
+
+    def test_array_amplitude_names_the_bad_entry(self):
+        with pytest.raises(ValueError, match="got inf"):
+            entangled_cat_ntot(np.array([0.5, math.inf, 1.0]), 3)
+
     def test_huge_amplitude_no_overflow(self):
         # exp(-2 N a^2) underflows; the limit variance N (1 + 4 N a^2) must
         # come back, not a range error

@@ -126,6 +126,16 @@ class TestSuperpositionState:
         with pytest.raises(DimensionMismatch):
             SuperpositionState([(1.0, label(1.0)), (1.0, label(1.0, 0.0))])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_nonfinite_label_rejected_wherever_a_state_is_made(self, bad):
+        # one check in the state's store covers the constructor, displace and overlap
+        with pytest.raises(ValueError, match="non-finite"):
+            SuperpositionState([(1.0, label(0.5, bad))])
+        with pytest.raises(ValueError, match="non-finite"):
+            displace(make_entangled_cat(0.5, 2), [0.0, bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            overlap(label(bad), label(0.5))
+
     def test_cancelled_state_has_no_norm(self):
         s = SuperpositionState([(1.0, label(0.7)), (-1.0, label(0.7))])
         with pytest.raises(DegenerateState):
@@ -153,6 +163,11 @@ class TestEntangledCat:
     def test_bad_mode_count_rejected(self):
         with pytest.raises(ValueError):
             make_entangled_cat(1.0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_entangled_cat(bad, 2)
 
     def test_variance_closed_form(self):
         # Var(G) = N (1 + 4 N a^2 / (1 + e^{-2 N a^2}))

@@ -90,6 +90,11 @@ class TestSqueezedVector:
         with pytest.raises(TruncationError):
             fock.squeezed_vector(1.0, 20)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_r_rejected(self, bad):
+        with pytest.raises(ValueError, match="r must be finite and >= 0"):
+            fock.squeezed_vector(bad, 60)
+
 
 class TestToFock:
     def test_cat_norm_matches_exact(self):
@@ -284,6 +289,26 @@ class TestDisplacement:
         with pytest.raises(DimensionMismatch):
             fock.displace_fock(psi, [0.1])
 
+    @pytest.mark.parametrize("kicks, built", [
+        ([0.3j] * 3, 1), ([0.0] * 3, 0), ([0.3j, 0.0, -0.2], 2), ([0.1, 0.1j, 0.1], 2)])
+    def test_each_distinct_kick_builds_one_matrix(self, monkeypatch, kicks, built):
+        psi = fock.to_fock(coherent.make_entangled_cat(0.6, 3))
+        want = psi.tensor()
+        for k, b in enumerate(kicks):  # reference: one matrix per mode, D(0) included
+            want = np.moveaxis(np.tensordot(fock.displacement_matrix(b, psi.dim), want,
+                                            axes=([1], [k])), 0, k)
+        calls = []
+
+        def counting(beta, dim):
+            calls.append(beta)
+            return build(beta, dim)
+
+        build = fock.displacement_matrix
+        monkeypatch.setattr(fock, "displacement_matrix", counting)
+        got = fock.displace_fock(psi, kicks)
+        assert len(calls) == built
+        assert np.array_equal(got.amplitudes, want.ravel())
+
 
 class TestQfi:
     def test_requires_hermitian_generator(self):
@@ -333,6 +358,11 @@ class TestQfi:
         with pytest.raises(ValueError):
             fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), 0.0, 0.0)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_fd_rejects_nonfinite_step(self, step):
+        with pytest.raises(ValueError, match="finite"):
+            fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), 0.0, step)
+
 
 class TestFockVectorValidation:
     def test_compares_by_identity_and_hashes(self):
@@ -352,6 +382,18 @@ class TestFockVectorValidation:
     def test_dim_cap(self):
         with pytest.raises(CapacityError):
             fock.FockVector(np.zeros(200), 200, 1)
+
+
+@pytest.mark.parametrize("request_over_cap", [
+    lambda: fock.FockVector(np.zeros(16), 2, 4),
+    lambda: fock.to_fock(coherent.SuperpositionState([(1.0, coherent.CoherentLabel((0.1,) * 4))])),
+    lambda: fock.to_fock(coherent.make_entangled_cat(0.5, 1), dim=129),
+    lambda: fock.lift(fock.quad_x(4), 0, 4),
+    lambda: fock.lift(fock.quad_x(129), 0, 1),
+])
+def test_one_capacity_rule_and_message(request_over_cap):
+    with pytest.raises(CapacityError, match=r"oracle caps of 1\.\.3 modes and 1\.\.128 levels"):
+        request_over_cap()
 
 
 def test_oracle_runs_without_scipy(tmp_path):
