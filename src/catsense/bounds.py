@@ -108,7 +108,8 @@ def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
     ok = (a >= 0.0) & (a < np.inf)  # false for NaN too
     if not ok.all():
         raise ValueError(f"alpha must be finite and >= 0, got {a[~ok][0]}")
-    return n_modes * a * a
+    with np.errstate(over="ignore"):  # u past the double range is inf, as the forms expect
+        return n_modes * a * a
 
 
 def _eps_from_variance(var: float | np.ndarray) -> float | np.ndarray:

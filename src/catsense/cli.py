@@ -45,17 +45,26 @@ def _csv_format(v) -> str:
     return "%s"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    if len(rows):
-        template = ",".join(map(_csv_format, rows[0]))
-        lines.extend(template % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """CSV text of a table given as columns, all rows filled by one `%`.
+
+    A column is a 1-D array or sequence, or one value repeated on every row.
+    An array column takes the format `_csv_format` gives its first cell; a
+    repeated value is formatted once, into the row template.
+    """
+    cols = [np.asarray(c, dtype=object) for c in columns]  # exact Python scalars
+    arrays = [c for c in cols if c.ndim]
+    cells = np.stack(arrays, axis=1).ravel().tolist() if arrays else []
+    first_row = iter(cells)  # the first row's cells pick the array columns' formats
+    fields = [_csv_format(next(first_row, None)) if c.ndim
+              else (_csv_format(c.item()) % (c.item(),)).replace("%", "%%") for c in cols]
+    body = (",".join(fields) + "\n") * (len(arrays[0]) if arrays else 0)
+    return ",".join(header) + "\n" + body % tuple(cells)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """CSV with 17-significant-digit floats and LF line endings; rows typed like the first."""
-    write_all({path: _csv_text(header, rows)})
+def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """CSV of columns (arrays or repeated values), floats to 17 significant digits, LF endings."""
+    write_all({path: _csv_text(header, columns)})
 
 
 def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> np.ndarray:
@@ -78,17 +87,16 @@ def run_figure1(
     spacing: str,
     out: str,
     svg: str | None = None,
-) -> list[tuple]:
-    """Sweep the photon budget and tabulate the three cat-probe bounds."""
+) -> np.ndarray:
+    """Sweep the photon budget and tabulate the three cat-probe bounds; returns the CSV's rows."""
     grid = _make_grid(ntot_min, ntot_max, points, spacing)
     family, kinds = bounds.ProbeFamily, bounds.FamilyKind
     ent = bounds.curve(family(kinds.ENTANGLED_CAT, n_modes), grid)
     sep = bounds.curve(family(kinds.SEPARABLE_CATS, n_modes), grid)
     one = bounds.curve(family(kinds.SINGLE_CAT), grid)
     columns = (ent.n_tot, ent.eps_min, sep.eps_min, one.eps_min, ent.alpha)
-    rows = list(zip(*(c.tolist() for c in columns)))
     header = ["n_tot", "eps_entangled", "eps_separable", "eps_single_cat", "alpha_entangled"]
-    docs = {out: _csv_text(header, rows)}
+    docs = {out: _csv_text(header, columns)}
     if svg is not None:
         curves = [
             svgplot.Curve(f"entangled cat, {n_modes} modes", grid, ent.eps_min, "solid"),
@@ -104,7 +112,7 @@ def run_figure1(
             log_y=True,
         )
     write_all(docs)  # both files or neither
-    return rows
+    return np.column_stack(columns)
 
 
 # ---------------------------------------------------------------- bounds
@@ -117,17 +125,17 @@ def run_bounds(
     points: int,
     spacing: str,
     out: str,
-) -> list[tuple]:
-    """Tabulate one bound family on a photon-number grid."""
+) -> np.ndarray:
+    """Tabulate one bound family; returns rows of n_tot, alpha, eps_min and qfi."""
     kind = bounds.FamilyKind(family)
     fam = bounds.ProbeFamily(kind, n_modes if kind in (
         bounds.FamilyKind.SEPARABLE_CATS, bounds.FamilyKind.ENTANGLED_CAT) else 1)
     grid = _make_grid(ntot_min, ntot_max, points, spacing)
     res = bounds.curve(fam, grid)
     columns = (res.n_tot, res.alpha, res.eps_min, res.qfi)
-    rows = [(fam.kind.value, fam.n_modes, *r) for r in zip(*(c.tolist() for c in columns))]
-    write_csv(out, ["family", "n_modes", "n_tot", "alpha", "eps_min", "qfi"], rows)
-    return rows
+    write_csv(out, ["family", "n_modes", "n_tot", "alpha", "eps_min", "qfi"],
+              (kind.value, fam.n_modes, *columns))
+    return np.column_stack(columns)
 
 
 # ---------------------------------------------------------------- qfi-check
@@ -151,8 +159,7 @@ def run_qfi_check(
     for n_modes in modes_list:
         for alpha in alpha_list:
             closed = 4.0 * bounds.entangled_cat_generator_variance(alpha, n_modes)
-            cat = coherent.make_entangled_cat(alpha, n_modes)
-            state = fock.to_fock(cat)
+            state = fock.to_fock(coherent.make_entangled_cat(alpha, n_modes))
             gen = fock.collective_quad_x(state.dim, n_modes)
             oracle = fock.qfi_pure(state, gen)
 
@@ -162,15 +169,9 @@ def run_qfi_check(
             fd = fock.qfi_fidelity_fd(displaced, 0.0, fd_step)
             rel_pure = abs(oracle - closed) / closed
             rel_fd = abs(fd - closed) / closed
-            rows.append(
-                [n_modes, float(alpha), state.dim, closed, oracle, fd, rel_pure, rel_fd]
-            )
-    write_csv(
-        out,
-        ["modes", "alpha", "dim", "qfi_closed_form", "qfi_oracle", "qfi_fd",
-         "rel_err_oracle", "rel_err_fd"],
-        rows,
-    )
+            rows.append([n_modes, float(alpha), state.dim, closed, oracle, fd, rel_pure, rel_fd])
+    write_csv(out, ["modes", "alpha", "dim", "qfi_closed_form", "qfi_oracle", "qfi_fd",
+                    "rel_err_oracle", "rel_err_fd"], list(zip(*rows)))
     # np.max keeps a NaN that max() would drop; with `not <` a NaN fails the gate
     worst_pure = float(np.max([row[6] for row in rows], initial=0.0))
     worst_fd = float(np.max([row[7] for row in rows], initial=0.0))
@@ -215,16 +216,9 @@ def run_ramsey(
             ]
             estimates = [estimation.ramsey_simulate(model, reps, s) for s in child_seeds]
             theta_hats = np.array([e.theta_hat for e in estimates])
-            rows.append(
-                [
-                    n_qubits,
-                    scheme.value,
-                    info,
-                    1.0 / math.sqrt(info * reps),
-                    float(np.std(theta_hats, ddof=1)),
-                ]
-            )
-    write_csv(out, ["N", "scheme", "FI", "delta_theta", "empirical_stderr"], rows)
+            rows.append([n_qubits, scheme.value, info, 1.0 / math.sqrt(info * reps),
+                         float(np.std(theta_hats, ddof=1))])
+    write_csv(out, ["N", "scheme", "FI", "delta_theta", "empirical_stderr"], list(zip(*rows)))
     return rows
 
 
@@ -245,11 +239,8 @@ def run_montecarlo(
     eps_hat, stderr = estimation.estimate_eps(samples, probe)
     pull = (eps_hat - eps) / stderr
     rows = [[probe_name, eps, shots, seed, probe.y_variance, eps_hat, stderr, pull]]
-    write_csv(
-        out,
-        ["probe", "true_eps", "shots", "seed", "y_variance", "eps_hat", "stderr", "pull"],
-        rows,
-    )
+    write_csv(out, ["probe", "true_eps", "shots", "seed", "y_variance", "eps_hat", "stderr",
+                    "pull"], list(zip(*rows)))
     return rows
 
 

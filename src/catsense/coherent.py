@@ -38,6 +38,11 @@ TOL_HERM = 1e-9
 ComplexLike = complex | float | int
 
 
+def _require_finite(amplitudes: np.ndarray) -> None:
+    if not np.isfinite(amplitudes).all():
+        raise ValueError("non-finite amplitude in a label")
+
+
 @dataclass(frozen=True)
 class CoherentLabel:
     """Amplitude tuple of a multimode coherent state |g_0, g_1, ...>."""
@@ -79,8 +84,7 @@ class SuperpositionState:
         self._store(np.asarray(coeffs, dtype=np.complex128), amps)
 
     def _store(self, coeffs: np.ndarray, labels: np.ndarray) -> None:
-        if not np.isfinite(labels).all():
-            raise ValueError("non-finite amplitude in a label")
+        _require_finite(labels)
         close = np.all(np.abs(labels[:, None, :] - labels[None, :, :]) <= TOL_LABEL, axis=2)
         keep, group = np.unique(np.argmax(close, axis=0), return_inverse=True)
         merged = np.zeros(len(keep), dtype=np.complex128)
@@ -182,6 +186,7 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
         raise DimensionMismatch(
             f"{len(kicks)} displacement amplitudes for a {s.mode_count}-mode state"
         )
+    _require_finite(kicks)  # before the TwoSum arithmetic, which warns on inf
     moved = s.labels + kicks
     part = moved - s.labels
     err = (s.labels - (moved - part)) + (kicks - part)

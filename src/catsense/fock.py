@@ -58,14 +58,16 @@ def _require_capacity(dim: int, mode_count: int) -> None:
                             f"of 1..{MAX_MODES} modes and 1..{MAX_DIM} levels per mode")
 
 
-def recommended_dim(alpha_max: float) -> int:
+def recommended_dim(alpha_max: float) -> int | float:
     """Cutoff that keeps the Poisson tail of |alpha| << alpha_max far below TAIL_TOL.
 
     Mean alpha^2 plus eight standard-deviation-ish units plus a flat floor;
-    generous on purpose, the oracle is not performance critical.
+    generous on purpose, the oracle is not performance critical.  An
+    amplitude whose square overflows needs `math.inf` levels, past every cap.
     """
     a = abs(alpha_max)
-    return math.ceil(a * a + 8.0 * a + 20.0)
+    need = a * a + 8.0 * a + 20.0
+    return math.ceil(need) if need < math.inf else math.inf
 
 
 @dataclass(frozen=True, eq=False)

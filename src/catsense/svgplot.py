@@ -164,7 +164,8 @@ def render_line_plot(
             raise ValueError(f"unknown line style {c.style!r}")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         px, py = to_px(*pts[c.label])
-        coords = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
+        xy = tuple(np.stack((px, py), axis=1).ravel().tolist())
+        coords = ("%.2f,%.2f " * len(px) % xy)[:-1]
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8"{dash_attr} '
             f'points="{coords}"/>'

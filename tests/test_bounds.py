@@ -343,6 +343,14 @@ class TestExtremeBudgetsThroughCli:
         digest = hashlib.sha256((tmp_path / "figure1.svg").read_bytes()).hexdigest()
         assert digest.startswith("e39933fe03ddaf99")
 
+    @pytest.mark.parametrize("cmd, pin", [("figure1", "0987970f8b8cd103"),
+                                          ("bounds", "e0c8942acc24fbb5")])
+    def test_default_csv_unchanged(self, tmp_path, monkeypatch, cmd, pin):
+        monkeypatch.chdir(tmp_path)
+        assert main([cmd]) == 0
+        digest = hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest()
+        assert digest.startswith(pin)
+
 
 class TestAgainstOracleConventions:
     def test_single_cat_formula_is_a_large_amplitude_approximation(self):

@@ -25,14 +25,14 @@ class TestCsvFormat:
 
     def test_lf_only_line_endings(self, tmp_path):
         out = tmp_path / "x.csv"
-        write_csv(str(out), ["a", "b"], [[1, 2.5], [3, 4.5]])
+        write_csv(str(out), ["a", "b"], [[1, 3], [2.5, 4.5]])
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
     def test_mixed_cell_types(self, tmp_path):
         out = tmp_path / "x.csv"
-        write_csv(str(out), ["s", "i", "f"], [["ghz", 7, 0.5]])
+        write_csv(str(out), ["s", "i", "f"], [["ghz"], [7], [0.5]])
         assert out.read_text().splitlines()[1] == "ghz,7,0.5"
 
 

@@ -21,7 +21,10 @@ QFI_CASE = ["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"]
     (["ramsey", "--qubit-list", "0"], 1, "--qubit-list"),
     (["qfi-check", "--modes-list", "4", "--alpha-list", "0.5"], 3, None),
     (["qfi-check", "--modes-list", "0", "--alpha-list", "0.5"], 1, None),
+    # alpha^2 overflows: infinitely many levels, past the oracle caps
+    (["qfi-check", "--modes-list", "1", "--alpha-list", "1e200"], 3, None),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
     out = tmp_path / "out.csv"
     assert main([*args, "--out", str(out)]) == code

@@ -126,9 +126,11 @@ class TestSuperpositionState:
         with pytest.raises(DimensionMismatch):
             SuperpositionState([(1.0, label(1.0)), (1.0, label(1.0, 0.0))])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_nonfinite_label_rejected_wherever_a_state_is_made(self, bad):
-        # one check in the state's store covers the constructor, displace and overlap
+        # one finiteness rule: the state's store (constructor, overlap) and
+        # displace's kicks, checked before any arithmetic can warn
         with pytest.raises(ValueError, match="non-finite"):
             SuperpositionState([(1.0, label(0.5, bad))])
         with pytest.raises(ValueError, match="non-finite"):
