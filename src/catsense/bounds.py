@@ -39,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_count, require_nonnegative
 
 
 class FamilyKind(str, Enum):
@@ -50,6 +50,10 @@ class FamilyKind(str, Enum):
     ENTANGLED_CAT = "entangled-cat"
 
 
+# The families whose mode/copy count may exceed 1; every other one is single-mode.
+MULTIMODE_FAMILIES = (FamilyKind.SEPARABLE_CATS, FamilyKind.ENTANGLED_CAT)
+
+
 @dataclass(frozen=True)
 class ProbeFamily:
     """A bound family plus the mode/copy count where that is meaningful."""
@@ -58,11 +62,9 @@ class ProbeFamily:
     n_modes: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        if self.kind in (FamilyKind.COHERENT_SQL, FamilyKind.SQUEEZED, FamilyKind.SINGLE_CAT):
-            if self.n_modes != 1:
-                raise ValueError(f"{self.kind.value} is a single-mode family")
+        require_count("n_modes", self.n_modes)
+        if self.kind not in MULTIMODE_FAMILIES and self.n_modes != 1:
+            raise ValueError(f"{self.kind.value} is a single-mode family")
 
 
 @dataclass(frozen=True)
@@ -92,22 +94,10 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
     return np.where(x > 700.0, 0.0, np.exp(-x))
 
 
-def _require_ntot(n_tot: float | np.ndarray, strict: bool = False) -> np.ndarray:
-    v = np.asarray(n_tot, dtype=np.float64)
-    ok = ((v > 0.0) if strict else (v >= 0.0)) & (v < np.inf)  # false for NaN too
-    if not ok.all():
-        raise ValueError(f"n_tot must be finite and {'>' if strict else '>='} 0, got {v[~ok][0]}")
-    return v
-
-
 def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
     """u = N alpha^2, after checking N >= 1 and 0 <= alpha < inf."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    a = np.asarray(alpha, dtype=np.float64)
-    ok = (a >= 0.0) & (a < np.inf)  # false for NaN too
-    if not ok.all():
-        raise ValueError(f"alpha must be finite and >= 0, got {a[~ok][0]}")
+    require_count("n_modes", n_modes)
+    a = require_nonnegative("alpha", alpha)
     with np.errstate(over="ignore"):  # u past the double range is inf, as the forms expect
         return n_modes * a * a
 
@@ -126,7 +116,7 @@ def eps_min_sql() -> float:
 
 def eps_min_squeezed(n_tot: float | np.ndarray) -> float | np.ndarray:
     """Squeezed-vacuum bound 1/sqrt(4 n_tot) with n_tot = sinh^2 r photons."""
-    n = _require_ntot(n_tot, strict=True)
+    n = require_nonnegative("n_tot", n_tot, strict=True)
     return _out(1.0 / np.sqrt(4.0 * n))
 
 
@@ -139,10 +129,7 @@ def eps_min_squeezed_exact(r: float) -> float:
     above this; both are kept because each matches a different published
     normalization, and the relation is pinned down in the tests.
     """
-    rr = float(r)
-    if not math.isfinite(rr) or rr < 0.0:
-        raise ValueError(f"r must be finite and >= 0, got {r}")
-    return 0.5 * math.exp(-rr)
+    return 0.5 * math.exp(-float(require_nonnegative("r", r)))
 
 
 def single_cat_generator_variance(alpha: float | np.ndarray) -> float | np.ndarray:
@@ -158,7 +145,8 @@ def entangled_cat_generator_variance(alpha: float | np.ndarray, n_modes: int) ->
     orthogonal combinations each contribute vacuum variance 1.
     """
     u = _cat_u(alpha, n_modes)
-    return _out(n_modes * (1.0 + 4.0 * u / (1.0 + _exp_neg(2.0 * u))))
+    with np.errstate(over="ignore"):  # 2u and 4u past the double range are inf, like u in _cat_u
+        return _out(n_modes * (1.0 + 4.0 * u / (1.0 + _exp_neg(2.0 * u))))
 
 
 def entangled_cat_ntot(alpha: float | np.ndarray, n_modes: int) -> float | np.ndarray:
@@ -174,15 +162,14 @@ def eps_min_single_cat(n_tot: float | np.ndarray) -> float | np.ndarray:
     at small n_tot it deviates from the oracle at the percent level, which
     the tests document rather than hide.
     """
-    n = _require_ntot(n_tot)
+    n = require_nonnegative("n_tot", n_tot)
     return _out(1.0 / np.sqrt(1.0 + 4.0 * n))
 
 
 def eps_min_separable_cats(n_tot: float | np.ndarray, n_copies: int) -> float | np.ndarray:
     """N independent single-mode cats sharing n_tot photons: 1/sqrt(N + 4 n_tot)."""
-    if n_copies < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    n = _require_ntot(n_tot)
+    require_count("n_copies", n_copies)
+    n = require_nonnegative("n_tot", n_tot)
     return _out(1.0 / np.sqrt(n_copies + 4.0 * n))
 
 
@@ -211,9 +198,8 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     bracket is below one ulp of u.  Each entry takes the same path alone
     as inside an array, so scalar and array calls agree bit for bit.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    n = _require_ntot(n_tot)
+    require_count("n_modes", n_modes)
+    n = require_nonnegative("n_tot", n_tot)
     lo = np.maximum(n, np.sqrt(n))
     hi = lo + np.minimum(lo, 1.0)
     u = lo
@@ -244,7 +230,7 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
     alpha = np.full(n.shape, np.nan)
     kind = family.kind
     if kind is FamilyKind.COHERENT_SQL:
-        _require_ntot(n)
+        require_nonnegative("n_tot", n)
         eps = np.full(n.shape, eps_min_sql())
     elif kind is FamilyKind.SQUEEZED:
         eps = eps_min_squeezed(n)

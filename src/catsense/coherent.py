@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateState, DimensionMismatch
+from .errors import ConsistencyError, DegenerateState, DimensionMismatch, require_count, require_real
 
 # Labels closer than this (per component, absolute) are the same physical
 # amplitude and get merged; keeps norms well conditioned.
@@ -85,7 +85,8 @@ class SuperpositionState:
 
     def _store(self, coeffs: np.ndarray, labels: np.ndarray) -> None:
         _require_finite(labels)
-        close = np.all(np.abs(labels[:, None, :] - labels[None, :, :]) <= TOL_LABEL, axis=2)
+        with np.errstate(over="ignore"):  # a difference past the double range is inf: not close
+            close = np.all(np.abs(labels[:, None, :] - labels[None, :, :]) <= TOL_LABEL, axis=2)
         keep, group = np.unique(np.argmax(close, axis=0), return_inverse=True)
         merged = np.zeros(len(keep), dtype=np.complex128)
         np.add.at(merged, group, coeffs)
@@ -130,14 +131,13 @@ def inner(s: SuperpositionState, t: SuperpositionState) -> complex:
 
 def _positive_norm(s: SuperpositionState, v: complex) -> float:
     """v = <s|s> as a float, or DegenerateState if it is not safely positive."""
-    if abs(v.imag) > TOL_HERM * max(1.0, abs(v.real)):
-        raise ConsistencyError(f"norm^2 has imaginary part {v.imag}")
+    n2 = require_real("norm^2", v, TOL_HERM)
     # Relative floor: coefficients of unit size with norm^2 ~ 1e-12 mean the
     # labels nearly cancel and any moment would amplify roundoff.
     floor = 1e-12 * max(float(np.sum(np.abs(s.coeffs) ** 2)), 1e-300)
-    if v.real <= floor:
-        raise DegenerateState(f"norm^2 = {v.real} is not safely positive")
-    return v.real
+    if n2 <= floor:
+        raise DegenerateState(f"norm^2 = {n2} is not safely positive")
+    return n2
 
 
 def norm_squared(s: SuperpositionState) -> float:
@@ -157,8 +157,7 @@ def make_entangled_cat(alpha: float, n_modes: int) -> SuperpositionState:
     Unnormalized by construction: norm^2 = 1 + exp(-2 n_modes alpha^2).
     alpha = 0 collapses to a single vacuum term with coefficient sqrt(2).
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    require_count("n_modes", n_modes)
     a = float(alpha)
     if a < 0.0:
         raise ValueError(f"alpha must be >= 0, got {a}")
@@ -186,8 +185,9 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
         raise DimensionMismatch(
             f"{len(kicks)} displacement amplitudes for a {s.mode_count}-mode state"
         )
-    _require_finite(kicks)  # before the TwoSum arithmetic, which warns on inf
-    moved = s.labels + kicks
+    with np.errstate(over="ignore"):  # a sum past the double range is rejected just below
+        moved = s.labels + kicks
+    _require_finite(moved)  # before the TwoSum arithmetic, which warns on inf
     part = moved - s.labels
     err = (s.labels - (moved - part)) + (kicks - part)
     phase = np.sum((kicks * s.labels.conj()).imag + (err * moved.conj()).imag, axis=1)
@@ -204,10 +204,7 @@ def _weights(s: SuperpositionState) -> np.ndarray:
 
 def _expect(w: np.ndarray, element: np.ndarray) -> float:
     """The weighted sum of label-pair elements: a Hermitian expectation value."""
-    val = complex(np.sum(w * element))
-    if abs(val.imag) > TOL_HERM * max(1.0, abs(val.real)):
-        raise ConsistencyError(f"Hermitian expectation has imaginary part {val.imag}")
-    return val.real
+    return require_real("Hermitian expectation", complex(np.sum(w * element)), TOL_HERM)
 
 
 def _generator_element(s: SuperpositionState) -> np.ndarray:

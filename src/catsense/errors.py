@@ -1,8 +1,19 @@
-"""Exception types shared across the package."""
+"""The package's failure rules, each stated once.
+
+Every exception type carries the exit code it earns in the CLI as the class
+attribute `exit_code`: 1 for bad input, 3 for an oracle capacity or tolerance
+failure.  Beside them sit the rule helpers that the other modules call on
+their inputs: `require_count`, `require_nonnegative` and `require_real`.  The
+seed rule, `estimation.check_seed`, stays beside the samplers it feeds.
+"""
+
+import numpy as np
 
 
 class CatsenseError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 1
 
 
 class DimensionMismatch(CatsenseError, ValueError):
@@ -24,14 +35,44 @@ class HermiticityError(CatsenseError, ValueError):
 class TruncationError(CatsenseError, ValueError):
     """Fock cutoff too small: probability mass near the cutoff is not negligible."""
 
+    exit_code = 3
+
 
 class CapacityError(CatsenseError, ValueError):
     """Request exceeds the hard limits of the brute-force oracle."""
+
+    exit_code = 3
 
 
 class StepTooSmallError(CatsenseError, ValueError):
     """Finite-difference step so small the fidelity deficit drowns in roundoff."""
 
+    exit_code = 3
+
 
 class ToleranceFailure(CatsenseError, RuntimeError):
     """A verification table exceeded one of its error gates."""
+
+    exit_code = 3
+
+
+def require_count(name: str, n: int) -> None:
+    """A count of modes, copies, shots or qubits must be at least 1."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
+def require_nonnegative(name: str, x, strict: bool = False) -> np.ndarray:
+    """x as a float64 array once every entry is finite and >= 0 (> 0 if strict)."""
+    v = np.asarray(x, dtype=np.float64)
+    ok = ((v > 0.0) if strict else (v >= 0.0)) & (v < np.inf)  # false for NaN too
+    if not ok.all():
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v[~ok][0]}")
+    return v
+
+
+def require_real(what: str, z: complex, tol: float = 1e-9) -> float:
+    """The real part of z, after checking |Im z| <= tol * max(1, |Re z|)."""
+    if abs(z.imag) > tol * max(1.0, abs(z.real)):
+        raise ConsistencyError(f"{what} has imaginary part {z.imag}")
+    return z.real

@@ -16,10 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, require_count, require_nonnegative
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
+    """The seed as an int, which must lie in [0, 2^64)."""
     s = int(seed)
     if not 0 <= s < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
@@ -44,8 +45,7 @@ class SqueezedProbe:
     r: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"r must be finite and >= 0, got {self.r}")
+        require_nonnegative("r", self.r)
 
     @property
     def y_variance(self) -> float:
@@ -69,11 +69,9 @@ class HomodyneExperiment:
     seed: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.true_eps) or self.true_eps < 0.0:
-            raise ValueError(f"true_eps must be finite and >= 0, got {self.true_eps}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        _check_seed(self.seed)
+        require_nonnegative("true_eps", self.true_eps)
+        require_count("shots", self.shots)
+        check_seed(self.seed)
 
 
 def sample_homodyne(experiment: HomodyneExperiment) -> np.ndarray:
@@ -126,8 +124,7 @@ class RamseyModel:
     theta: float
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        require_count("n_qubits", self.n_qubits)
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 
@@ -174,9 +171,8 @@ def ramsey_simulate(model: RamseyModel, shots: int, seed: int) -> RamseyEstimate
     through the inverse: 1 / (2 phi sqrt(shots)), again theta-independent;
     equivalently 1 / sqrt(F shots) with F from `ramsey_fisher`.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
+    require_count("shots", shots)
+    rng = np.random.Generator(np.random.PCG64(check_seed(seed)))
     p = plus_probability(model)
     successes = int(rng.binomial(shots, p))
     p_hat = successes / shots

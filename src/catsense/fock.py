@@ -28,11 +28,12 @@ import numpy as np
 from . import coherent
 from .errors import (
     CapacityError,
-    ConsistencyError,
     DimensionMismatch,
     HermiticityError,
     StepTooSmallError,
     TruncationError,
+    require_nonnegative,
+    require_real,
 )
 
 MAX_MODES = 3
@@ -62,12 +63,13 @@ def recommended_dim(alpha_max: float) -> int | float:
     """Cutoff that keeps the Poisson tail of |alpha| << alpha_max far below TAIL_TOL.
 
     Mean alpha^2 plus eight standard-deviation-ish units plus a flat floor;
-    generous on purpose, the oracle is not performance critical.  An
-    amplitude whose square overflows needs `math.inf` levels, past every cap.
+    generous on purpose, the oracle is not performance critical.  A need
+    past 2^53, where doubles stop counting whole levels, stays that float
+    (`math.inf` once the square overflows), far past every cap.
     """
     a = abs(alpha_max)
     need = a * a + 8.0 * a + 20.0
-    return math.ceil(need) if need < math.inf else math.inf
+    return math.ceil(need) if need < 2.0**53 else need
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +137,7 @@ def squeezed_vector(r: float, dim: int) -> FockVector:
     The sign convention (positive tanh) is what squeezes Y = -i(a - a*);
     flipping it would squeeze X instead.
     """
-    rr = float(r)
-    if not math.isfinite(rr) or rr < 0.0:
-        raise ValueError(f"r must be finite and >= 0, got {r}")
+    rr = float(require_nonnegative("r", r))
     nbar = math.sinh(rr) ** 2
     need = recommended_dim(math.sqrt(nbar))
     if dim < need:
@@ -279,10 +279,8 @@ def _moment(state: FockVector, op: Operator) -> tuple[np.ndarray, np.ndarray, fl
             raise HermiticityError(f"term on mode {k} deviates from Hermitian by {worst:.3e}")
         opsi += _contract(term, psi, k)
     nrm2 = float(np.vdot(psi, psi).real)
-    m = complex(np.vdot(psi, opsi)) / nrm2
-    if abs(m.imag) > 1e-9 * max(1.0, abs(m.real)):
-        raise ConsistencyError(f"Hermitian expectation has imaginary part {m.imag}")
-    return psi, opsi, m.real, nrm2
+    m = require_real("Hermitian expectation", complex(np.vdot(psi, opsi)) / nrm2)
+    return psi, opsi, m, nrm2
 
 
 def expectation(state: FockVector, op: Operator) -> float:
@@ -314,8 +312,7 @@ def qfi_fidelity_fd(
     toward double-precision roundoff the quotient is garbage; that is
     reported as StepTooSmallError rather than returned.
     """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and > 0, got {step}")
+    require_nonnegative("step", step, strict=True)
     base = family(float(eps0))
     base_norm = base.norm()
 

@@ -1,9 +1,9 @@
 """Tiny hand-rolled SVG line plots.
 
-Only what the CLI figure needs: log or linear axes, decade/even ticks,
-a handful of styled polylines and a legend.  Emitting the markup directly
-keeps the package free of plotting dependencies and the output is a plain
-text file that diffs cleanly.
+Only what the CLI figure needs: a log or linear x axis over a log y axis,
+decade/even ticks, a handful of styled polylines and a legend.  Emitting
+the markup directly keeps the package free of plotting dependencies and
+the output is a plain text file that diffs cleanly.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .outputs import write_all
-
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _DASHES = {"solid": None, "dashed": "8 5", "dotted": "2 4"}
+_WIDTH, _HEIGHT = 720, 540
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,10 @@ class Curve:
     xs: Sequence[float]
     ys: Sequence[float]
     style: str = "solid"  # solid | dashed | dotted
+
+    def __post_init__(self) -> None:
+        if self.style not in _DASHES:
+            raise ValueError(f"unknown line style {self.style!r}")
 
 
 def _finite_points(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
@@ -59,10 +62,6 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     return [lo + i * step for i in range(5)]
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:g}"
-
-
 def render_line_plot(
     curves: Sequence[Curve],
     *,
@@ -70,11 +69,8 @@ def render_line_plot(
     xlabel: str,
     ylabel: str,
     log_x: bool = True,
-    log_y: bool = True,
-    width: int = 720,
-    height: int = 540,
 ) -> str:
-    """Return a complete standalone SVG document as a string."""
+    """Return a complete standalone SVG document, log y axis, as a string."""
     if not curves:
         raise ValueError("nothing to plot")
     pts = {c.label: _finite_points(c) for c in curves}
@@ -82,7 +78,7 @@ def render_line_plot(
     ys_all = np.concatenate([ys for _, ys in pts.values()])
     if log_x and xs_all.min() <= 0.0:
         raise ValueError("log x axis needs strictly positive x values")
-    if log_y and ys_all.min() <= 0.0:
+    if ys_all.min() <= 0.0:
         raise ValueError("log y axis needs strictly positive y values")
 
     def span(values: np.ndarray, log: bool) -> tuple[float, float]:
@@ -93,25 +89,25 @@ def render_line_plot(
         return lo, hi
 
     x_lo, x_hi = span(xs_all, log_x)
-    y_lo, y_hi = span(ys_all, log_y)
+    y_lo, y_hi = span(ys_all, True)
 
     margin_l, margin_r, margin_t, margin_b = 72, 24, 46, 58
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
     tx = _unit_map(x_lo, x_hi, log_x)
-    ty = _unit_map(y_lo, y_hi, log_y)
+    ty = _unit_map(y_lo, y_hi, True)
 
     def to_px(x, y):
         return margin_l + tx(x) * plot_w, margin_t + (1.0 - ty(y)) * plot_h
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="13">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="13">'
     )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
-        f'<text x="{width / 2:.0f}" y="26" text-anchor="middle" font-size="16">'
+        f'<text x="{_WIDTH / 2:.0f}" y="26" text-anchor="middle" font-size="16">'
         f"{escape(title, quote=False)}</text>"
     )
 
@@ -126,9 +122,9 @@ def render_line_plot(
         )
         out.append(
             f'<text x="{px:.2f}" y="{margin_t + plot_h + 18}" text-anchor="middle">'
-            f"{_fmt_tick(xv)}</text>"
+            f"{xv:g}</text>"
         )
-    for yv in _ticks(y_lo, y_hi, log_y):
+    for yv in _ticks(y_lo, y_hi, True):
         if not y_lo <= yv <= y_hi:
             continue
         _, py = to_px(x_lo, yv)
@@ -138,7 +134,7 @@ def render_line_plot(
         )
         out.append(
             f'<text x="{margin_l - 8}" y="{py + 4:.2f}" text-anchor="end">'
-            f"{_fmt_tick(yv)}</text>"
+            f"{yv:g}</text>"
         )
 
     # frame
@@ -147,7 +143,7 @@ def render_line_plot(
         f'fill="none" stroke="black"/>'
     )
     out.append(
-        f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 14}" text-anchor="middle">'
+        f'<text x="{margin_l + plot_w / 2:.0f}" y="{_HEIGHT - 14}" text-anchor="middle">'
         f"{escape(xlabel, quote=False)}</text>"
     )
     out.append(
@@ -156,37 +152,25 @@ def render_line_plot(
         f"{escape(ylabel, quote=False)}</text>"
     )
 
+    # each curve's stroke, shared by its polyline and its legend entry
+    strokes = [f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.8"'
+               + (f' stroke-dasharray="{_DASHES[c.style]}"' if _DASHES[c.style] else "")
+               for i, c in enumerate(curves)]
+
     # curves
-    for i, c in enumerate(curves):
-        color = _COLORS[i % len(_COLORS)]
-        dash = _DASHES.get(c.style)
-        if c.style not in _DASHES:
-            raise ValueError(f"unknown line style {c.style!r}")
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    for c, stroke in zip(curves, strokes):
         px, py = to_px(*pts[c.label])
         xy = tuple(np.stack((px, py), axis=1).ravel().tolist())
         coords = ("%.2f,%.2f " * len(px) % xy)[:-1]
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.8"{dash_attr} '
-            f'points="{coords}"/>'
-        )
+        out.append(f'<polyline fill="none" {stroke} points="{coords}"/>')
 
     # legend, top right corner of the frame
-    for i, c in enumerate(curves):
-        color = _COLORS[i % len(_COLORS)]
-        dash = _DASHES.get(c.style)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    for i, (c, stroke) in enumerate(zip(curves, strokes)):
         ly = margin_t + 16 + 18 * i
         lx = margin_l + plot_w - 190
-        out.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 34}" y2="{ly}" stroke="{color}" '
-            f'stroke-width="1.8"{dash_attr}/>'
-        )
+        out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 34}" y2="{ly}" {stroke}/>')
         out.append(f'<text x="{lx + 42}" y="{ly + 4}">{escape(c.label, quote=False)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def write_line_plot(path: str, curves: Sequence[Curve], **kwargs) -> None:
-    write_all({path: render_line_plot(curves, **kwargs)})

@@ -7,6 +7,7 @@ import pytest
 
 from catsense import svgplot
 from catsense.cli import main, write_csv
+from catsense.outputs import write_all
 
 # Every setting of every subcommand at its documented default.  Keys are
 # the long flags without dashes, which is also how a config file names them.
@@ -152,8 +153,9 @@ def test_failed_csv_write_keeps_previous_file(old_files, full_disk):
 
 def test_failed_svg_write_keeps_previous_file(old_files, full_disk):
     with pytest.raises(OSError):
-        svgplot.write_line_plot(str(old_files[1]), [svgplot.Curve("c", [1.0, 2.0], [1.0, 3.0])],
-                                title="t", xlabel="x", ylabel="y")
+        svg = svgplot.render_line_plot([svgplot.Curve("c", [1.0, 2.0], [1.0, 3.0])],
+                                       title="t", xlabel="x", ylabel="y")
+        write_all({str(old_files[1]): svg})
     _assert_untouched(old_files)
 
 

@@ -23,6 +23,8 @@ QFI_CASE = ["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"]
     (["qfi-check", "--modes-list", "0", "--alpha-list", "0.5"], 1, None),
     # alpha^2 overflows: infinitely many levels, past the oracle caps
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e200"], 3, None),
+    # alpha^2 is finite but 4 N alpha^2 is not, and the level count is a double
+    (["qfi-check", "--modes-list", "1", "--alpha-list", "1e154"], 3, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
@@ -31,6 +33,7 @@ def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
     err = capsys.readouterr().err
     assert not out.exists()
     assert "Traceback" not in err
+    assert len(err) < 200
     if flag is not None:  # a usage error names its flag
         assert f"'{flag}'" in err
 

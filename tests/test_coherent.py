@@ -138,6 +138,12 @@ class TestSuperpositionState:
         with pytest.raises(ValueError, match="non-finite"):
             overlap(label(bad), label(0.5))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_kick_rejected_before_arithmetic(self):
+        # finite labels and a finite kick whose sum leaves the double range
+        with pytest.raises(ValueError, match="non-finite"):
+            displace(make_entangled_cat(1e308, 1), [1e308])
+
     def test_cancelled_state_has_no_norm(self):
         s = SuperpositionState([(1.0, label(0.7)), (-1.0, label(0.7))])
         with pytest.raises(DegenerateState):

@@ -1,0 +1,93 @@
+"""Each failure rule has one home in catsense.errors: one message, one exit code."""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from catsense import cli, errors
+from catsense.bounds import (
+    FamilyKind,
+    ProbeFamily,
+    entangled_cat_generator_variance,
+    eps_min_separable_cats,
+    eps_min_squeezed_exact,
+    invert_ntot,
+)
+from catsense.coherent import make_entangled_cat
+from catsense.estimation import (
+    CoherentProbe,
+    HomodyneExperiment,
+    RamseyModel,
+    Scheme,
+    SqueezedProbe,
+    ramsey_simulate,
+)
+from catsense.fock import coherent_vector, qfi_fidelity_fd, squeezed_vector
+
+COUNTS = [
+    ("n_modes", lambda n: ProbeFamily(FamilyKind.ENTANGLED_CAT, n)),
+    ("n_modes", lambda n: invert_ntot(1.0, n)),
+    ("n_copies", lambda n: eps_min_separable_cats(1.0, n)),
+    ("n_modes", lambda n: entangled_cat_generator_variance(1.0, n)),
+    ("shots", lambda n: HomodyneExperiment(CoherentProbe(), 0.1, n, 1)),
+    ("n_qubits", lambda n: RamseyModel(Scheme.GHZ, n, 0.1)),
+    ("shots", lambda n: ramsey_simulate(RamseyModel(Scheme.GHZ, 2, 0.1), n, 1)),
+    ("n_modes", lambda n: make_entangled_cat(0.5, n)),
+]
+
+REALS = [
+    ("n_tot", lambda x: invert_ntot(x, 2)),
+    ("n_tot", lambda x: eps_min_separable_cats(x, 2)),
+    ("alpha", lambda x: entangled_cat_generator_variance(x, 2)),
+    ("r", eps_min_squeezed_exact),
+    ("r", SqueezedProbe),
+    ("true_eps", lambda x: HomodyneExperiment(CoherentProbe(), x, 3, 1)),
+    ("r", lambda x: squeezed_vector(x, 20)),
+]
+
+
+def _fd_step(step):
+    return qfi_fidelity_fd(lambda eps: coherent_vector(eps, 20), 0.0, step)
+
+
+CASES = (
+    [(call, n, f"{name} must be >= 1, got {n}") for name, call in COUNTS for n in (0, -2)]
+    + [(call, x, f"{name} must be finite and >= 0, got {x}")
+       for name, call in REALS for x in (math.nan, math.inf, -1.0)]
+    + [(_fd_step, x, f"step must be finite and > 0, got {x}")
+       for x in (math.nan, math.inf, -1.0, 0.0)]
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, bad, message", CASES)
+def test_every_entry_point_states_the_shared_rule(call, bad, message):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == message
+
+
+def _documented_exit_codes() -> dict[str, int]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    codes = {}
+    for code, names in re.findall(r"^\| `(\d)` \|[^|]*\|([^|]*)\|$", readme.read_text(), re.M):
+        codes.update((name, int(code)) for name in re.findall(r"`(\w+)`", names))
+    return codes
+
+
+ERROR_TYPES = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.CatsenseError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_exit_code_matches_the_readme(cls, monkeypatch, capsys):
+    assert cls.exit_code == _documented_exit_codes()[cls.__name__]
+
+    def fail(**settings):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "run_bounds", fail)
+    assert cli.main(["bounds"]) == cls.exit_code
+    assert capsys.readouterr().err == "error: boom\n"
