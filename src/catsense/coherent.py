@@ -26,14 +26,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateState, DimensionMismatch, require_count, require_real
+from .errors import (
+    TOL_HERM,
+    ConsistencyError,
+    DegenerateState,
+    DimensionMismatch,
+    require_count,
+    require_real,
+)
 
 # Labels closer than this (per component, absolute) are the same physical
 # amplitude and get merged; keeps norms well conditioned.
 TOL_LABEL = 1e-12
-
-# Allowed imaginary leakage on quantities that must be real.
-TOL_HERM = 1e-9
 
 ComplexLike = complex | float | int
 
@@ -131,7 +135,7 @@ def inner(s: SuperpositionState, t: SuperpositionState) -> complex:
 
 def _positive_norm(s: SuperpositionState, v: complex) -> float:
     """v = <s|s> as a float, or DegenerateState if it is not safely positive."""
-    n2 = require_real("norm^2", v, TOL_HERM)
+    n2 = require_real("norm^2", v)
     # Relative floor: coefficients of unit size with norm^2 ~ 1e-12 mean the
     # labels nearly cancel and any moment would amplify roundoff.
     floor = 1e-12 * max(float(np.sum(np.abs(s.coeffs) ** 2)), 1e-300)
@@ -190,7 +194,10 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
     _require_finite(moved)  # before the TwoSum arithmetic, which warns on inf
     part = moved - s.labels
     err = (s.labels - (moved - part)) + (kicks - part)
-    phase = np.sum((kicks * s.labels.conj()).imag + (err * moved.conj()).imag, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an unused real part may overflow
+        phase = np.sum((kicks * s.labels.conj()).imag + (err * moved.conj()).imag, axis=1)
+    if not np.isfinite(phase).all():
+        raise ValueError("displacement phase Im(beta conj(g)) beyond the double range")
     out = object.__new__(SuperpositionState)  # arrays in hand, no term list to convert
     out._store(s.coeffs * np.exp(1j * phase), moved)
     return out
@@ -204,7 +211,7 @@ def _weights(s: SuperpositionState) -> np.ndarray:
 
 def _expect(w: np.ndarray, element: np.ndarray) -> float:
     """The weighted sum of label-pair elements: a Hermitian expectation value."""
-    return require_real("Hermitian expectation", complex(np.sum(w * element)), TOL_HERM)
+    return require_real("Hermitian expectation", complex(np.sum(w * element)))
 
 
 def _generator_element(s: SuperpositionState) -> np.ndarray:

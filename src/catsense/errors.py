@@ -9,6 +9,9 @@ seed rule, `estimation.check_seed`, stays beside the samplers it feeds.
 
 import numpy as np
 
+# Allowed imaginary leakage on quantities that must be real.
+TOL_HERM = 1e-9
+
 
 class CatsenseError(Exception):
     """Base class for every error raised by this package."""
@@ -67,12 +70,13 @@ def require_nonnegative(name: str, x, strict: bool = False) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     ok = ((v > 0.0) if strict else (v >= 0.0)) & (v < np.inf)  # false for NaN too
     if not ok.all():
-        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v[~ok][0]}")
+        bad = x if v.ndim == 0 else v[~ok][0]
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {bad}")
     return v
 
 
-def require_real(what: str, z: complex, tol: float = 1e-9) -> float:
-    """The real part of z, after checking |Im z| <= tol * max(1, |Re z|)."""
-    if abs(z.imag) > tol * max(1.0, abs(z.real)):
+def require_real(what: str, z: complex) -> float:
+    """The real part of z, after checking |Im z| <= TOL_HERM * max(1, |Re z|)."""
+    if abs(z.imag) > TOL_HERM * max(1.0, abs(z.real)):
         raise ConsistencyError(f"{what} has imaginary part {z.imag}")
     return z.real

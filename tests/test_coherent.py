@@ -144,6 +144,16 @@ class TestSuperpositionState:
         with pytest.raises(ValueError, match="non-finite"):
             displace(make_entangled_cat(1e308, 1), [1e308])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_displacement_phase(self):
+        # finite moved labels: the phase Im(beta conj(g)) ~ 1e400 is rejected,
+        # and a zero phase whose unused real part overflows is not
+        with pytest.raises(ValueError, match="displacement phase"):
+            displace(make_entangled_cat(1e200, 1), [1e200j])
+        moved = displace(make_entangled_cat(1e200, 1), [1e200])
+        np.testing.assert_array_equal(moved.labels, [[2e200], [0.0]])
+        np.testing.assert_array_equal(moved.coeffs, make_entangled_cat(1e200, 1).coeffs)
+
     def test_cancelled_state_has_no_norm(self):
         s = SuperpositionState([(1.0, label(0.7)), (-1.0, label(0.7))])
         with pytest.raises(DegenerateState):
