@@ -15,16 +15,20 @@ Exit codes: 0 success, 1 bad usage or bad domain input, 2 I/O failure,
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from typing import Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import click
 import numpy as np
 
-from . import bounds, coherent, estimation, fock, svgplot
+from . import bounds, estimation, fock, svgplot
 from .errors import CatsenseError, ToleranceFailure
 from .outputs import write_all
+
+Table = dict[str, Any]  # what a `run_*` returns: each CSV header name mapped to its column
+
 
 def _csv_format(v) -> str:
     if isinstance(v, (int, np.integer)):  # bool too: True -> 1
@@ -51,9 +55,16 @@ def _csv_text(header: Sequence[str], columns: Sequence) -> str:
     return ",".join(header) + "\n" + body % tuple(cells)
 
 
-def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
-    """CSV of columns (arrays or repeated values), floats to 17 significant digits, LF endings."""
-    write_all({path: _csv_text(header, columns)})
+def write_csv(path: str, header: Iterable[str], columns: Iterable,
+              also: Mapping[str, str] | None = None) -> int:
+    """Write a table's CSV, and any `also` path -> text files, all or none; returns its row count.
+
+    Floats print to 17 significant digits and lines end in LF.  Every
+    subcommand writes its files through this one call.
+    """
+    text = _csv_text(list(header), list(columns))
+    write_all({path: text, **(also or {})})
+    return text.count("\n") - 1
 
 
 def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> np.ndarray:
@@ -68,117 +79,52 @@ def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> n
 
 # ---------------------------------------------------------------- figure1
 
-def run_figure1(
-    n_modes: int,
-    ntot_min: float,
-    ntot_max: float,
-    points: int,
-    spacing: str,
-    out: str,
-    svg: str | None = None,
-) -> np.ndarray:
-    """Sweep the photon budget and tabulate the three cat-probe bounds; returns the CSV's rows."""
+def run_figure1(n_modes: int, ntot_min: float, ntot_max: float, points: int,
+                spacing: str) -> Table:
+    """Sweep the photon budget and tabulate the three cat-probe bounds."""
     grid = _make_grid(ntot_min, ntot_max, points, spacing)
     family, kinds = bounds.ProbeFamily, bounds.FamilyKind
     ent = bounds.curve(family(kinds.ENTANGLED_CAT, n_modes), grid)
     sep = bounds.curve(family(kinds.SEPARABLE_CATS, n_modes), grid)
     one = bounds.curve(family(kinds.SINGLE_CAT), grid)
-    columns = (ent.n_tot, ent.eps_min, sep.eps_min, one.eps_min, ent.alpha)
-    header = ["n_tot", "eps_entangled", "eps_separable", "eps_single_cat", "alpha_entangled"]
-    docs = {out: _csv_text(header, columns)}
-    if svg is not None:
-        curves = [
-            svgplot.Curve(f"entangled cat, {n_modes} modes", grid, ent.eps_min, "solid"),
-            svgplot.Curve(f"{n_modes} separable cats", grid, sep.eps_min, "dotted"),
-            svgplot.Curve("single-mode cat", grid, one.eps_min, "dashed"),
-        ]
-        docs[svg] = svgplot.render_line_plot(
-            curves,
-            title="Minimum detectable displacement vs photon budget",
-            xlabel="total mean photon number",
-            ylabel="eps_min",
-            log_x=(spacing == "log"),
-        )
-    write_all(docs)  # both files or neither
-    return np.column_stack(columns)
+    return {"n_tot": ent.n_tot, "eps_entangled": ent.eps_min, "eps_separable": sep.eps_min,
+            "eps_single_cat": one.eps_min, "alpha_entangled": ent.alpha}
+
+
+def figure1_svg(table: Table, n_modes: int, spacing: str) -> str:
+    """SVG text plotting the three bound columns of a `run_figure1` table."""
+    grid = table["n_tot"]
+    curves = [
+        svgplot.Curve(f"entangled cat, {n_modes} modes", grid, table["eps_entangled"], "solid"),
+        svgplot.Curve(f"{n_modes} separable cats", grid, table["eps_separable"], "dotted"),
+        svgplot.Curve("single-mode cat", grid, table["eps_single_cat"], "dashed"),
+    ]
+    return svgplot.render_line_plot(
+        curves, title="Minimum detectable displacement vs photon budget",
+        xlabel="total mean photon number", ylabel="eps_min", log_x=(spacing == "log"))
 
 
 # ---------------------------------------------------------------- bounds
 
-def run_bounds(
-    family: str,
-    n_modes: int,
-    ntot_min: float,
-    ntot_max: float,
-    points: int,
-    spacing: str,
-    out: str,
-) -> np.ndarray:
-    """Tabulate one bound family; returns rows of n_tot, alpha, eps_min and qfi."""
+def run_bounds(family: str, n_modes: int, ntot_min: float, ntot_max: float, points: int,
+               spacing: str) -> Table:
+    """Tabulate one bound family: n_tot, alpha, eps_min and qfi per grid point."""
     kind = bounds.FamilyKind(family)
     fam = bounds.ProbeFamily(kind, n_modes if kind in bounds.MULTIMODE_FAMILIES else 1)
     grid = _make_grid(ntot_min, ntot_max, points, spacing)
     res = bounds.curve(fam, grid)
-    columns = (res.n_tot, res.alpha, res.eps_min, res.qfi)
-    write_csv(out, ["family", "n_modes", "n_tot", "alpha", "eps_min", "qfi"],
-              (kind.value, fam.n_modes, *columns))
-    return np.column_stack(columns)
+    return {"family": kind.value, "n_modes": fam.n_modes, "n_tot": res.n_tot,
+            "alpha": res.alpha, "eps_min": res.eps_min, "qfi": res.qfi}
 
 
 # ---------------------------------------------------------------- qfi-check
 
-def run_qfi_check(
-    modes_list: Sequence[int],
-    alpha_list: Sequence[float],
-    tol_pure: float,
-    tol_fd: float,
-    fd_step: float,
-    out: str,
-) -> tuple[list[list], float, float]:
-    """Cross-check the closed-form cat QFI against the Fock oracle.
-
-    Closed form: 4 Var(G) = 4 N (1 + 4 N a^2 / (1 + e^{-2 N a^2})).  The
-    oracle computes the same number twice, from the generator variance of
-    the truncated state and from the fidelity curvature under the actual
-    displacement family.
-    """
-    rows: list[list] = []
-    for n_modes in modes_list:
-        for alpha in alpha_list:
-            closed = 4.0 * bounds.entangled_cat_generator_variance(alpha, n_modes)
-            state = fock.to_fock(coherent.make_entangled_cat(alpha, n_modes))
-            gen = fock.collective_quad_x(state.dim, n_modes)
-            oracle = fock.qfi_pure(state, gen)
-
-            def displaced(eps: float, base=state, k=n_modes) -> fock.FockVector:
-                return fock.displace_fock(base, [1j * eps] * k)
-
-            fd = fock.qfi_fidelity_fd(displaced, 0.0, fd_step)
-            rel_pure = abs(oracle - closed) / closed
-            rel_fd = abs(fd - closed) / closed
-            rows.append([n_modes, float(alpha), state.dim, closed, oracle, fd, rel_pure, rel_fd])
-    write_csv(out, ["modes", "alpha", "dim", "qfi_closed_form", "qfi_oracle", "qfi_fd",
-                    "rel_err_oracle", "rel_err_fd"], list(zip(*rows)))
-    # np.max keeps a NaN that max() would drop; with `not <` a NaN fails the gate
-    worst_pure = float(np.max([row[6] for row in rows], initial=0.0))
-    worst_fd = float(np.max([row[7] for row in rows], initial=0.0))
-    if not (worst_pure < tol_pure and worst_fd < tol_fd):
-        raise ToleranceFailure(
-            f"qfi-check failed: worst oracle rel err {worst_pure:.3e} (tol {tol_pure:g}), "
-            f"worst fd rel err {worst_fd:.3e} (tol {tol_fd:g})"
-        )
-    return rows, worst_pure, worst_fd
+run_qfi_check = fock.cat_qfi_check  # its table's columns already carry the CSV header names
 
 
 # ---------------------------------------------------------------- ramsey
 
-def run_ramsey(
-    qubit_list: Sequence[int],
-    shots: int,
-    replicates: int,
-    seed: int,
-    out: str,
-) -> list[list]:
+def run_ramsey(qubit_list: Sequence[int], shots: int, replicates: int, seed: int) -> Table:
     """Simulate product vs GHZ fringe readout over a range of register sizes.
 
     Both schemes get the same qubit budget: `shots` GHZ repetitions consume
@@ -187,48 +133,41 @@ def run_ramsey(
     1/sqrt(FI * repetitions) falls like N^-1/2 for product and N^-1 for
     GHZ.  Per row: per-repetition Fisher information, that prediction, and
     the spread of theta_hat over independent replicates.  Working point
-    theta = pi / (8 N) keeps every fringe away from its extrema.
+    theta = pi / (8 N) keeps every fringe away from its extrema.  Replicates
+    at the fringe boundary stay in the spread, and a warning on stderr counts them.
     """
     root = np.random.SeedSequence(estimation.check_seed(seed))
     rows: list[list] = []
+    at_boundary = 0
     for n_qubits in qubit_list:
         theta = math.pi / (8.0 * n_qubits)
         for scheme in (estimation.Scheme.PRODUCT, estimation.Scheme.GHZ):
             model = estimation.RamseyModel(scheme, n_qubits, theta)
             info = estimation.ramsey_fisher(model)
             reps = shots * n_qubits if scheme is estimation.Scheme.PRODUCT else shots
-            child_seeds = [
-                int(child.generate_state(1, np.uint64)[0])
-                for child in root.spawn(replicates)
-            ]
-            estimates = [estimation.ramsey_simulate(model, reps, s) for s in child_seeds]
+            seeds = [int(c.generate_state(1, np.uint64)[0]) for c in root.spawn(replicates)]
+            estimates = [estimation.ramsey_simulate(model, reps, s) for s in seeds]
+            at_boundary += sum(e.boundary for e in estimates)
             theta_hats = np.array([e.theta_hat for e in estimates])
             rows.append([n_qubits, scheme.value, info, 1.0 / math.sqrt(info * reps),
                          float(np.std(theta_hats, ddof=1))])
-    write_csv(out, ["N", "scheme", "FI", "delta_theta", "empirical_stderr"], list(zip(*rows)))
-    return rows
+    if at_boundary:
+        click.echo(f"warning: ramsey: {at_boundary} of {len(rows) * replicates} replicates hit "
+                   "the fringe boundary (p_hat 0 or 1); empirical_stderr includes them", err=True)
+    return dict(zip(["N", "scheme", "FI", "delta_theta", "empirical_stderr"], zip(*rows)))
 
 
 # ---------------------------------------------------------------- montecarlo
 
-def run_montecarlo(
-    probe_name: str,
-    r: float,
-    eps: float,
-    shots: int,
-    seed: int,
-    out: str,
-) -> list[list]:
+def run_montecarlo(probe_name: str, r: float, eps: float, shots: int, seed: int) -> Table:
     """One homodyne Monte Carlo run: sample, estimate, report the pull."""
     probe = estimation.SqueezedProbe(r) if probe_name == "squeezed" else estimation.CoherentProbe()
     experiment = estimation.HomodyneExperiment(probe, eps, shots, seed)
     samples = estimation.sample_homodyne(experiment)
     eps_hat, stderr = estimation.estimate_eps(samples, probe)
-    pull = (eps_hat - eps) / stderr
-    rows = [[probe_name, eps, shots, seed, probe.y_variance, eps_hat, stderr, pull]]
-    write_csv(out, ["probe", "true_eps", "shots", "seed", "y_variance", "eps_hat", "stderr",
-                    "pull"], list(zip(*rows)))
-    return rows
+    return {"probe": [probe_name], "true_eps": [eps], "shots": [shots], "seed": [seed],
+            "y_variance": [probe.y_variance], "eps_hat": [eps_hat], "stderr": [stderr],
+            "pull": [(eps_hat - eps) / stderr]}
 
 
 # ---------------------------------------------------------------- click wiring
@@ -276,8 +215,7 @@ _config_opt = click.option(
 )
 
 
-def _shots_opt(help: str):
-    return click.option("--shots", type=int, default=100_000, help=help)
+_shots_opt = functools.partial(click.option, "--shots", type=int, default=100_000)
 
 
 def _grid_opts(points: int):
@@ -310,10 +248,12 @@ def cli() -> None:
 @click.option("--out", type=str, default="figure1.csv", help="CSV path")
 @click.option("--svg", type=str, default=None, help="also render an SVG plot here")
 @_config_opt
-def figure1_cmd(**settings):
+def figure1_cmd(out, svg, **grid):
     """Compare entangled, separable and single-cat bounds over a photon sweep."""
-    rows = run_figure1(**settings)
-    click.echo(f"figure1: wrote {len(rows)} rows")
+    table = run_figure1(**grid)
+    plot = {} if svg is None else {svg: figure1_svg(table, grid["n_modes"], grid["spacing"])}
+    rows = write_csv(out, table.keys(), table.values(), plot)
+    click.echo(f"figure1: wrote {rows} rows")
 
 
 @cli.command("bounds")
@@ -322,10 +262,11 @@ def figure1_cmd(**settings):
 @_grid_opts(points=50)
 @click.option("--out", type=str, default="bounds.csv", help="CSV path")
 @_config_opt
-def bounds_cmd(**settings):
+def bounds_cmd(out, **settings):
     """Tabulate a single bound family."""
-    rows = run_bounds(**settings)
-    click.echo(f"bounds: wrote {len(rows)} rows")
+    table = run_bounds(**settings)
+    rows = write_csv(out, table.keys(), table.values())
+    click.echo(f"bounds: wrote {rows} rows")
 
 
 @cli.command("qfi-check")
@@ -337,27 +278,34 @@ def bounds_cmd(**settings):
 @click.option("--fd-step", type=float, default=1e-3, help="fidelity FD base step")
 @click.option("--out", type=str, default="qfi_check.csv", help="CSV path")
 @_config_opt
-def qfi_check_cmd(**settings):
+def qfi_check_cmd(out, tol_pure, tol_fd, **settings):
     """Verify closed-form cat QFI against the truncated-basis oracle."""
-    rows, worst_pure, worst_fd = run_qfi_check(**settings)
-    click.echo(
-        f"qfi-check: {len(rows)} cases, worst oracle rel err {worst_pure:.3e}, "
-        f"worst fd rel err {worst_fd:.3e}"
-    )
+    table = run_qfi_check(**settings)
+    cases = write_csv(out, table.keys(), table.values())  # lands before the gate
+    # np.max keeps a NaN that max() would drop; with `not <` a NaN fails the gate
+    worst_pure = float(np.max(table["rel_err_oracle"], initial=0.0))
+    worst_fd = float(np.max(table["rel_err_fd"], initial=0.0))
+    if not (worst_pure < tol_pure and worst_fd < tol_fd):
+        raise ToleranceFailure(
+            f"qfi-check failed: worst oracle rel err {worst_pure:.3e} (tol {tol_pure:g}), "
+            f"worst fd rel err {worst_fd:.3e} (tol {tol_fd:g})")
+    click.echo(f"qfi-check: {cases} cases, worst oracle rel err {worst_pure:.3e}, "
+               f"worst fd rel err {worst_fd:.3e}")
 
 
 @cli.command("ramsey")
 @click.option("--qubit-list", type=CommaList(click.IntRange(min=1)), default="1,2,4,8,16",
               help="qubit counts")
-@_shots_opt("GHZ repetitions per replicate; product rows use shots*N")
+@_shots_opt(help="GHZ repetitions per replicate; product rows use shots*N")
 @click.option("--replicates", type=click.IntRange(min=2), default=32, help="independent repeats")
 @click.option("--seed", type=int, default=42, help="master seed")
 @click.option("--out", type=str, default="ramsey.csv", help="CSV path")
 @_config_opt
-def ramsey_cmd(**settings):
+def ramsey_cmd(out, **settings):
     """Product vs GHZ Ramsey readout across register sizes."""
-    rows = run_ramsey(**settings)
-    click.echo(f"ramsey: wrote {len(rows)} rows")
+    table = run_ramsey(**settings)
+    rows = write_csv(out, table.keys(), table.values())
+    click.echo(f"ramsey: wrote {rows} rows")
 
 
 @cli.command("montecarlo")
@@ -365,23 +313,21 @@ def ramsey_cmd(**settings):
               default="coherent", help="homodyne probe")
 @click.option("--r", type=float, default=1.0, help="squeezing parameter")
 @click.option("--eps", type=float, default=0.1, help="true displacement")
-@_shots_opt("homodyne shots")
+@_shots_opt(help="homodyne shots")
 @click.option("--seed", type=int, default=7, help="rng seed")
 @click.option("--out", type=str, default="montecarlo.csv", help="CSV path")
 @_config_opt
-def montecarlo_cmd(**settings):
+def montecarlo_cmd(out, **settings):
     """Sample a homodyne record and recover the displacement."""
-    rows = run_montecarlo(**settings)
-    click.echo(f"montecarlo: eps_hat {rows[0][5]:.17g}, stderr {rows[0][6]:.17g}")
+    table = run_montecarlo(**settings)
+    write_csv(out, table.keys(), table.values())
+    click.echo(f"montecarlo: eps_hat {table['eps_hat'][0]:.17g}, stderr {table['stderr'][0]:.17g}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI and map failures onto the documented exit codes."""
     try:
-        cli.main(args=list(argv) if argv is not None else None,
-                 prog_name="catsense", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        cli.main(args=argv, prog_name="catsense", standalone_mode=False)  # click copies argv
     except click.ClickException as exc:  # usage errors; the CLI opens no file through click
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1

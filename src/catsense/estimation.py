@@ -46,6 +46,8 @@ class SqueezedProbe:
 
     def __post_init__(self) -> None:
         require_nonnegative("r", self.r)
+        # the noise scale of every estimate: past r ~ 372.5 it underflows to 0
+        require_nonnegative(f"Var(Y) = exp(-2r) at r = {self.r}", self.y_variance, strict=True)
 
     @property
     def y_variance(self) -> float:

@@ -27,15 +27,10 @@ def test_criterion_1_sql_floor_and_monte_carlo(report):
     )
 
 
-def test_criterion_2_closed_form_qfi_vs_oracle(report, tmp_path):
-    rows, worst_pure, worst_fd = run_qfi_check(
-        modes_list=(1, 2, 3),
-        alpha_list=(0.25, 0.5, 1.0, 2.0),
-        tol_pure=1e-6,
-        tol_fd=1e-3,
-        fd_step=1e-3,
-        out=str(tmp_path / "qfi_check.csv"),
-    )
+def test_criterion_2_closed_form_qfi_vs_oracle(report):
+    table = run_qfi_check(modes_list=(1, 2, 3), alpha_list=(0.25, 0.5, 1.0, 2.0), fd_step=1e-3)
+    rows = table["modes"]
+    worst_pure, worst_fd = max(table["rel_err_oracle"]), max(table["rel_err_fd"])
     report(
         "criterion 2: cat QFI closed form vs Fock oracle on the 3x4 grid",
         len(rows) == 12 and worst_pure < 1e-6 and worst_fd < 1e-3,
@@ -61,8 +56,8 @@ def test_criterion_3_photon_budget_and_inversion(report):
     )
 
 
-def test_criterion_4_figure_reference_points_and_shape(report, tmp_path):
-    pin = run_figure1(10, 0.1, 100.0, 4, "log", str(tmp_path / "pin.csv"))
+def test_criterion_4_figure_reference_points_and_shape(report):
+    pin = np.column_stack(list(run_figure1(10, 0.1, 100.0, 4, "log").values()))
     n_tot, ent, sep, single, _ = pin[2]
     values_ok = (
         abs(n_tot - 10.0) < 1e-9
@@ -70,7 +65,7 @@ def test_criterion_4_figure_reference_points_and_shape(report, tmp_path):
         and abs(sep / 0.1414213562373095 - 1.0) < 1e-9
         and abs(single / 0.15617376188860607 - 1.0) < 1e-9
     )
-    sweep = run_figure1(10, 0.1, 100.0, 200, "log", str(tmp_path / "sweep.csv"))
+    sweep = np.column_stack(list(run_figure1(10, 0.1, 100.0, 200, "log").values()))
     ordered = all(r[1] < r[2] < r[3] for r in sweep)
     decreasing = all(
         a[1] > b[1] and a[2] > b[2] and a[3] > b[3] for a, b in zip(sweep, sweep[1:])
@@ -109,14 +104,9 @@ def test_criterion_6_sqrt_n_entanglement_advantage(report):
     )
 
 
-def test_criterion_7_ramsey_error_scaling(report, tmp_path):
-    rows = run_ramsey(
-        qubit_list=(1, 2, 4, 8, 16),
-        shots=100_000,
-        replicates=300,
-        seed=20260814,
-        out=str(tmp_path / "ramsey.csv"),
-    )
+def test_criterion_7_ramsey_error_scaling(report):
+    table = run_ramsey(qubit_list=(1, 2, 4, 8, 16), shots=100_000, replicates=300, seed=20260814)
+    rows = list(zip(*table.values()))
     slopes = {}
     for scheme in ("product", "ghz"):
         pts = [(r[0], r[4]) for r in rows if r[1] == scheme]

@@ -343,8 +343,12 @@ class TestExtremeBudgetsThroughCli:
         digest = hashlib.sha256((tmp_path / "figure1.svg").read_bytes()).hexdigest()
         assert digest.startswith("e39933fe03ddaf99")
 
+    # ramsey and montecarlo depend only on PCG64 streams and libm; qfi_check.csv is
+    # left out because its last bits depend on LAPACK's eigh
     @pytest.mark.parametrize("cmd, pin", [("figure1", "0987970f8b8cd103"),
-                                          ("bounds", "e0c8942acc24fbb5")])
+                                          ("bounds", "e0c8942acc24fbb5"),
+                                          ("ramsey", "fa2a6fe4d582b048"),
+                                          ("montecarlo", "4d1bcbb3f636fffd")])
     def test_default_csv_unchanged(self, tmp_path, monkeypatch, cmd, pin):
         monkeypatch.chdir(tmp_path)
         assert main([cmd]) == 0

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from catsense import bounds
+from catsense import bounds, cli
 from catsense.cli import main, run_figure1, run_qfi_check, write_csv
 
 
@@ -210,12 +210,10 @@ class TestQfiCheck:
         assert code == 3
         assert out.exists()  # report still written so the failure is inspectable
 
-    def test_run_qfi_check_default_grid_values(self, tmp_path):
-        rows, worst_pure, worst_fd = run_qfi_check(
-            modes_list=(1,), alpha_list=(1.0,), tol_pure=1e-6, tol_fd=1e-3,
-            fd_step=1e-3, out=str(tmp_path / "q.csv"),
-        )
-        assert rows[0][3] == pytest.approx(18.092753247646102, rel=1e-12)
+    def test_run_qfi_check_default_grid_values(self):
+        table = run_qfi_check(modes_list=(1,), alpha_list=(1.0,), fd_step=1e-3)
+        worst_pure, worst_fd = max(table["rel_err_oracle"]), max(table["rel_err_fd"])
+        assert table["qfi_closed_form"][0] == pytest.approx(18.092753247646102, rel=1e-12)
         assert worst_pure < 1e-6 and worst_fd < 1e-3
 
 
@@ -250,6 +248,21 @@ class TestRamseyCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_boundary_replicates_warn_once(self, tmp_path, capsys):
+        # p = cos^2(pi / 512) over 6400 product shots: every replicate sees p_hat = 1
+        out = tmp_path / "ramsey.csv"
+        assert main(["ramsey", "--qubit-list", "64", "--shots", "100", "--replicates", "4",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ramsey: 4 of 8 replicates hit the fringe boundary")
+        assert err.count("\n") == 1
+        _, rows = read_rows(out)
+        assert (rows[0][1], rows[0][4]) == ("product", "0")  # the CSV still averages them in
+
+    def test_default_run_has_no_boundary_warning(self, tmp_path, capsys):
+        assert main(["ramsey", "--out", str(tmp_path / "ramsey.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_replicates_validated(self, tmp_path):
         assert main(["ramsey", "--replicates", "1", "--out", str(tmp_path / "r.csv")]) == 1
@@ -295,7 +308,25 @@ class TestMonteCarloCommand:
 class TestRunFigure1Function:
     def test_returns_rows_matching_csv(self, tmp_path):
         out = tmp_path / "f.csv"
-        rows = run_figure1(10, 0.1, 100.0, 4, "log", str(out))
+        table = run_figure1(10, 0.1, 100.0, 4, "log")
+        write_csv(str(out), table.keys(), table.values())
+        rows = np.column_stack(list(table.values()))
         assert len(rows) == 4
         _, csv_rows = read_rows(out)
         assert float(csv_rows[1][1]) == rows[1][1]
+
+
+@pytest.mark.parametrize("args, files", [
+    (["figure1", "--points", "4", "--svg", "t.svg"], 2),
+    (["bounds", "--points", "3"], 1),
+    (["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"], 1),
+    (["ramsey", "--qubit-list", "1", "--shots", "10", "--replicates", "2"], 1),
+    (["montecarlo", "--shots", "10"], 1),
+])
+def test_each_command_writes_through_one_call(tmp_path, monkeypatch, args, files):
+    calls = []
+    monkeypatch.setattr(cli, "write_all", calls.append)
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--out", "t.csv"]) == 0
+    assert [sorted(docs) for docs in calls] == [sorted(["t.csv", "t.svg"][:files])]
+    assert list(tmp_path.iterdir()) == []  # the run_* functions open no file

@@ -25,6 +25,8 @@ QFI_CASE = ["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"]
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e200"], 3, None),
     # alpha^2 is finite but 4 N alpha^2 is not, and the level count is a double
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e154"], 3, None),
+    # exp(-2r) underflows to 0: no noise scale, so no stderr and no pull
+    (["montecarlo", "--probe", "squeezed", "--r", "400"], 1, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):

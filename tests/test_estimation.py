@@ -34,6 +34,12 @@ class TestProbes:
         with pytest.raises(ValueError):
             SqueezedProbe(-0.5)
 
+    def test_squeezed_noise_must_stay_positive(self):
+        # exp(-2r) underflows to 0 between these, and a zero noise scale has no stderr
+        assert SqueezedProbe(372.0).y_variance > 0.0
+        with pytest.raises(ValueError, match=r"exp\(-2r\) at r = 373.0 must be finite and > 0"):
+            SqueezedProbe(373.0)
+
 
 class TestSampling:
     def exp(self, **kw):

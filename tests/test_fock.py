@@ -86,9 +86,14 @@ class TestSqueezedVector:
         with pytest.raises(ValueError):
             fock.squeezed_vector(-0.2, 60)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_undersized_basis_rejected(self):
         with pytest.raises(TruncationError):
             fock.squeezed_vector(1.0, 20)
+        # sinh(r)^2 overflows past r ~ 355 and sinh(r) past r ~ 710: no basis is big enough
+        for r in (400.0, 800.0):
+            with pytest.raises(TruncationError, match="inf required"):
+                fock.squeezed_vector(r, 20)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_r_rejected(self, bad):
