@@ -15,10 +15,9 @@ Exit codes: 0 success, 1 bad usage or bad domain input, 2 I/O failure,
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import click
 import numpy as np
@@ -55,14 +54,13 @@ def _csv_text(header: Sequence[str], columns: Sequence) -> str:
     return ",".join(header) + "\n" + body % tuple(cells)
 
 
-def write_csv(path: str, header: Iterable[str], columns: Iterable,
-              also: Mapping[str, str] | None = None) -> int:
+def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) -> int:
     """Write a table's CSV, and any `also` path -> text files, all or none; returns its row count.
 
     Floats print to 17 significant digits and lines end in LF.  Every
     subcommand writes its files through this one call.
     """
-    text = _csv_text(list(header), list(columns))
+    text = _csv_text(list(table), list(table.values()))
     write_all({path: text, **(also or {})})
     return text.count("\n") - 1
 
@@ -79,8 +77,13 @@ def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> n
 
 # ---------------------------------------------------------------- figure1
 
-def run_figure1(n_modes: int, ntot_min: float, ntot_max: float, points: int,
-                spacing: str) -> Table:
+def run_figure1(
+    n_modes: int,
+    ntot_min: float,
+    ntot_max: float,
+    points: int,
+    spacing: str,
+) -> Table:
     """Sweep the photon budget and tabulate the three cat-probe bounds."""
     grid = _make_grid(ntot_min, ntot_max, points, spacing)
     family, kinds = bounds.ProbeFamily, bounds.FamilyKind
@@ -100,14 +103,24 @@ def figure1_svg(table: Table, n_modes: int, spacing: str) -> str:
         svgplot.Curve("single-mode cat", grid, table["eps_single_cat"], "dashed"),
     ]
     return svgplot.render_line_plot(
-        curves, title="Minimum detectable displacement vs photon budget",
-        xlabel="total mean photon number", ylabel="eps_min", log_x=(spacing == "log"))
+        curves,
+        title="Minimum detectable displacement vs photon budget",
+        xlabel="total mean photon number",
+        ylabel="eps_min",
+        log_x=(spacing == "log"),
+    )
 
 
 # ---------------------------------------------------------------- bounds
 
-def run_bounds(family: str, n_modes: int, ntot_min: float, ntot_max: float, points: int,
-               spacing: str) -> Table:
+def run_bounds(
+    family: str,
+    n_modes: int,
+    ntot_min: float,
+    ntot_max: float,
+    points: int,
+    spacing: str,
+) -> Table:
     """Tabulate one bound family: n_tot, alpha, eps_min and qfi per grid point."""
     kind = bounds.FamilyKind(family)
     fam = bounds.ProbeFamily(kind, n_modes if kind in bounds.MULTIMODE_FAMILIES else 1)
@@ -117,14 +130,14 @@ def run_bounds(family: str, n_modes: int, ntot_min: float, ntot_max: float, poin
             "alpha": res.alpha, "eps_min": res.eps_min, "qfi": res.qfi}
 
 
-# ---------------------------------------------------------------- qfi-check
-
-run_qfi_check = fock.cat_qfi_check  # its table's columns already carry the CSV header names
-
-
 # ---------------------------------------------------------------- ramsey
 
-def run_ramsey(qubit_list: Sequence[int], shots: int, replicates: int, seed: int) -> Table:
+def run_ramsey(
+    qubit_list: Sequence[int],
+    shots: int,
+    replicates: int,
+    seed: int,
+) -> Table:
     """Simulate product vs GHZ fringe readout over a range of register sizes.
 
     Both schemes get the same qubit budget: `shots` GHZ repetitions consume
@@ -145,8 +158,11 @@ def run_ramsey(qubit_list: Sequence[int], shots: int, replicates: int, seed: int
             model = estimation.RamseyModel(scheme, n_qubits, theta)
             info = estimation.ramsey_fisher(model)
             reps = shots * n_qubits if scheme is estimation.Scheme.PRODUCT else shots
-            seeds = [int(c.generate_state(1, np.uint64)[0]) for c in root.spawn(replicates)]
-            estimates = [estimation.ramsey_simulate(model, reps, s) for s in seeds]
+            child_seeds = [
+                int(child.generate_state(1, np.uint64)[0])
+                for child in root.spawn(replicates)
+            ]
+            estimates = [estimation.ramsey_simulate(model, reps, s) for s in child_seeds]
             at_boundary += sum(e.boundary for e in estimates)
             theta_hats = np.array([e.theta_hat for e in estimates])
             rows.append([n_qubits, scheme.value, info, 1.0 / math.sqrt(info * reps),
@@ -159,7 +175,13 @@ def run_ramsey(qubit_list: Sequence[int], shots: int, replicates: int, seed: int
 
 # ---------------------------------------------------------------- montecarlo
 
-def run_montecarlo(probe_name: str, r: float, eps: float, shots: int, seed: int) -> Table:
+def run_montecarlo(
+    probe_name: str,
+    r: float,
+    eps: float,
+    shots: int,
+    seed: int,
+) -> Table:
     """One homodyne Monte Carlo run: sample, estimate, report the pull."""
     probe = estimation.SqueezedProbe(r) if probe_name == "squeezed" else estimation.CoherentProbe()
     experiment = estimation.HomodyneExperiment(probe, eps, shots, seed)
@@ -215,7 +237,8 @@ _config_opt = click.option(
 )
 
 
-_shots_opt = functools.partial(click.option, "--shots", type=int, default=100_000)
+def _shots_opt(help: str):
+    return click.option("--shots", type=int, default=100_000, help=help)
 
 
 def _grid_opts(points: int):
@@ -252,7 +275,7 @@ def figure1_cmd(out, svg, **grid):
     """Compare entangled, separable and single-cat bounds over a photon sweep."""
     table = run_figure1(**grid)
     plot = {} if svg is None else {svg: figure1_svg(table, grid["n_modes"], grid["spacing"])}
-    rows = write_csv(out, table.keys(), table.values(), plot)
+    rows = write_csv(out, table, plot)
     click.echo(f"figure1: wrote {rows} rows")
 
 
@@ -265,7 +288,7 @@ def figure1_cmd(out, svg, **grid):
 def bounds_cmd(out, **settings):
     """Tabulate a single bound family."""
     table = run_bounds(**settings)
-    rows = write_csv(out, table.keys(), table.values())
+    rows = write_csv(out, table)
     click.echo(f"bounds: wrote {rows} rows")
 
 
@@ -280,23 +303,26 @@ def bounds_cmd(out, **settings):
 @_config_opt
 def qfi_check_cmd(out, tol_pure, tol_fd, **settings):
     """Verify closed-form cat QFI against the truncated-basis oracle."""
-    table = run_qfi_check(**settings)
-    cases = write_csv(out, table.keys(), table.values())  # lands before the gate
+    table = fock.cat_qfi_check(**settings)
+    cases = write_csv(out, table)  # lands before the gate
     # np.max keeps a NaN that max() would drop; with `not <` a NaN fails the gate
     worst_pure = float(np.max(table["rel_err_oracle"], initial=0.0))
     worst_fd = float(np.max(table["rel_err_fd"], initial=0.0))
     if not (worst_pure < tol_pure and worst_fd < tol_fd):
         raise ToleranceFailure(
             f"qfi-check failed: worst oracle rel err {worst_pure:.3e} (tol {tol_pure:g}), "
-            f"worst fd rel err {worst_fd:.3e} (tol {tol_fd:g})")
-    click.echo(f"qfi-check: {cases} cases, worst oracle rel err {worst_pure:.3e}, "
-               f"worst fd rel err {worst_fd:.3e}")
+            f"worst fd rel err {worst_fd:.3e} (tol {tol_fd:g})"
+        )
+    click.echo(
+        f"qfi-check: {cases} cases, worst oracle rel err {worst_pure:.3e}, "
+        f"worst fd rel err {worst_fd:.3e}"
+    )
 
 
 @cli.command("ramsey")
 @click.option("--qubit-list", type=CommaList(click.IntRange(min=1)), default="1,2,4,8,16",
               help="qubit counts")
-@_shots_opt(help="GHZ repetitions per replicate; product rows use shots*N")
+@_shots_opt("GHZ repetitions per replicate; product rows use shots*N")
 @click.option("--replicates", type=click.IntRange(min=2), default=32, help="independent repeats")
 @click.option("--seed", type=int, default=42, help="master seed")
 @click.option("--out", type=str, default="ramsey.csv", help="CSV path")
@@ -304,7 +330,7 @@ def qfi_check_cmd(out, tol_pure, tol_fd, **settings):
 def ramsey_cmd(out, **settings):
     """Product vs GHZ Ramsey readout across register sizes."""
     table = run_ramsey(**settings)
-    rows = write_csv(out, table.keys(), table.values())
+    rows = write_csv(out, table)
     click.echo(f"ramsey: wrote {rows} rows")
 
 
@@ -313,14 +339,14 @@ def ramsey_cmd(out, **settings):
               default="coherent", help="homodyne probe")
 @click.option("--r", type=float, default=1.0, help="squeezing parameter")
 @click.option("--eps", type=float, default=0.1, help="true displacement")
-@_shots_opt(help="homodyne shots")
+@_shots_opt("homodyne shots")
 @click.option("--seed", type=int, default=7, help="rng seed")
 @click.option("--out", type=str, default="montecarlo.csv", help="CSV path")
 @_config_opt
 def montecarlo_cmd(out, **settings):
     """Sample a homodyne record and recover the displacement."""
     table = run_montecarlo(**settings)
-    write_csv(out, table.keys(), table.values())
+    write_csv(out, table)
     click.echo(f"montecarlo: eps_hat {table['eps_hat'][0]:.17g}, stderr {table['stderr'][0]:.17g}")
 
 

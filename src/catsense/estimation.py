@@ -46,8 +46,6 @@ class SqueezedProbe:
 
     def __post_init__(self) -> None:
         require_nonnegative("r", self.r)
-        # the noise scale of every estimate: past r ~ 372.5 it underflows to 0
-        require_nonnegative(f"Var(Y) = exp(-2r) at r = {self.r}", self.y_variance, strict=True)
 
     @property
     def y_variance(self) -> float:
@@ -74,6 +72,10 @@ class HomodyneExperiment:
         require_nonnegative("true_eps", self.true_eps)
         require_count("shots", self.shots)
         check_seed(self.seed)
+        # the estimate's stderr is sqrt(Var(Y) / shots) / 2, and the pull divides by it;
+        # for a squeezed probe the ratio underflows to 0 from r ~ 367 at 10^5 shots
+        require_nonnegative(f"Var(Y) / shots of {self.probe} over {self.shots} shots",
+                            self.probe.y_variance / self.shots, strict=True)
 
 
 def sample_homodyne(experiment: HomodyneExperiment) -> np.ndarray:

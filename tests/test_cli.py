@@ -4,8 +4,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from catsense import bounds, cli
-from catsense.cli import main, run_figure1, run_qfi_check, write_csv
+from catsense import bounds, cli, fock
+from catsense.cli import main, run_figure1, write_csv
 
 
 def read_rows(path):
@@ -19,20 +19,20 @@ class TestCsvFormat:
     def test_seventeen_significant_digits_round_trip(self, tmp_path):
         out = tmp_path / "x.csv"
         value = math.pi / 7.0
-        write_csv(str(out), ["v"], [[value]])
+        write_csv(str(out), {"v": [value]})
         _, rows = read_rows(out)
         assert float(rows[0][0]) == value  # %.17g is lossless for doubles
 
     def test_lf_only_line_endings(self, tmp_path):
         out = tmp_path / "x.csv"
-        write_csv(str(out), ["a", "b"], [[1, 3], [2.5, 4.5]])
+        write_csv(str(out), {"a": [1, 3], "b": [2.5, 4.5]})
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
     def test_mixed_cell_types(self, tmp_path):
         out = tmp_path / "x.csv"
-        write_csv(str(out), ["s", "i", "f"], [["ghz"], [7], [0.5]])
+        write_csv(str(out), {"s": ["ghz"], "i": [7], "f": [0.5]})
         assert out.read_text().splitlines()[1] == "ghz,7,0.5"
 
 
@@ -211,8 +211,9 @@ class TestQfiCheck:
         assert out.exists()  # report still written so the failure is inspectable
 
     def test_run_qfi_check_default_grid_values(self):
-        table = run_qfi_check(modes_list=(1,), alpha_list=(1.0,), fd_step=1e-3)
-        worst_pure, worst_fd = max(table["rel_err_oracle"]), max(table["rel_err_fd"])
+        table = fock.cat_qfi_check(modes_list=(1,), alpha_list=(1.0,), fd_step=1e-3)
+        worst_pure = float(np.max(table["rel_err_oracle"], initial=0.0))
+        worst_fd = float(np.max(table["rel_err_fd"], initial=0.0))
         assert table["qfi_closed_form"][0] == pytest.approx(18.092753247646102, rel=1e-12)
         assert worst_pure < 1e-6 and worst_fd < 1e-3
 
@@ -309,7 +310,7 @@ class TestRunFigure1Function:
     def test_returns_rows_matching_csv(self, tmp_path):
         out = tmp_path / "f.csv"
         table = run_figure1(10, 0.1, 100.0, 4, "log")
-        write_csv(str(out), table.keys(), table.values())
+        write_csv(str(out), table)
         rows = np.column_stack(list(table.values()))
         assert len(rows) == 4
         _, csv_rows = read_rows(out)

@@ -147,7 +147,7 @@ def _assert_untouched(paths):
 
 def test_failed_csv_write_keeps_previous_file(old_files, full_disk):
     with pytest.raises(OSError):
-        write_csv(str(old_files[0]), ["a"], [[1.5] * 100])
+        write_csv(str(old_files[0]), {"a": [1.5] * 100})
     _assert_untouched(old_files)
 
 

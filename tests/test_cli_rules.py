@@ -25,7 +25,9 @@ QFI_CASE = ["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"]
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e200"], 3, None),
     # alpha^2 is finite but 4 N alpha^2 is not, and the level count is a double
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e154"], 3, None),
-    # exp(-2r) underflows to 0: no noise scale, so no stderr and no pull
+    # Var(Y) / shots = exp(-2r) / 10^5 underflows to 0: no stderr, so no pull
+    (["montecarlo", "--probe", "squeezed", "--r", "370"], 1, None),
+    # exp(-2r) itself underflows to 0
     (["montecarlo", "--probe", "squeezed", "--r", "400"], 1, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -34,11 +34,12 @@ class TestProbes:
         with pytest.raises(ValueError):
             SqueezedProbe(-0.5)
 
-    def test_squeezed_noise_must_stay_positive(self):
-        # exp(-2r) underflows to 0 between these, and a zero noise scale has no stderr
-        assert SqueezedProbe(372.0).y_variance > 0.0
-        with pytest.raises(ValueError, match=r"exp\(-2r\) at r = 373.0 must be finite and > 0"):
-            SqueezedProbe(373.0)
+    def test_squeezed_noise_per_shot_must_stay_positive(self):
+        # exp(-740) is subnormal: one shot keeps a stderr, 10^5 shots divide it down to 0
+        assert HomodyneExperiment(SqueezedProbe(370.0), 0.1, 1, 7).shots == 1
+        with pytest.raises(ValueError, match=r"SqueezedProbe\(r=370.0\) over 100000 shots "
+                                             r"must be finite and > 0"):
+            HomodyneExperiment(SqueezedProbe(370.0), 0.1, 100_000, 7)
 
 
 class TestSampling:
