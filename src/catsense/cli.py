@@ -7,7 +7,8 @@ subcommand without the leading dashes, ``#`` comments and blank lines
 ignored; a key that names no option of the subcommand is an error.  A rule
 on one value lives on its option's click type, which ``--help`` shows; rules
 the library enforces are not repeated here.  Every output file is written
-whole or not at all, so a failed run leaves none behind.
+whole or not at all, so a failed run leaves none behind.  A command imports
+the library modules it runs inside its own functions, so it loads no others.
 
 Exit codes: 0 success, 1 bad usage or bad domain input, 2 I/O failure,
 3 oracle capacity or tolerance failure.
@@ -22,7 +23,7 @@ from typing import Any, Mapping, Sequence
 import click
 import numpy as np
 
-from . import bounds, estimation, fock, svgplot
+from . import bounds  # at the top: the --family choices are read from it
 from .errors import CatsenseError, ToleranceFailure
 from .outputs import write_all
 
@@ -96,6 +97,7 @@ def run_figure1(
 
 def figure1_svg(table: Table, n_modes: int, spacing: str) -> str:
     """SVG text plotting the three bound columns of a `run_figure1` table."""
+    from . import svgplot
     grid = table["n_tot"]
     curves = [
         svgplot.Curve(f"entangled cat, {n_modes} modes", grid, table["eps_entangled"], "solid"),
@@ -149,6 +151,7 @@ def run_ramsey(
     theta = pi / (8 N) keeps every fringe away from its extrema.  Replicates
     at the fringe boundary stay in the spread, and a warning on stderr counts them.
     """
+    from . import estimation
     root = np.random.SeedSequence(estimation.check_seed(seed))
     rows: list[list] = []
     at_boundary = 0
@@ -183,6 +186,7 @@ def run_montecarlo(
     seed: int,
 ) -> Table:
     """One homodyne Monte Carlo run: sample, estimate, report the pull."""
+    from . import estimation
     probe = estimation.SqueezedProbe(r) if probe_name == "squeezed" else estimation.CoherentProbe()
     experiment = estimation.HomodyneExperiment(probe, eps, shots, seed)
     samples = estimation.sample_homodyne(experiment)
@@ -303,6 +307,7 @@ def bounds_cmd(out, **settings):
 @_config_opt
 def qfi_check_cmd(out, tol_pure, tol_fd, **settings):
     """Verify closed-form cat QFI against the truncated-basis oracle."""
+    from . import fock
     table = fock.cat_qfi_check(**settings)
     cases = write_csv(out, table)  # lands before the gate
     # np.max keeps a NaN that max() would drop; with `not <` a NaN fails the gate

@@ -70,12 +70,18 @@ class HomodyneExperiment:
 
     def __post_init__(self) -> None:
         require_nonnegative("true_eps", self.true_eps)
+        require_nonnegative("the record mean 2 * true_eps", 2.0 * float(self.true_eps))
         require_count("shots", self.shots)
         check_seed(self.seed)
         # the estimate's stderr is sqrt(Var(Y) / shots) / 2, and the pull divides by it;
         # for a squeezed probe the ratio underflows to 0 from r ~ 367 at 10^5 shots
         require_nonnegative(f"Var(Y) / shots of {self.probe} over {self.shots} shots",
                             self.probe.y_variance / self.shots, strict=True)
+        # noise no wider than the spacing of doubles at the mean rounds every sample
+        # to the mean, and the pull would measure that rounding, not the noise
+        if math.sqrt(self.probe.y_variance) <= math.ulp(2.0 * self.true_eps):
+            raise ValueError(f"the Y noise of {self.probe} is no wider than the spacing of "
+                             f"doubles at the record mean 2 * eps, eps = {self.true_eps}")
 
 
 def sample_homodyne(experiment: HomodyneExperiment) -> np.ndarray:

@@ -12,11 +12,15 @@ def write_all(docs: Mapping[str, str]) -> None:
     Each text is staged in a temporary file beside its target and no target is
     replaced until all are staged; on any error the temporaries are removed.
     """
+    # an empty path or a directory would fail only at its rename, after earlier targets
+    for path in docs:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     staged: list[tuple[str, str]] = []
     try:
         for path, text in docs.items():
-            if os.path.isdir(path):  # would fail only at the rename, after earlier targets
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             tmp = f"{path}.{os.getpid()}.tmp"
             with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
                 staged.append((tmp, path))

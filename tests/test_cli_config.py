@@ -165,6 +165,13 @@ def test_failed_figure1_keeps_previous_files(old_files, full_disk):
     _assert_untouched(old_files)
 
 
+def test_empty_target_path_writes_nothing(tmp_path, monkeypatch):
+    # "" would fail only at its rename, after the CSV was already replaced
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure1", "--points", "3", "--out", "a.csv", "--svg", ""]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("cmd", sorted(DEFAULTS))
 def test_help_shows_every_default(cmd, capsys):
     assert main([cmd, "--help"]) == 0

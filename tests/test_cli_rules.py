@@ -29,6 +29,11 @@ QFI_CASE = ["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"]
     (["montecarlo", "--probe", "squeezed", "--r", "370"], 1, None),
     # exp(-2r) itself underflows to 0
     (["montecarlo", "--probe", "squeezed", "--r", "400"], 1, None),
+    # the record mean 2 * eps overflows
+    (["montecarlo", "--eps", "1e308", "--shots", "10"], 1, None),
+    # the noise sqrt(exp(-2r)) is no wider than the spacing of doubles at 2 * eps
+    (["montecarlo", "--probe", "squeezed", "--r", "40"], 1, None),
+    (["montecarlo", "--probe", "squeezed", "--r", "366", "--eps", "1e300"], 1, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
@@ -100,6 +105,64 @@ def test_cli_import_skips_the_network_stack():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _fresh_interpreter(script: str, *args: str, cwd=None) -> str:
+    """Stdout of `script` in a new interpreter that imports catsense from this checkout."""
+    src = Path(fock.__file__).resolve().parents[1]
+    paths = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_bare_import_loads_no_submodule():
+    script = (
+        "import sys\n"
+        "import catsense\n"
+        "print(sorted(m for m in sys.modules if m.startswith('catsense.') or m == 'numpy'))\n"
+    )
+    assert _fresh_interpreter(script) == "[]"
+
+
+def test_public_names_load_on_first_access():
+    script = (
+        "import sys\n"
+        "import catsense\n"
+        "for name in catsense.__all__:\n"
+        "    obj = getattr(catsense, name)\n"
+        "    assert obj.__module__.startswith('catsense.'), name\n"
+        "    assert obj is getattr(sys.modules[obj.__module__], name), name\n"
+        "assert set(catsense.__all__) <= set(dir(catsense))\n"
+        "assert catsense.fock is sys.modules['catsense.fock']\n"
+        "try:\n"
+        "    catsense.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _fresh_interpreter(script) == "module 'catsense' has no attribute 'no_such_name'"
+
+
+@pytest.mark.parametrize("args, adds", [
+    (["bounds"], []),
+    (["figure1"], []),
+    (["figure1", "--svg", "t.svg"], ["svgplot"]),
+    (["qfi-check"], ["coherent", "fock"]),
+    (["ramsey"], ["estimation"]),
+    (["montecarlo"], ["estimation"]),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, args, adds):
+    script = (
+        "import sys\n"
+        "from catsense.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('catsense.')))\n"
+    )
+    out = _fresh_interpreter(script, *args, "--out", "t.csv", cwd=tmp_path)
+    want = sorted(f"catsense.{m}" for m in ["cli", "bounds", "errors", "outputs", *adds])
+    assert out.splitlines()[-1] == f"0 {want}"  # after the command's own echo
 
 
 def test_qubit_list_rule_reads_from_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,10 +37,30 @@ class TestProbes:
 
     def test_squeezed_noise_per_shot_must_stay_positive(self):
         # exp(-740) is subnormal: one shot keeps a stderr, 10^5 shots divide it down to 0
-        assert HomodyneExperiment(SqueezedProbe(370.0), 0.1, 1, 7).shots == 1
+        assert HomodyneExperiment(SqueezedProbe(370.0), 0.0, 1, 7).shots == 1
         with pytest.raises(ValueError, match=r"SqueezedProbe\(r=370.0\) over 100000 shots "
                                              r"must be finite and > 0"):
             HomodyneExperiment(SqueezedProbe(370.0), 0.1, 100_000, 7)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [1e308, np.float64(1e308)])
+    def test_record_mean_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match=r"^the record mean 2 \* true_eps must be finite "
+                                             r"and >= 0, got inf$"):
+            HomodyneExperiment(CoherentProbe(), eps, 10, 7)
+
+    @pytest.mark.parametrize("probe, eps, ok_eps", [
+        (SqueezedProbe(40.0), 0.1, 1e-3),
+        (SqueezedProbe(370.0), 0.1, 0.0),
+        (SqueezedProbe(366.0), 1e300, 0.0),
+        (CoherentProbe(), 2.0**51, 2.0**50),  # sqrt(Var(Y)) = 1 is the spacing of doubles at 2^52
+    ])
+    def test_noise_must_outsize_the_double_spacing_at_the_mean(self, probe, eps, ok_eps):
+        # every sample would round to the mean 2 eps, and the pull would measure rounding
+        with pytest.raises(ValueError, match=re.escape(f"{probe} is no wider") + ".*"
+                                             + re.escape(f"eps = {eps}")):
+            HomodyneExperiment(probe, eps, 1, 7)
+        assert HomodyneExperiment(probe, ok_eps, 1, 7).true_eps == ok_eps
 
 
 class TestSampling:
