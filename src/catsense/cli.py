@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import bounds  # at the top: the --family choices are read from it
-from .errors import CatsenseError, ToleranceFailure
+from .errors import CatsenseError, ToleranceFailure, require_count
 from .outputs import write_all
 
 Table = dict[str, Any]  # what a `run_*` returns: each CSV header name mapped to its column
@@ -67,6 +67,7 @@ def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) ->
 
 
 def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> np.ndarray:
+    require_count("points", points)  # the ceiling; click's IntRange would echo a huge value
     if not (math.isfinite(ntot_min) and math.isfinite(ntot_max) and ntot_min < ntot_max):
         raise click.UsageError(f"need finite ntot-min < ntot-max, got {ntot_min} and {ntot_max}")
     if spacing == "linear":
@@ -130,50 +131,6 @@ def run_bounds(
     res = bounds.curve(fam, grid)
     return {"family": kind.value, "n_modes": fam.n_modes, "n_tot": res.n_tot,
             "alpha": res.alpha, "eps_min": res.eps_min, "qfi": res.qfi}
-
-
-# ---------------------------------------------------------------- ramsey
-
-def run_ramsey(
-    qubit_list: Sequence[int],
-    shots: int,
-    replicates: int,
-    seed: int,
-) -> Table:
-    """Simulate product vs GHZ fringe readout over a range of register sizes.
-
-    Both schemes get the same qubit budget: `shots` GHZ repetitions consume
-    shots * N qubits, so the product rows run shots * N single-qubit
-    repetitions.  Under that accounting the predicted standard error
-    1/sqrt(FI * repetitions) falls like N^-1/2 for product and N^-1 for
-    GHZ.  Per row: per-repetition Fisher information, that prediction, and
-    the spread of theta_hat over independent replicates.  Working point
-    theta = pi / (8 N) keeps every fringe away from its extrema.  Replicates
-    at the fringe boundary stay in the spread, and a warning on stderr counts them.
-    """
-    from . import estimation
-    root = np.random.SeedSequence(estimation.check_seed(seed))
-    rows: list[list] = []
-    at_boundary = 0
-    for n_qubits in qubit_list:
-        theta = math.pi / (8.0 * n_qubits)
-        for scheme in (estimation.Scheme.PRODUCT, estimation.Scheme.GHZ):
-            model = estimation.RamseyModel(scheme, n_qubits, theta)
-            info = estimation.ramsey_fisher(model)
-            reps = shots * n_qubits if scheme is estimation.Scheme.PRODUCT else shots
-            child_seeds = [
-                int(child.generate_state(1, np.uint64)[0])
-                for child in root.spawn(replicates)
-            ]
-            estimates = [estimation.ramsey_simulate(model, reps, s) for s in child_seeds]
-            at_boundary += sum(e.boundary for e in estimates)
-            theta_hats = np.array([e.theta_hat for e in estimates])
-            rows.append([n_qubits, scheme.value, info, 1.0 / math.sqrt(info * reps),
-                         float(np.std(theta_hats, ddof=1))])
-    if at_boundary:
-        click.echo(f"warning: ramsey: {at_boundary} of {len(rows) * replicates} replicates hit "
-                   "the fringe boundary (p_hat 0 or 1); empirical_stderr includes them", err=True)
-    return dict(zip(["N", "scheme", "FI", "delta_theta", "empirical_stderr"], zip(*rows)))
 
 
 # ---------------------------------------------------------------- montecarlo
@@ -334,7 +291,12 @@ def qfi_check_cmd(out, tol_pure, tol_fd, **settings):
 @_config_opt
 def ramsey_cmd(out, **settings):
     """Product vs GHZ Ramsey readout across register sizes."""
-    table = run_ramsey(**settings)
+    from . import estimation
+    table, at_boundary = estimation.ramsey_table(**settings)
+    if at_boundary:
+        click.echo(f"warning: ramsey: {at_boundary} of {len(table['N']) * settings['replicates']} "
+                   "replicates hit the fringe boundary (p_hat 0 or 1); empirical_stderr includes "
+                   "them", err=True)
     rows = write_csv(out, table)
     click.echo(f"ramsey: wrote {rows} rows")
 

@@ -60,9 +60,11 @@ class ToleranceFailure(CatsenseError, RuntimeError):
 
 
 def require_count(name: str, n: int) -> None:
-    """A count of modes, copies, shots or qubits must be at least 1."""
+    """A count of modes, copies, shots, qubits or points must be >= 1 and fit numpy's int64."""
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n}")
+    if n > 2**63 - 1:  # the message leaves out a value that may run to hundreds of digits
+        raise ValueError(f"{name} must be <= 2^63 - 1")
 
 
 def require_nonnegative(name: str, x, strict: bool = False) -> np.ndarray:

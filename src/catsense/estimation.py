@@ -4,8 +4,9 @@ Randomness policy: every experiment owns a 64-bit seed and draws from
 ``numpy.random.Generator`` over the PCG64 bit generator.  numpy guarantees
 stream stability for a fixed (bit generator, distribution method) pair, so
 a given (experiment, seed) reproduces bit-identical samples across runs and
-platforms.  Replications should spawn children from one
-``numpy.random.SeedSequence`` rather than reuse or increment seeds.
+platforms.  Replications spawn children from one
+``numpy.random.SeedSequence`` rather than reuse or increment seeds;
+`ramsey_table` carries this out, one int child seed per replicate.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +32,6 @@ def check_seed(seed: int) -> int:
 @dataclass(frozen=True)
 class CoherentProbe:
     """Coherent (or vacuum) probe; the Y quadrature carries vacuum noise."""
-
-    alpha: float = 0.0
 
     @property
     def y_variance(self) -> float:
@@ -92,25 +92,17 @@ def sample_homodyne(experiment: HomodyneExperiment) -> np.ndarray:
     return rng.normal(loc=mean, scale=sigma, size=experiment.shots)
 
 
-def estimate_eps(samples: np.ndarray, probe: Probe | None = None) -> tuple[float, float]:
+def estimate_eps(samples: np.ndarray, probe: Probe) -> tuple[float, float]:
     """Point estimate of eps and its standard error from a homodyne record.
 
-    eps_hat = mean / 2.  The noise scale is taken from the probe when one is
-    given (the model variance is known exactly) and from the sample variance
-    otherwise, which keeps the function usable on records of unknown origin;
-    a single shot without a probe has no variance estimate and is rejected.
+    eps_hat = mean / 2, and stderr = sqrt(Var_Y(probe) / shots) / 2 from the
+    probe's model variance, which is known exactly.
     """
     y = np.asarray(samples, dtype=np.float64).ravel()
     if y.size < 1:
         raise DimensionMismatch("empty sample record")
-    if probe is None:
-        if y.size < 2:
-            raise DimensionMismatch("need >= 2 samples to estimate the noise scale")
-        var = float(np.var(y, ddof=1))
-    else:
-        var = probe.y_variance
     eps_hat = float(np.mean(y)) / 2.0
-    stderr = math.sqrt(var / y.size) / 2.0
+    stderr = math.sqrt(probe.y_variance / y.size) / 2.0
     return eps_hat, stderr
 
 
@@ -169,24 +161,51 @@ class RamseyEstimate:
     """
 
     theta_hat: float
-    stderr: float
     boundary: bool
 
 
 def ramsey_simulate(model: RamseyModel, shots: int, seed: int) -> RamseyEstimate:
-    """Draw shots Bernoulli outcomes, invert the fringe, report the stderr.
+    """Draw shots Bernoulli outcomes and invert the fringe.
 
     theta_hat = arccos(sqrt(p_hat)) / phi, the maximum-likelihood inverse
-    on the first fringe branch.  stderr propagates the binomial error
-    through the inverse: 1 / (2 phi sqrt(shots)), again theta-independent;
-    equivalently 1 / sqrt(F shots) with F from `ramsey_fisher`.
+    on the first fringe branch.  Its standard error is 1 / sqrt(F shots)
+    with F from `ramsey_fisher`.
     """
     require_count("shots", shots)
     rng = np.random.Generator(np.random.PCG64(check_seed(seed)))
     p = plus_probability(model)
     successes = int(rng.binomial(shots, p))
     p_hat = successes / shots
-    phi = model.phase_factor
-    theta_hat = math.acos(math.sqrt(p_hat)) / phi
-    stderr = 1.0 / (2.0 * phi * math.sqrt(shots))
-    return RamseyEstimate(theta_hat=theta_hat, stderr=stderr, boundary=p_hat in (0.0, 1.0))
+    theta_hat = math.acos(math.sqrt(p_hat)) / model.phase_factor
+    return RamseyEstimate(theta_hat=theta_hat, boundary=p_hat in (0.0, 1.0))
+
+
+def ramsey_table(qubit_list: Sequence[int], shots: int, replicates: int,
+                 seed: int) -> tuple[dict[str, np.ndarray], int]:
+    """Product vs GHZ fringe readout at an equal qubit budget, per register size N.
+
+    `shots` GHZ repetitions consume shots * N qubits, so the product rows run
+    shots * N single-qubit ones, and delta_theta = 1/sqrt(FI * repetitions)
+    falls like N^-1/2 (product) and N^-1 (GHZ).  Working point theta = pi/(8N)
+    keeps every fringe off its extrema.  Each row, N varying slowest, spawns
+    `replicates` child seeds from one SeedSequence on `seed`; empirical_stderr
+    is the ddof=1 spread of theta_hat over them.  Returns the table (columns
+    N, scheme, FI, delta_theta, empirical_stderr) and the count of replicates
+    at the fringe boundary, which stay in the spread.
+    """
+    require_count("shots", shots)
+    for n_qubits in qubit_list:  # before any draw, and before 8 N meets a float
+        require_count("shots * N", shots * n_qubits)
+    models = [RamseyModel(scheme, n, math.pi / (8.0 * n))
+              for n in qubit_list for scheme in (Scheme.PRODUCT, Scheme.GHZ)]
+    reps = [shots * m.n_qubits if m.scheme is Scheme.PRODUCT else shots for m in models]
+    root = np.random.SeedSequence(check_seed(seed))
+    estimates = [[ramsey_simulate(m, n, int(child.generate_state(1, np.uint64)[0]))
+                  for child in root.spawn(replicates)] for m, n in zip(models, reps)]
+    info = np.array([ramsey_fisher(m) for m in models])
+    table = {"N": np.array([m.n_qubits for m in models]),
+             "scheme": np.array([m.scheme.value for m in models]), "FI": info,
+             "delta_theta": 1.0 / np.sqrt(info * np.array(reps)),
+             "empirical_stderr": np.array([np.std([e.theta_hat for e in row], ddof=1)
+                                           for row in estimates])}
+    return table, sum(e.boundary for row in estimates for e in row)

@@ -300,12 +300,10 @@ def qfi_pure(state: FockVector, generator: Operator) -> float:
     return 4.0 * variance(state, generator)
 
 
-def qfi_fidelity_fd(
-    family: Callable[[float], FockVector], eps0: float, step: float
-) -> float:
-    """QFI from the fidelity curvature, no generator needed.
+def qfi_fidelity_fd(family: Callable[[float], FockVector], step: float) -> float:
+    """QFI at eps = 0 from the fidelity curvature, no generator needed.
 
-    For pure states F(eps, eps + d) = 1 - (d^2/8) QFI + O(d^4), so
+    For pure states F(0, d) = 1 - (d^2/8) QFI + O(d^4), so
         q(d) = 8 (1 - F) / d^2
     converges quadratically and one Richardson step, (4 q(d/2) - q(d)) / 3,
     removes the leading error term.  When the fidelity deficit 1 - F sinks
@@ -313,11 +311,11 @@ def qfi_fidelity_fd(
     reported as StepTooSmallError rather than returned.
     """
     require_nonnegative("step", step, strict=True)
-    base = family(float(eps0))
+    base = family(0.0)
     base_norm = base.norm()
 
     def deficit(d: float) -> float:
-        other = family(float(eps0) + d)
+        other = family(d)
         f = abs(inner_fock(base, other)) / (base_norm * other.norm())
         return 1.0 - f
 
@@ -360,5 +358,5 @@ def _cat_qfi_case(n_modes: int, alpha: float, fd_step: float) -> tuple:
     closed = 4.0 * bounds.entangled_cat_generator_variance(alpha, n_modes)
     state = to_fock(coherent.make_entangled_cat(alpha, n_modes))
     oracle = qfi_pure(state, collective_quad_x(state.dim, n_modes))
-    fd = qfi_fidelity_fd(lambda eps: displace_fock(state, [1j * eps] * n_modes), 0.0, fd_step)
+    fd = qfi_fidelity_fd(lambda eps: displace_fock(state, [1j * eps] * n_modes), fd_step)
     return n_modes, alpha, state.dim, closed, oracle, fd

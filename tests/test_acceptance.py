@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from catsense import bounds, coherent, estimation, fock
-from catsense.cli import run_figure1, run_ramsey
+from catsense.cli import run_figure1
 
 
 def test_criterion_1_sql_floor_and_monte_carlo(report):
@@ -107,7 +107,8 @@ def test_criterion_6_sqrt_n_entanglement_advantage(report):
 
 
 def test_criterion_7_ramsey_error_scaling(report):
-    table = run_ramsey(qubit_list=(1, 2, 4, 8, 16), shots=100_000, replicates=300, seed=20260814)
+    table = estimation.ramsey_table(qubit_list=(1, 2, 4, 8, 16), shots=100_000, replicates=300,
+                                    seed=20260814)[0]
     rows = list(zip(*table.values()))
     slopes = {}
     for scheme in ("product", "ghz"):

