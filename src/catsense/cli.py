@@ -25,34 +25,9 @@ import numpy as np
 
 from . import bounds  # at the top: the --family choices are read from it
 from .errors import CatsenseError, ToleranceFailure, require_count
-from .outputs import write_all
+from .outputs import csv_text, write_all
 
 Table = dict[str, Any]  # what a `run_*` returns: each CSV header name mapped to its column
-
-
-def _csv_format(v) -> str:
-    if isinstance(v, (int, np.integer)):  # bool too: True -> 1
-        return "%d"
-    if isinstance(v, (float, np.floating)):
-        return "%.17g"
-    return "%s"
-
-
-def _csv_text(header: Sequence[str], columns: Sequence) -> str:
-    """CSV text of a table given as columns, all rows filled by one `%`.
-
-    A column is a 1-D array or sequence, or one value repeated on every row.
-    An array column takes the format `_csv_format` gives its first cell; a
-    repeated value is formatted once, into the row template.
-    """
-    cols = [np.asarray(c, dtype=object) for c in columns]  # exact Python scalars
-    arrays = [c for c in cols if c.ndim]
-    cells = np.stack(arrays, axis=1).ravel().tolist() if arrays else []
-    first_row = iter(cells)  # the first row's cells pick the array columns' formats
-    fields = [_csv_format(next(first_row, None)) if c.ndim
-              else (_csv_format(c.item()) % (c.item(),)).replace("%", "%%") for c in cols]
-    body = (",".join(fields) + "\n") * (len(arrays[0]) if arrays else 0)
-    return ",".join(header) + "\n" + body % tuple(cells)
 
 
 def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) -> int:
@@ -61,9 +36,8 @@ def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) ->
     Floats print to 17 significant digits and lines end in LF.  Every
     subcommand writes its files through this one call.
     """
-    text = _csv_text(list(table), list(table.values()))
-    write_all({path: text, **(also or {})})
-    return text.count("\n") - 1
+    write_all({path: csv_text(list(table), list(table.values())), **(also or {})})
+    return next((len(c) for c in table.values() if np.ndim(c)), 0)
 
 
 def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> np.ndarray:
@@ -329,7 +303,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         click.echo(f"io error: {exc}", err=True)
         return 2
-    except (CatsenseError, ValueError) as exc:  # each library error type carries its exit code
+    except (CatsenseError, ValueError, MemoryError) as exc:  # a library error carries its exit code
         click.echo(f"error: {exc}", err=True)
         return getattr(exc, "exit_code", 1)
     return 0

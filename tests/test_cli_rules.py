@@ -47,6 +47,9 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
     (["bounds", "--points", "3", "--modes", HUGE], 1, None),
     (["qfi-check", "--alpha-list", "0.5", "--modes-list", HUGE], 1, None),
     (["figure1", "--points", HUGE], 1, None),
+    # counts numpy cannot allocate: MemoryError is bad input, not a traceback
+    (["montecarlo", "--shots", "1000000000000000"], 1, None),
+    (["figure1", "--points", "1000000000000000"], 1, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
