@@ -210,7 +210,8 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
         hi = np.where(g > 0.0, u, hi)
         # g' > 0 except at u = 0, where n_tot = 0 and g = 0 give step 0
         step = g / np.maximum(t + u * (1.0 - t * t), np.finfo(np.float64).tiny)
-        ulp = np.spacing(u)
+        with np.errstate(over="ignore"):  # inf at the largest double, where every step is done
+            ulp = np.spacing(u)
         done = (np.abs(step) <= ulp) | (hi - lo <= ulp)
         if done.all():
             break
@@ -224,27 +225,34 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
     """Evaluate one family on a whole grid of total photon numbers.
 
     Returns one BoundResult whose n_tot, alpha, eps_min and qfi fields are
-    float64 arrays aligned with the grid.
+    float64 arrays aligned with the grid.  A grid point whose Var(G) is not
+    a finite double is refused before any formula runs on it.
     """
-    n = np.array(n_tot_grid, dtype=np.float64)
+    kind, m = family.kind, family.n_modes
+    n = require_nonnegative("n_tot", np.array(n_tot_grid, np.float64), kind is FamilyKind.SQUEEZED)
     alpha = np.full(n.shape, np.nan)
-    kind = family.kind
     if kind is FamilyKind.COHERENT_SQL:
-        require_nonnegative("n_tot", n)
         eps = np.full(n.shape, eps_min_sql())
-    elif kind is FamilyKind.SQUEEZED:
+        return BoundResult(family, n, alpha, eps, 1.0 / (eps * eps))
+    if kind is FamilyKind.ENTANGLED_CAT:
+        # n_tot stays the requested grid; the round trip through alpha gives it to ~1e-15
+        alpha = invert_ntot(n, m)
+        var = entangled_cat_generator_variance(alpha, m)
+    else:
+        with np.errstate(over="ignore"):  # N + 4 n_tot (4 n_tot squeezed): inf past the range
+            var = (kind is not FamilyKind.SQUEEZED) * m + 4.0 * n
+    if np.isinf(var).any():
+        raise ValueError(f"n_tot {n[np.isinf(var)][0]} puts Var(G) past the largest double")
+    if kind is FamilyKind.ENTANGLED_CAT:
+        return BoundResult(family, n, alpha, _eps_from_variance(var), var)
+    if kind is FamilyKind.SQUEEZED:
         eps = eps_min_squeezed(n)
     elif kind is FamilyKind.SINGLE_CAT:
         eps = eps_min_single_cat(n)
         alpha = np.sqrt(n)
     elif kind is FamilyKind.SEPARABLE_CATS:
-        eps = eps_min_separable_cats(n, family.n_modes)
-        alpha = np.sqrt(n / family.n_modes)
-    elif kind is FamilyKind.ENTANGLED_CAT:
-        # n_tot stays the requested grid; the round trip through alpha gives it to ~1e-15
-        alpha = invert_ntot(n, family.n_modes)
-        var = entangled_cat_generator_variance(alpha, family.n_modes)
-        return BoundResult(family, n, alpha, _eps_from_variance(var), var)
+        eps = eps_min_separable_cats(n, m)
+        alpha = np.sqrt(n / m)
     else:  # pragma: no cover
         raise ValueError(f"unknown family {kind}")
     return BoundResult(family, n, alpha, eps, 1.0 / (eps * eps))

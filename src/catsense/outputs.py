@@ -98,7 +98,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
       up a decade.
 
     Every other cell (NaN, ±inf, ±0, magnitudes outside the range, near
-    ties) is formatted by Python's ``%``; its value never enters the arithmetic.
+    ties) is formatted by Python's ``%``, once per distinct bit pattern (a
+    float dedupe would merge -0.0 into 0.0); its value never enters the
+    arithmetic.
     """
     a = np.abs(x)
     text = ~((a >= _CEIL[0]) & (a < _CEIL[_K_MAX + 1 - _K_MIN]))  # NaN compares False
@@ -133,7 +135,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     out[:, 6] = _EXPONENT[k - _K_MIN]
     out = out.view(np.uint8)
     if text.any():
-        out[text] = _text_cells(x[text].tolist(), "%.17g", out.shape[1])
+        bits, back = np.unique(x[text].view(np.int64), return_inverse=True)
+        out[text] = _text_cells(bits.view(np.float64).tolist(), "%.17g", out.shape[1])[back]
     return out
 
 

@@ -15,9 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .outputs import _text_cells
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _DASHES = {"solid": None, "dashed": "8 5", "dotted": "2 4"}
 _WIDTH, _HEIGHT = 720, 540
+# "%.2f" words: the integer part 0...999 after holes (0xFF), and ".dd" then "," (x) or " " (y)
+_UNITS = np.frombuffer(b"".join(b"%4d" % k for k in range(1000)).replace(b" ", b"\xff"), "<u4")
+_CENTS = np.frombuffer(b"".join(b".%02d%c" % (k, s) for s in b", " for k in range(100)), "<u4")
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,32 @@ def _finite_points(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(keep) < 2:
         raise ValueError(f"curve {curve.label!r}: fewer than 2 finite points")
     return xs[keep], ys[keep]
+
+
+def _points_text(v: np.ndarray) -> str:
+    """``" ".join("%.2f,%.2f" % xy)`` for the interleaved x and y values v, byte for byte.
+
+    A cell is certified when 0 <= v < 999 with a clear sign bit and
+    t = fl(100 v) lies more than 1e-6 from a half-integer.  Below 1000, t
+    is 100 v to within half an ulp of 10^5, under 1e-11, so p = rint(t) is
+    100 v correctly rounded, the digits ``'%.2f'`` prints.  Every other cell
+    (NaN, ±inf, negatives, -0.0, 999 and above, ties and near ties, exact
+    binary ones such as k/8 among them) is formatted by Python's ``%``; its
+    value never enters the arithmetic.
+    """
+    ok = (v >= 0.0) & (v < 999.0) & ~np.signbit(v)  # NaN compares False
+    t = np.where(ok, v, 0.0) * 100.0
+    p = np.rint(t)
+    ok &= np.abs(t - p) < 0.5 - 1e-6
+    units, cents = np.divmod(p.astype(np.intp), 100)
+    cents[1::2] += 100  # a y cell ends in " "
+    cells = np.stack([_UNITS[units], _CENTS[cents]], axis=1).view(np.uint8)
+    if not ok.all():
+        text = _text_cells(v[~ok].tolist(), "%.2f", 8, b"\xff")  # the last byte of a row is a hole
+        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - 8)), constant_values=0xFF)
+        cells[~ok] = text
+        cells[~ok, -1] = np.frombuffer(b", ", np.uint8)[np.flatnonzero(~ok) & 1]
+    return cells.tobytes().translate(None, b"\xff")[:-1].decode()
 
 
 def _unit_map(lo: float, hi: float, log: bool):
@@ -159,9 +190,7 @@ def render_line_plot(
 
     # curves
     for c, stroke in zip(curves, strokes):
-        px, py = to_px(*pts[c.label])
-        xy = tuple(np.stack((px, py), axis=1).ravel().tolist())
-        coords = ("%.2f,%.2f " * len(px) % xy)[:-1]
+        coords = _points_text(np.stack(to_px(*pts[c.label]), axis=1).ravel())
         out.append(f'<polyline fill="none" {stroke} points="{coords}"/>')
 
     # legend, top right corner of the frame

@@ -284,6 +284,40 @@ class TestHighPrecisionReference:
             assert eps_min_separable_cats(n, n_modes) == 1.0 / math.sqrt(n_modes + 4.0 * n)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, n_modes", [
+    (FamilyKind.SQUEEZED, 1), (FamilyKind.SINGLE_CAT, 1), (FamilyKind.SEPARABLE_CATS, 10),
+    (FamilyKind.ENTANGLED_CAT, 1), (FamilyKind.ENTANGLED_CAT, 10), (FamilyKind.ENTANGLED_CAT, 1000),
+])
+def test_last_budget_before_the_variance_overflows(kind, n_modes):
+    family = ProbeFamily(kind, n_modes)
+
+    def accepted(bits: int) -> bool:
+        try:
+            curve(family, [np.int64(bits).view(np.float64)])
+        except ValueError as exc:
+            assert "puts Var(G) past the largest double" in str(exc)
+            return False
+        return True
+
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, np.finfo(np.float64).max))
+    assert accepted(lo) and not accepted(hi)
+    while hi - lo > 1:  # the first refused budget is the double after the last accepted one
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    n_tot = float(np.int64(lo).view(np.float64))
+    res = curve(family, [n_tot])
+    with mpmath.workdps(50):
+        if kind is FamilyKind.ENTANGLED_CAT:
+            _, eps, var = _mp_entangled(n_tot, n_modes)
+        else:
+            var = (kind is not FamilyKind.SQUEEZED) * n_modes + 4 * mpmath.mpf(n_tot)
+            eps = 1 / mpmath.sqrt(var)
+        assert abs(var / np.finfo(np.float64).max - 1) < mpmath.mpf(2) ** -50  # the range's end
+    assert _rel_err(float(res.eps_min[0]), eps) <= 1e-14
+    assert _rel_err(float(res.qfi[0]), var) <= 1e-14
+
+
 class TestExtremeBudgetsThroughCli:
     def _alphas(self, tmp_path, ntot_min: str, ntot_max: str, points: int, n_modes: int):
         out = tmp_path / "bounds.csv"
@@ -313,6 +347,17 @@ class TestExtremeBudgetsThroughCli:
             first = next(csv.DictReader(fh))
         assert float(first["eps_entangled"]) == 1.0 / math.sqrt(10.0)
         assert float(first["eps_single_cat"]) == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_svg_of_an_overflowing_variance_is_refused(self, tmp_path, capsys):
+        # the refusal names the budget, not the plot's "strictly positive y values"
+        out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+        code = main(["figure1", "--spacing", "linear", "--ntot-min", "1e307", "--ntot-max",
+                     "1.7e308", "--out", str(out), "--svg", str(svg)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: n_tot 1e+307 puts Var(G) past the largest double\n")
+        assert not out.exists() and not svg.exists()
 
     def test_svg_thins_decade_labels(self, tmp_path):
         svg = tmp_path / "wide.svg"

@@ -50,6 +50,13 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
     # counts numpy cannot allocate: MemoryError is bad input, not a traceback
     (["montecarlo", "--shots", "1000000000000000"], 1, None),
     (["figure1", "--points", "1000000000000000"], 1, None),
+    # Var(G) past the largest double: eps_min would print as 0 and qfi as inf
+    (["bounds", "--family", "entangled-cat", "--modes", "1000", "--ntot-min", "1e305",
+      "--ntot-max", "1e306", "--points", "2"], 1, None),
+    *[(["bounds", "--family", family, "--spacing", "linear", "--ntot-min", "1e307",
+        "--ntot-max", "1.7e308"], 1, None)
+      for family in ("squeezed", "single-cat", "separable-cats")],
+    (["figure1", "--spacing", "linear", "--ntot-min", "1e307", "--ntot-max", "1.7e308"], 1, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):

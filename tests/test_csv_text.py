@@ -67,6 +67,8 @@ def tables(monkeypatch):
     ["ramsey"],
     ["montecarlo"],
     ["bounds", "--family", "sql", "--points", "7"],  # an all-NaN alpha column
+    ["bounds", "--family", "sql"],
+    ["bounds", "--family", "squeezed"],
 ])
 def test_subcommand_tables_match_row_at_a_time_text(tmp_path, tables, args):
     out = tmp_path / "t.csv"
@@ -167,6 +169,22 @@ class TestFloatKernel:
         columns = (x, np.arange(n), [f"r{i}" for i in range(n)], rng.random(n) < 0.5, seeds,
                    "100% (50%s)", 3, 0.1, x[::-1].copy())
         assert_matches_reference(list("abcdefghi"), columns)
+
+    @pytest.mark.parametrize("rows", [40, outputs._CHUNK_ROWS + 10])
+    def test_repeated_uncertified_cells(self, rows):
+        # one cell is formatted per bit pattern: NaN payloads and zeros of both signs stay apart
+        nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
+                        dtype=np.uint64)
+        signed = (nans | np.uint64(2**63)).view(np.float64)
+        specials = np.concatenate([nans.view(np.float64), signed,
+                                   [0.0, -0.0, math.inf, -math.inf, 1.5]])
+        x = np.resize(specials, rows)
+        rng = np.random.default_rng(rows)
+        columns = (x, rng.permutation(x), np.resize(specials[::-1], rows))
+        assert np.signbit(x[np.isnan(x)]).any() and not np.signbit(x[np.isnan(x)]).all()
+        assert_matches_reference(["a", "b", "c"], columns)
+        assert csv_text(["x"], [specials]).splitlines()[1:] == ["nan"] * 6 + [
+            "0", "-0", "inf", "-inf", "1.5"]
 
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_floats(self, values):
