@@ -9,14 +9,15 @@ noise after one shot?  The convention used throughout is
 i.e. the displacement that moves the signal by one standard deviation of
 the generator.  Pure-state quantum Fisher information is 4 Var(G), so the
 single-shot quantum Cramer-Rao limit sits a factor 2 below each of these
-numbers; the `qfi` field of BoundResult carries 1 / eps_min^2 = Var(G) for
-consistency with the printed bound, and the oracle bridge in the test
-suite converts explicitly where the 4x convention is needed.
+numbers; the `qfi` field of BoundResult carries Var(G) itself (4 on the
+coherent row, its 1 / eps_min^2), and the oracle bridge in the test suite
+converts explicitly where the 4x convention is needed.
 
 The closed forms and `invert_ntot` take a scalar or a float64 array and
 answer in kind (a float for a scalar).  `curve` evaluates a family over a
-whole grid as one BoundResult of arrays; `eps_min_entangled_cat` gives one
-point with float fields.
+whole grid as one BoundResult of arrays and is the one place each
+family's Var(G) is stated; the scalar eps_min forms read it from there, and
+`eps_min_entangled_cat` gives one point with float fields.
 
 Baselines:
     vacuum / coherent probe      eps_min = 1/2
@@ -74,7 +75,7 @@ class BoundResult:
     From `eps_min_entangled_cat` the fields are floats for one point; from
     `curve` n_tot, alpha, eps_min and qfi are float64 arrays aligned with the
     grid.  alpha is the per-mode cat amplitude that realizes the stated n_tot
-    (NaN for families without a cat amplitude); qfi = 1 / eps_min^2.
+    (NaN for families without a cat amplitude); qfi is Var(G).
     """
 
     family: ProbeFamily
@@ -102,10 +103,17 @@ def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
         return n_modes * a * a
 
 
-def _eps_from_variance(var: float | np.ndarray) -> float | np.ndarray:
+def _eps_from_variance(var: float | np.ndarray, what: str, x) -> float | np.ndarray:
+    """1 / sqrt(Var(G)), refusing a variance <= 0 or past the largest double.
+
+    `what` and `x` name the input that gave each variance in the error.
+    """
     v = np.asarray(var)
     if (v <= 0.0).any():
         raise ConsistencyError(f"generator variance {v[v <= 0.0][0]} <= 0")
+    over = ~np.isfinite(v)
+    if over.any():
+        raise ValueError(f"{what} {np.asarray(x)[over][0]} puts Var(G) past the largest double")
     return _out(1.0 / np.sqrt(v))
 
 
@@ -116,8 +124,7 @@ def eps_min_sql() -> float:
 
 def eps_min_squeezed(n_tot: float | np.ndarray) -> float | np.ndarray:
     """Squeezed-vacuum bound 1/sqrt(4 n_tot) with n_tot = sinh^2 r photons."""
-    n = require_nonnegative("n_tot", n_tot, strict=True)
-    return _out(1.0 / np.sqrt(4.0 * n))
+    return curve(ProbeFamily(FamilyKind.SQUEEZED), n_tot).eps_min
 
 
 def eps_min_squeezed_exact(r: float) -> float:
@@ -130,11 +137,6 @@ def eps_min_squeezed_exact(r: float) -> float:
     normalization, and the relation is pinned down in the tests.
     """
     return 0.5 * math.exp(-float(require_nonnegative("r", r)))
-
-
-def single_cat_generator_variance(alpha: float | np.ndarray) -> float | np.ndarray:
-    """Var(G) of (|a> + |-a>)/norm in one mode: 1 + 4 a^2 / (1 + e^{-2 a^2})."""
-    return entangled_cat_generator_variance(alpha, 1)
 
 
 def entangled_cat_generator_variance(alpha: float | np.ndarray, n_modes: int) -> float | np.ndarray:
@@ -162,27 +164,21 @@ def eps_min_single_cat(n_tot: float | np.ndarray) -> float | np.ndarray:
     at small n_tot it deviates from the oracle at the percent level, which
     the tests document rather than hide.
     """
-    n = require_nonnegative("n_tot", n_tot)
-    return _out(1.0 / np.sqrt(1.0 + 4.0 * n))
+    return curve(ProbeFamily(FamilyKind.SINGLE_CAT), n_tot).eps_min
 
 
 def eps_min_separable_cats(n_tot: float | np.ndarray, n_copies: int) -> float | np.ndarray:
     """N independent single-mode cats sharing n_tot photons: 1/sqrt(N + 4 n_tot)."""
     require_count("n_copies", n_copies)
-    n = require_nonnegative("n_tot", n_tot)
-    return _out(1.0 / np.sqrt(n_copies + 4.0 * n))
+    return curve(ProbeFamily(FamilyKind.SEPARABLE_CATS, n_copies), n_tot).eps_min
 
 
 def eps_min_entangled_cat(alpha: float, n_modes: int) -> BoundResult:
     """Bound of the N-mode entangled cat at per-mode amplitude alpha."""
     var = entangled_cat_generator_variance(alpha, n_modes)
-    return BoundResult(
-        family=ProbeFamily(FamilyKind.ENTANGLED_CAT, n_modes),
-        n_tot=entangled_cat_ntot(alpha, n_modes),
-        alpha=float(alpha),
-        eps_min=_eps_from_variance(var),
-        qfi=var,
-    )
+    eps = _eps_from_variance(var, "alpha", alpha)
+    return BoundResult(ProbeFamily(FamilyKind.ENTANGLED_CAT, n_modes),
+                       entangled_cat_ntot(alpha, n_modes), float(alpha), eps, var)
 
 
 def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
@@ -225,8 +221,8 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
     """Evaluate one family on a whole grid of total photon numbers.
 
     Returns one BoundResult whose n_tot, alpha, eps_min and qfi fields are
-    float64 arrays aligned with the grid.  A grid point whose Var(G) is not
-    a finite double is refused before any formula runs on it.
+    float64 arrays aligned with the grid.  A grid point whose Var(G) is past
+    the largest double is refused.
     """
     kind, m = family.kind, family.n_modes
     n = require_nonnegative("n_tot", np.array(n_tot_grid, np.float64), kind is FamilyKind.SQUEEZED)
@@ -239,20 +235,11 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
         alpha = invert_ntot(n, m)
         var = entangled_cat_generator_variance(alpha, m)
     else:
-        with np.errstate(over="ignore"):  # N + 4 n_tot (4 n_tot squeezed): inf past the range
-            var = (kind is not FamilyKind.SQUEEZED) * m + 4.0 * n
-    if np.isinf(var).any():
-        raise ValueError(f"n_tot {n[np.isinf(var)][0]} puts Var(G) past the largest double")
-    if kind is FamilyKind.ENTANGLED_CAT:
-        return BoundResult(family, n, alpha, _eps_from_variance(var), var)
-    if kind is FamilyKind.SQUEEZED:
-        eps = eps_min_squeezed(n)
-    elif kind is FamilyKind.SINGLE_CAT:
-        eps = eps_min_single_cat(n)
-        alpha = np.sqrt(n)
-    elif kind is FamilyKind.SEPARABLE_CATS:
-        eps = eps_min_separable_cats(n, m)
-        alpha = np.sqrt(n / m)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {kind}")
-    return BoundResult(family, n, alpha, eps, 1.0 / (eps * eps))
+        with np.errstate(over="ignore"):  # 4 n_tot past the double range is inf, refused below
+            if kind is FamilyKind.SQUEEZED:
+                var = 4.0 * n
+            elif kind is FamilyKind.SINGLE_CAT:
+                var, alpha = 1.0 + 4.0 * n, np.sqrt(n)
+            else:
+                var, alpha = m + 4.0 * n, np.sqrt(n / m)
+    return BoundResult(family, n, alpha, _eps_from_variance(var, "n_tot", n), var)

@@ -48,7 +48,9 @@ def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> n
         return np.linspace(ntot_min, ntot_max, points)
     if ntot_min <= 0.0:
         raise click.UsageError("log spacing needs ntot-min > 0")
-    return np.geomspace(ntot_min, ntot_max, points)
+    # near the largest double, geomspace overflows only in the endpoint it then sets to stop
+    with np.errstate(over="ignore"):
+        return np.geomspace(ntot_min, ntot_max, points)
 
 
 # ---------------------------------------------------------------- figure1

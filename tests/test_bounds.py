@@ -90,7 +90,7 @@ class TestVarianceForms:
     @given(alpha=st.floats(0.0, 4.0))
     def test_single_cat_matches_exact_algebra(self, alpha):
         want = coherent.variance_generator(coherent.make_entangled_cat(alpha, 1))
-        assert bounds.single_cat_generator_variance(alpha) == pytest.approx(want, rel=1e-12)
+        assert entangled_cat_generator_variance(alpha, 1) == pytest.approx(want, rel=1e-12)
 
     @given(alpha=st.floats(0.0, 3.0), n=st.integers(1, 8))
     def test_entangled_matches_exact_algebra(self, alpha, n):
@@ -103,7 +103,7 @@ class TestVarianceForms:
         # cat of amplitude sqrt(N) a living in the symmetric collective mode,
         # plus N - 1 spectator vacua contributing variance 1 each
         lhs = entangled_cat_generator_variance(alpha, n)
-        rhs = n * bounds.single_cat_generator_variance(math.sqrt(n) * alpha)
+        rhs = n * entangled_cat_generator_variance(math.sqrt(n) * alpha, 1)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(alpha=st.floats(0.0, 3.0), n=st.integers(1, 8))
@@ -264,20 +264,26 @@ class TestHighPrecisionReference:
     @given(log_ns=st.lists(log_budgets, min_size=1, max_size=20), n_modes=st.integers(1, 10_000))
     def test_closed_form_families_equal_math_formulas(self, log_ns, n_modes):
         grid = 10.0 ** np.array(log_ns)
-        formulas = {  # (alpha, eps_min) at one point, in plain float arithmetic
-            ProbeFamily(FamilyKind.COHERENT_SQL): lambda n: (math.nan, 0.5),
-            ProbeFamily(FamilyKind.SQUEEZED): lambda n: (math.nan, 1.0 / math.sqrt(4.0 * n)),
+        formulas = {  # (alpha, eps_min, qfi) at one point, in plain float arithmetic
+            ProbeFamily(FamilyKind.COHERENT_SQL): lambda n: (math.nan, 0.5, 4.0),
+            ProbeFamily(FamilyKind.SQUEEZED): lambda n: (
+                math.nan, 1.0 / math.sqrt(4.0 * n), 4.0 * n),
             ProbeFamily(FamilyKind.SINGLE_CAT): lambda n: (
-                math.sqrt(n), 1.0 / math.sqrt(1.0 + 4.0 * n)),
+                math.sqrt(n), 1.0 / math.sqrt(1.0 + 4.0 * n), 1.0 + 4.0 * n),
             ProbeFamily(FamilyKind.SEPARABLE_CATS, n_modes): lambda n: (
-                math.sqrt(n / n_modes), 1.0 / math.sqrt(n_modes + 4.0 * n)),
+                math.sqrt(n / n_modes), 1.0 / math.sqrt(n_modes + 4.0 * n), n_modes + 4.0 * n),
         }
+        scalar_forms = {FamilyKind.SQUEEZED: eps_min_squeezed,
+                        FamilyKind.SINGLE_CAT: eps_min_single_cat,
+                        FamilyKind.SEPARABLE_CATS: lambda n: eps_min_separable_cats(n, n_modes)}
         for fam, formula in formulas.items():
             res = curve(fam, grid)
             want = np.array([formula(n) for n in grid.tolist()])
             np.testing.assert_array_equal(res.alpha, want[:, 0])
             np.testing.assert_array_equal(res.eps_min, want[:, 1])
-            np.testing.assert_array_equal(res.qfi, 1.0 / (want[:, 1] * want[:, 1]))
+            np.testing.assert_array_equal(res.qfi, want[:, 2])
+            if fam.kind in scalar_forms:  # each scalar form is its curve element, bit for bit
+                assert [scalar_forms[fam.kind](n) for n in grid.tolist()] == res.eps_min.tolist()
         for n in grid.tolist():
             assert eps_min_squeezed(n) == 1.0 / math.sqrt(4.0 * n)
             assert eps_min_single_cat(n) == 1.0 / math.sqrt(1.0 + 4.0 * n)
@@ -316,6 +322,21 @@ def test_last_budget_before_the_variance_overflows(kind, n_modes):
         assert abs(var / np.finfo(np.float64).max - 1) < mpmath.mpf(2) ** -50  # the range's end
     assert _rel_err(float(res.eps_min[0]), eps) <= 1e-14
     assert _rel_err(float(res.qfi[0]), var) <= 1e-14
+    eps_of = {  # the scalar entry point of each family
+        FamilyKind.SQUEEZED: eps_min_squeezed,
+        FamilyKind.SINGLE_CAT: eps_min_single_cat,
+        FamilyKind.SEPARABLE_CATS: lambda n: eps_min_separable_cats(n, n_modes),
+        FamilyKind.ENTANGLED_CAT: lambda n: eps_min_entangled_cat(
+            invert_ntot(n, n_modes), n_modes).eps_min,
+    }[kind]
+    assert eps_of(n_tot) == res.eps_min[0]
+    with pytest.raises(ValueError, match=r"puts Var\(G\) past the largest double"):
+        eps_of(float(np.int64(hi).view(np.float64)))
+    if kind is FamilyKind.SQUEEZED:  # Var(G) = 4 n_tot is positive where 1 / eps_min^2 overflows
+        tiny = np.array([1e-320, 1e-310])
+        qfi = curve(family, tiny).qfi
+        np.testing.assert_array_equal(qfi, 4.0 * tiny)
+        assert (qfi > 0.0).all()
 
 
 class TestExtremeBudgetsThroughCli:
@@ -421,7 +442,7 @@ class TestAgainstOracleConventions:
         # printed N + 4 n_tot matches it at the e^{-2 a^2} level
         n_modes, n_tot = 4, 36.0
         alpha = invert_ntot(n_tot / n_modes, 1)
-        exact_var = n_modes * bounds.single_cat_generator_variance(alpha)
+        exact_var = n_modes * entangled_cat_generator_variance(alpha, 1)
         assert eps_min_separable_cats(n_tot, n_modes) == pytest.approx(
             1.0 / math.sqrt(exact_var), rel=1e-6
         )

@@ -1,5 +1,6 @@
 """Each input rule has one home: click types, the library, or a fail-closed gate."""
 
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,17 @@ def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
     assert len(err) < 200
     if flag is not None:  # a usage error names its flag
         assert f"'{flag}'" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_grid_ending_at_the_largest_double(tmp_path):
+    # geomspace's power step overflows in the endpoint it then replaces with stop
+    out = tmp_path / "out.csv"
+    assert main(["bounds", "--family", "sql", "--ntot-min", "1e308",
+                 "--ntot-max", "1.7976931348623157e308", "--points", "4", "--out", str(out)]) == 0
+    n_tot = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert len(n_tot) == 4 and all(math.isfinite(n) for n in n_tot)
+    assert n_tot[-1] == 1.7976931348623157e308
 
 
 @pytest.mark.parametrize("cmd, shown", [
