@@ -124,7 +124,7 @@ def eps_min_sql() -> float:
 
 def eps_min_squeezed(n_tot: float | np.ndarray) -> float | np.ndarray:
     """Squeezed-vacuum bound 1/sqrt(4 n_tot) with n_tot = sinh^2 r photons."""
-    return curve(ProbeFamily(FamilyKind.SQUEEZED), n_tot).eps_min
+    return _out(curve(ProbeFamily(FamilyKind.SQUEEZED), n_tot).eps_min)
 
 
 def eps_min_squeezed_exact(r: float) -> float:
@@ -164,13 +164,13 @@ def eps_min_single_cat(n_tot: float | np.ndarray) -> float | np.ndarray:
     at small n_tot it deviates from the oracle at the percent level, which
     the tests document rather than hide.
     """
-    return curve(ProbeFamily(FamilyKind.SINGLE_CAT), n_tot).eps_min
+    return _out(curve(ProbeFamily(FamilyKind.SINGLE_CAT), n_tot).eps_min)
 
 
 def eps_min_separable_cats(n_tot: float | np.ndarray, n_copies: int) -> float | np.ndarray:
     """N independent single-mode cats sharing n_tot photons: 1/sqrt(N + 4 n_tot)."""
     require_count("n_copies", n_copies)
-    return curve(ProbeFamily(FamilyKind.SEPARABLE_CATS, n_copies), n_tot).eps_min
+    return _out(curve(ProbeFamily(FamilyKind.SEPARABLE_CATS, n_copies), n_tot).eps_min)
 
 
 def eps_min_entangled_cat(alpha: float, n_modes: int) -> BoundResult:
@@ -221,20 +221,17 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
     """Evaluate one family on a whole grid of total photon numbers.
 
     Returns one BoundResult whose n_tot, alpha, eps_min and qfi fields are
-    float64 arrays aligned with the grid.  A grid point whose Var(G) is past
-    the largest double is refused.
+    float64 arrays aligned with the grid (0-d for a scalar grid).  A grid
+    point whose Var(G) is past the largest double is refused.
     """
     kind, m = family.kind, family.n_modes
     n = require_nonnegative("n_tot", np.array(n_tot_grid, np.float64), kind is FamilyKind.SQUEEZED)
-    alpha = np.full(n.shape, np.nan)
-    if kind is FamilyKind.COHERENT_SQL:
-        eps = np.full(n.shape, eps_min_sql())
-        return BoundResult(family, n, alpha, eps, 1.0 / (eps * eps))
+    alpha, var = np.full(n.shape, np.nan), np.full(n.shape, eps_min_sql() ** -2)
     if kind is FamilyKind.ENTANGLED_CAT:
         # n_tot stays the requested grid; the round trip through alpha gives it to ~1e-15
         alpha = invert_ntot(n, m)
         var = entangled_cat_generator_variance(alpha, m)
-    else:
+    elif kind is not FamilyKind.COHERENT_SQL:
         with np.errstate(over="ignore"):  # 4 n_tot past the double range is inf, refused below
             if kind is FamilyKind.SQUEEZED:
                 var = 4.0 * n
@@ -242,4 +239,5 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
                 var, alpha = 1.0 + 4.0 * n, np.sqrt(n)
             else:
                 var, alpha = m + 4.0 * n, np.sqrt(n / m)
-    return BoundResult(family, n, alpha, _eps_from_variance(var, "n_tot", n), var)
+    fields = alpha, _eps_from_variance(var, "n_tot", n), var
+    return BoundResult(family, n, *(np.asarray(f, np.float64) for f in fields))

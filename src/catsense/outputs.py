@@ -26,7 +26,7 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per cell layout and per quad of digits, the words that open the quad into its text.
 
     A cell's digits are E = "0000000" and then its 17 digits: six quads of 4,
@@ -37,16 +37,17 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(cls * 17 + digits - 1) * 2 + negative``: ``cls`` is X + 4 for the
     fixed layout of decade -4 <= X <= 16, or 21 for ``d.ddd...e±XX``, shown
     as X = 0 and then the exponent; ``digits`` counts the digits left once
-    trailing zeros are cut.  Returns per layout and quad the mask of the
-    bytes that move up to open the slot, the mask of those kept, and the
+    trailing zeros are cut.  Returns per layout the finished word of quad 0,
+    always "0000", and per quad 1 to 5 (a plane each) and layout the mask of
+    the bytes that move up to open the slot, the mask of those kept, and the
     bytes or-ed over the rest.
     """
     layout, neg = np.divmod(np.arange(22 * 17 * 2, dtype=np.int16), 2)
     cls, cut = np.divmod(layout, 17)  # cut = digits - 1
     x = np.where(cls < 21, cls - 4, 0)
     start, end = 7 + np.minimum(x, 0), 8 + np.maximum(cut, x)
-    start, end, x, neg, cut = (a[:, None, None] for a in (start, end, x, neg, cut))
-    q, b = np.arange(6, dtype=np.int16)[:, None], np.arange(8, dtype=np.int16)
+    start, end, x, neg, cut = (a[:, None] for a in (start, end, x, neg, cut))
+    q, b = np.arange(6, dtype=np.int16)[:, None, None], np.arange(8, dtype=np.int16)
     local = 7 + x - 4 * q  # the point's digit within quad q
     point = (cut > x) & (local >= 0) & (local <= 3)
     slot = np.where(point, local + 1, 4)
@@ -58,7 +59,9 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     over[point & (b == slot)] = ord(".")
     over[(neg == 1) & digit & (e == start - 1)] = ord("-")
     high = ((b >= slot) & (b < 4)) * np.uint8(0xFF)
-    return tuple(t.view(_WORD)[..., 0] for t in (high, shown * np.uint8(0xFF), over))
+    high, keep, over = (t.view(_WORD)[..., 0] for t in (high, shown * np.uint8(0xFF), over))
+    first = (((high[0] & 0x30303030) * 255 + 0x30303030) & keep[0]) | over[0]  # "0000" opened
+    return first, high[1:], keep[1:], over[1:]
 
 
 _HI, _LO = np.array([_power_of_ten(j) for j in range(_K_MIN, 309)]).T
@@ -72,7 +75,7 @@ _QUADS = (np.indices((10,) * 4, np.uint8).reshape(4, -1) + 48).T.copy()  # "0000
 _QUAD_WORDS = _QUADS.view("<u4")[:, 0].astype(_WORD)
 # the trailing zeros of each quad, 4 for "0000"
 _QUAD_ZEROS = (_QUADS[:, ::-1] == 48).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-_HIGH, _KEEP, _OVER = _layouts()
+_FIRST, _HIGH, _KEEP, _OVER = _layouts()
 _DECADES = range(_K_MIN, _K_MAX + 2)
 _CLASS = np.array([(k + 4 if -4 <= k <= 16 else 21) * 17 for k in _DECADES])
 _EXPONENT = np.frombuffer(b"".join((b"" if -4 <= k <= 16 else b"e%+03d" % k).ljust(8, b"\xff")
@@ -117,21 +120,20 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     d = s.astype(np.int64) + r.astype(np.int64)
     up = d == 10**17
     d, k = np.where(up, 10**16, d), k + up
-    lead, q8 = d // 10**16, d // 10**8
-    hi, lo = q8 - lead * 10**8, d - q8 * 10**8
-    h4, l4 = hi // 10**4, lo // 10**4
-    quads = np.stack([np.zeros_like(lead), lead, h4, hi - h4 * 10**4, l4, lo - l4 * 10**4], axis=1)
-    zeros = _QUAD_ZEROS[quads]  # a quad's trailing zeros are cut when every later quad is 0
-    more = zeros[:, 4] + (lo == 0) * (zeros[:, 3] + (quads[:, 3] == 0) * zeros[:, 2])
-    digits = 17 - zeros[:, 5] - (quads[:, 5] == 0) * more
-    layout = (_CLASS[k - _K_MIN] + digits - 1) * 2 + (x < 0)
-    out = np.empty((x.size, 7), _WORD)
-    words, moved = out[:, :6], _HIGH.take(layout, axis=0)
-    words[...] = _QUAD_WORDS[quads]
+    quads = np.empty((5, x.size), np.int64)  # a plane per quad 1 to 5: "000d", then 4 x 4 digits
+    np.divmod(d, 10**16, out=(quads[0], d))
+    np.divmod(d, 10**8, out=(quads[1], quads[3]))
+    np.divmod(quads[1::2], 10**4, out=(quads[1::2], quads[2::2]))
+    zeros = _QUAD_ZEROS.take(quads[1:])  # a quad's trailing zeros are cut if every later quad is 0
+    more = zeros[2] + (quads[3] == 0) * (zeros[1] + (quads[2] == 0) * zeros[0])
+    layout = (_CLASS[k - _K_MIN] + 16 - zeros[3] - (quads[4] == 0) * more) * 2 + (x < 0)
+    words, moved = _QUAD_WORDS.take(quads), _HIGH.take(layout, axis=1)
     moved &= words
     words += moved * 255  # the moved bytes go up one byte: the point slot opens
-    words &= _KEEP.take(layout, axis=0)
-    words |= _OVER.take(layout, axis=0)
+    words &= _KEEP.take(layout, axis=1)
+    out = np.empty((x.size, 7), _WORD)
+    out[:, 0] = _FIRST.take(layout)
+    np.bitwise_or(words, _OVER.take(layout, axis=1), out=out[:, 1:6].T)
     out[:, 6] = _EXPONENT[k - _K_MIN]
     out = out.view(np.uint8)
     if text.any():
@@ -159,7 +161,9 @@ def _csv_format(v) -> str:
 def csv_text(header: Sequence[str], columns: Sequence) -> str:
     """CSV text of a table given as columns, byte for byte Python's ``%`` of each cell.
 
-    A column is a 1-D array or sequence, or one value repeated on every row.
+    A column is a 1-D array or sequence, or one value repeated on every row;
+    a header without a column, a column without a header, or a column whose
+    length differs from the first is a ValueError, before any text is built.
     A column's first cell picks its format: ``%d`` for int and bool,
     ``%.17g`` for float, ``%s`` otherwise.  Float64 array columns go through
     `_float_cells`; every other cell is formatted from its Python value.
@@ -169,6 +173,13 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     cols = [c if isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype == np.float64
             else np.asarray(c, dtype=object) for c in columns]
     n_rows = next((len(c) for c in cols if c.ndim), 0)
+    if len(header) != len(cols):
+        j = min(len(header), len(cols))
+        bad = f"header {header[j]!r}" if j < len(header) else f"column {j + 1}"
+        raise ValueError(f"{len(header)} header names for {len(cols)} columns: {bad} is unpaired")
+    for name, c in zip(header, cols):
+        if c.ndim and c.shape != (n_rows,):
+            raise ValueError(f"column {name!r} has shape {c.shape}, not ({n_rows},) like the first")
     fmts = [_csv_format(np.atleast_1d(c)[0]) for c in cols] if n_rows else []
     floats = [j for j, c in enumerate(cols) if c.dtype == np.float64]
     ends = [b","] * (len(cols) - 1) + [b"\n"]

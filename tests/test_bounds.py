@@ -214,6 +214,20 @@ class TestCurve:
         assert res.qfi == pytest.approx(1.0 / res.eps_min**2, rel=1e-14)
         assert entangled_cat_ntot(res.alpha, 3) == pytest.approx([0.5, 5.0], rel=1e-10)
 
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_scalar_grid_gives_0d_float64_arrays(self, kind):
+        family = ProbeFamily(kind, 3 if kind in bounds.MULTIMODE_FAMILIES else 1)
+        one, grid = curve(family, 3.0), curve(family, [3.0])
+        for field in ("n_tot", "alpha", "eps_min", "qfi"):
+            value = getattr(one, field)
+            assert type(value) is np.ndarray and value.dtype == np.float64, field
+            assert value.shape == () and np.array_equal(value, getattr(grid, field)[0],
+                                                        equal_nan=True), field
+
+    def test_scalar_eps_min_forms_give_python_floats(self):
+        values = eps_min_squeezed(3.0), eps_min_single_cat(3.0), eps_min_separable_cats(3.0, 2)
+        assert all(type(value) is float for value in values)
+
     def test_single_mode_family_rejects_multimode(self):
         with pytest.raises(ValueError):
             ProbeFamily(FamilyKind.SINGLE_CAT, 3)

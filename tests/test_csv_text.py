@@ -8,6 +8,7 @@ from `.tolist()` of each array column with repeated values copied per row.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,39 @@ def test_zero_rows_give_the_header_only():
     assert_matches_reference(["a", "b", "c", "d"], columns)
 
 
+@pytest.mark.parametrize("header, columns, bad", [
+    (["a", "b"], [np.arange(3.0), [7.5]], "column 'b' has shape (1,)"),
+    (["a", "b"], [np.arange(3.0), np.arange(5.0)], "column 'b' has shape (5,)"),
+    (["a", "b"], [np.arange(3.0), np.arange(2.0)], "column 'b' has shape (2,)"),
+    (["a", "b"], [np.arange(3), np.zeros((3, 2))], "column 'b' has shape (3, 2)"),
+    (["a"], [np.arange(3.0), np.arange(3.0)], "column 2 is unpaired"),
+    (["a", "b", "c"], [np.arange(3.0), "x"], "header 'c' is unpaired"),
+])
+def test_ragged_tables_are_refused(header, columns, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        csv_text(header, columns)
+
+
+def test_write_csv_writes_no_ragged_table(tmp_path):
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="column 'b'"):
+        cli.write_csv(str(out), {"a": np.arange(3.0), "b": np.arange(5.0), "c": "family"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def exact_cells(decade: int):
+    """(d, v) per count d of shown digits: v = m 10^e of the decade, m a d-digit integer with a
+    nonzero last digit, the least such that a double holds exactly; no v when none does."""
+    for d in range(1, 18):
+        e = decade - d + 1
+        step = 5 ** max(-e, 0)  # m 10^e = (m / 5^-e) 2^e is dyadic only if 5^-e divides m
+        for m in range(-(-10 ** (d - 1) // step) * step, 10**d, step):
+            j = m * 10**e if e >= 0 else m // step
+            if m % 10 and float(j) == j:
+                yield d, math.ldexp(j, min(e, 0))
+                break
+
+
 def float_text(values) -> tuple[str, str]:
     """(csv_text, row-at-a-time reference) of one float64 column, both signs."""
     values = np.asarray(values, dtype=np.float64)
@@ -185,6 +219,22 @@ class TestFloatKernel:
         assert_matches_reference(["a", "b", "c"], columns)
         assert csv_text(["x"], [specials]).splitlines()[1:] == ["nan"] * 6 + [
             "0", "-0", "inf", "-inf", "1.5"]
+
+    def test_every_layout(self):
+        # the random bit patterns reach almost only 17-digit e±XX cells: here every fixed decade
+        # -4..16 with each count of shown digits it holds exactly, and e±XX cells of 1..17 digits
+        decades = [*range(-8, 23)]
+        cells = {(k, d): v for k in decades for d, v in exact_cells(k)}
+        for (k, d), v in cells.items():
+            digits, _, exponent = ("%.16e" % v).partition("e")
+            assert (int(exponent), len(digits.replace(".", "").rstrip("0"))) == (k, d)
+        # the least digit count held exactly per decade; every count above it is held too
+        least = {k: min(d for kk, d in cells if kk == k) for k in decades}
+        assert least == {-8: 17, -7: 14, -6: 12, -5: 10, -4: 7, -3: 5, -2: 3,
+                         **dict.fromkeys(range(-1, 23), 1)}
+        assert len(cells) == sum(18 - d for d in least.values())
+        text, want = float_text(list(cells.values()))
+        assert text == want
 
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_floats(self, values):
