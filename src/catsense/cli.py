@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 bad usage or bad domain input, 2 I/O failure,
 from __future__ import annotations
 
 import math
+import os
 import sys
 from typing import Any, Mapping, Sequence
 
@@ -27,16 +28,21 @@ from . import bounds  # at the top: the --family choices are read from it
 from .errors import CatsenseError, ToleranceFailure, require_count
 from .outputs import csv_text, write_all
 
-Table = dict[str, Any]  # what a `run_*` returns: each CSV header name mapped to its column
+Table = dict[str, Any]  # what `run_*` and `estimation.*_table` return: CSV header -> column
 
 
 def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) -> int:
     """Write a table's CSV, and any `also` path -> text files, all or none; returns its row count.
 
     Floats print to 17 significant digits and lines end in LF.  Every
-    subcommand writes its files through this one call.
+    subcommand writes its files through this one call.  Two paths that name one
+    file are refused before any file is staged.
     """
-    write_all({path: csv_text(list(table), list(table.values())), **(also or {})})
+    also = also or {}
+    targets = [path, *also]
+    if len({os.path.realpath(p) for p in targets}) < len(targets):
+        raise ValueError(f"the outputs {', '.join(map(repr, targets))} name one file")
+    write_all({path: csv_text(list(table), list(table.values())), **also})
     return next((len(c) for c in table.values() if np.ndim(c)), 0)
 
 
@@ -107,26 +113,6 @@ def run_bounds(
     res = bounds.curve(fam, grid)
     return {"family": kind.value, "n_modes": fam.n_modes, "n_tot": res.n_tot,
             "alpha": res.alpha, "eps_min": res.eps_min, "qfi": res.qfi}
-
-
-# ---------------------------------------------------------------- montecarlo
-
-def run_montecarlo(
-    probe_name: str,
-    r: float,
-    eps: float,
-    shots: int,
-    seed: int,
-) -> Table:
-    """One homodyne Monte Carlo run: sample, estimate, report the pull."""
-    from . import estimation
-    probe = estimation.SqueezedProbe(r) if probe_name == "squeezed" else estimation.CoherentProbe()
-    experiment = estimation.HomodyneExperiment(probe, eps, shots, seed)
-    samples = estimation.sample_homodyne(experiment)
-    eps_hat, stderr = estimation.estimate_eps(samples, probe)
-    return {"probe": [probe_name], "true_eps": [eps], "shots": [shots], "seed": [seed],
-            "y_variance": [probe.y_variance], "eps_hat": [eps_hat], "stderr": [stderr],
-            "pull": [(eps_hat - eps) / stderr]}
 
 
 # ---------------------------------------------------------------- click wiring
@@ -278,7 +264,7 @@ def ramsey_cmd(out, **settings):
 
 
 @cli.command("montecarlo")
-@click.option("--probe", "probe_name", type=click.Choice(["coherent", "squeezed"]),
+@click.option("--probe", type=click.Choice(["coherent", "squeezed"]),
               default="coherent", help="homodyne probe")
 @click.option("--r", type=float, default=1.0, help="squeezing parameter")
 @click.option("--eps", type=float, default=0.1, help="true displacement")
@@ -288,7 +274,8 @@ def ramsey_cmd(out, **settings):
 @_config_opt
 def montecarlo_cmd(out, **settings):
     """Sample a homodyne record and recover the displacement."""
-    table = run_montecarlo(**settings)
+    from . import estimation
+    table = estimation.homodyne_table(**settings)
     write_csv(out, table)
     click.echo(f"montecarlo: eps_hat {table['eps_hat'][0]:.17g}, stderr {table['stderr'][0]:.17g}")
 

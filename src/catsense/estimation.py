@@ -1,5 +1,9 @@
 """Monte Carlo estimation: homodyne displacement readout and Ramsey fringes.
 
+Each experiment is one table function, which checks its inputs, draws and
+returns its table as columns: `homodyne_table` behind ``catsense
+montecarlo`` and `ramsey_table` behind ``catsense ramsey``.
+
 Randomness policy: every experiment owns a 64-bit seed and draws from
 ``numpy.random.Generator`` over the PCG64 bit generator.  numpy guarantees
 stream stability for a fixed (bit generator, distribution method) pair, so
@@ -12,13 +16,11 @@ platforms.  Replications spawn children from one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, require_count, require_nonnegative
+from .errors import require_count, require_nonnegative
 
 
 def check_seed(seed: int) -> int:
@@ -29,161 +31,67 @@ def check_seed(seed: int) -> int:
     return s
 
 
-@dataclass(frozen=True)
-class CoherentProbe:
-    """Coherent (or vacuum) probe; the Y quadrature carries vacuum noise."""
+def homodyne_table(probe: str, r: float, eps: float, shots: int,
+                   seed: int) -> dict[str, list]:
+    """Repeated Y-homodyne readout of a probe kicked by i*eps, as a one-row table.
 
-    @property
-    def y_variance(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
-class SqueezedProbe:
-    """Momentum-squeezed probe: Var(Y) = exp(-2 r)."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        require_nonnegative("r", self.r)
-
-    @property
-    def y_variance(self) -> float:
-        return math.exp(-2.0 * self.r)
-
-
-Probe = CoherentProbe | SqueezedProbe
-
-
-@dataclass(frozen=True)
-class HomodyneExperiment:
-    """Repeated Y-homodyne readout of a probe kicked by i*eps.
-
-    The kick D(i eps) moves the Y mean to 2 eps and leaves the Y noise of
-    the probe untouched, so each shot is Normal(2 eps, Var_Y(probe)).
+    The probe is "coherent" (or vacuum), whose Y quadrature carries vacuum
+    noise Var(Y) = 1, or "squeezed", momentum-squeezed to Var(Y) = exp(-2 r).
+    The kick D(i eps) moves the Y mean to 2 eps and leaves the probe's Y noise
+    untouched, so each shot is Normal(2 eps, Var(Y)).  eps_hat = mean / 2, and
+    stderr = sqrt(Var(Y) / shots) / 2 from the model variance, which is known
+    exactly.  Returns the columns probe, true_eps, shots, seed, y_variance,
+    eps_hat, stderr and pull = (eps_hat - eps) / stderr.
     """
-
-    probe: Probe
-    true_eps: float
-    shots: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        require_nonnegative("true_eps", self.true_eps)
-        require_nonnegative("the record mean 2 * true_eps", 2.0 * float(self.true_eps))
-        require_count("shots", self.shots)
-        check_seed(self.seed)
-        # the estimate's stderr is sqrt(Var(Y) / shots) / 2, and the pull divides by it;
-        # for a squeezed probe the ratio underflows to 0 from r ~ 367 at 10^5 shots
-        require_nonnegative(f"Var(Y) / shots of {self.probe} over {self.shots} shots",
-                            self.probe.y_variance / self.shots, strict=True)
-        # noise no wider than the spacing of doubles at the mean rounds every sample
-        # to the mean, and the pull would measure that rounding, not the noise
-        if math.sqrt(self.probe.y_variance) <= math.ulp(2.0 * self.true_eps):
-            raise ValueError(f"the Y noise of {self.probe} is no wider than the spacing of "
-                             f"doubles at the record mean 2 * eps, eps = {self.true_eps}")
-
-
-def sample_homodyne(experiment: HomodyneExperiment) -> np.ndarray:
-    """Draw the Y-quadrature record: shots iid Normal(2 eps, Var_Y)."""
-    rng = np.random.Generator(np.random.PCG64(experiment.seed))
-    mean = 2.0 * experiment.true_eps
-    sigma = math.sqrt(experiment.probe.y_variance)
-    return rng.normal(loc=mean, scale=sigma, size=experiment.shots)
-
-
-def estimate_eps(samples: np.ndarray, probe: Probe) -> tuple[float, float]:
-    """Point estimate of eps and its standard error from a homodyne record.
-
-    eps_hat = mean / 2, and stderr = sqrt(Var_Y(probe) / shots) / 2 from the
-    probe's model variance, which is known exactly.
-    """
-    y = np.asarray(samples, dtype=np.float64).ravel()
-    if y.size < 1:
-        raise DimensionMismatch("empty sample record")
+    require_nonnegative("r", r)
+    require_nonnegative("true_eps", eps)
+    require_nonnegative("the record mean 2 * true_eps", 2.0 * float(eps))
+    require_count("shots", shots)
+    check_seed(seed)
+    if probe == "squeezed":
+        label, y_variance = f"the squeezed probe at r = {r}", math.exp(-2.0 * r)
+    elif probe == "coherent":
+        label, y_variance = "the coherent probe", 1.0
+    else:
+        raise ValueError(f"probe must be coherent or squeezed, got {probe!r}")
+    # the estimate's stderr is sqrt(Var(Y) / shots) / 2, and the pull divides by it;
+    # for a squeezed probe the ratio underflows to 0 from r ~ 367 at 10^5 shots
+    require_nonnegative(f"Var(Y) / shots of {label} over {shots} shots",
+                        y_variance / shots, strict=True)
+    # noise no wider than the spacing of doubles at the mean rounds every sample
+    # to the mean, and the pull would measure that rounding, not the noise
+    if math.sqrt(y_variance) <= math.ulp(2.0 * eps):
+        raise ValueError(f"the Y noise of {label} is no wider than the spacing of "
+                         f"doubles at the record mean 2 * eps, eps = {eps}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    y = rng.normal(loc=2.0 * eps, scale=math.sqrt(y_variance), size=shots)
     eps_hat = float(np.mean(y)) / 2.0
-    stderr = math.sqrt(probe.y_variance / y.size) / 2.0
-    return eps_hat, stderr
+    stderr = math.sqrt(y_variance / shots) / 2.0
+    return {"probe": [probe], "true_eps": [eps], "shots": [shots], "seed": [seed],
+            "y_variance": [y_variance], "eps_hat": [eps_hat], "stderr": [stderr],
+            "pull": [(eps_hat - eps) / stderr]}
 
 
-class Scheme(str, Enum):
-    PRODUCT = "product"
-    GHZ = "ghz"
-
-
-@dataclass(frozen=True)
-class RamseyModel:
-    """N two-level atoms read out after phase accumulation theta per atom.
-
-    Uncorrelated atoms measured one by one see the fringe cos^2(theta);
-    a GHZ-correlated register accumulates the phase N times faster and its
-    parity readout sees cos^2(N theta).  Either way a shot is one Bernoulli
-    draw with success probability cos^2(phi theta), phi = 1 or N.
-    """
-
-    scheme: Scheme
-    n_qubits: int
-    theta: float
-
-    def __post_init__(self) -> None:
-        require_count("n_qubits", self.n_qubits)
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-
-    @property
-    def phase_factor(self) -> int:
-        return self.n_qubits if self.scheme is Scheme.GHZ else 1
-
-
-def plus_probability(model: RamseyModel) -> float:
-    """P(+ | theta) = cos^2(phi theta)."""
-    return math.cos(model.phase_factor * model.theta) ** 2
-
-
-def ramsey_fisher(model: RamseyModel) -> float:
-    """Per-shot Fisher information about theta: 4 phi^2, theta-independent.
+def ramsey_fisher(phi: int) -> float:
+    """Per-shot Fisher information about theta of the fringe cos^2(phi theta): 4 phi^2.
 
     For p = cos^2(phi theta), p' = -phi sin(2 phi theta) and
     F = p'^2 / (p (1 - p)) = 4 phi^2 after sin(2x) = 2 sin x cos x cancels
-    the binomial denominator.  Product scheme: 4; GHZ: 4 N^2.
+    the binomial denominator, so F does not depend on theta.  Product
+    scheme (phi = 1): 4; GHZ (phi = N): 4 N^2.
     """
-    return 4.0 * model.phase_factor**2
-
-
-@dataclass(frozen=True)
-class RamseyEstimate:
-    """Inverted fringe estimate; `boundary` flags p_hat in {0, 1}.
-
-    At the boundary arccos still inverts (theta_hat maps to a fringe
-    extremum) but the delta-method standard error is unreliable, so the
-    flag is data, not an exception: calling code decides whether to
-    discard, widen, or keep the replicate.
-    """
-
-    theta_hat: float
-    boundary: bool
-
-
-def ramsey_simulate(model: RamseyModel, shots: int, seed: int) -> RamseyEstimate:
-    """Draw shots Bernoulli outcomes and invert the fringe.
-
-    theta_hat = arccos(sqrt(p_hat)) / phi, the maximum-likelihood inverse
-    on the first fringe branch.  Its standard error is 1 / sqrt(F shots)
-    with F from `ramsey_fisher`.
-    """
-    require_count("shots", shots)
-    rng = np.random.Generator(np.random.PCG64(check_seed(seed)))
-    p = plus_probability(model)
-    successes = int(rng.binomial(shots, p))
-    p_hat = successes / shots
-    theta_hat = math.acos(math.sqrt(p_hat)) / model.phase_factor
-    return RamseyEstimate(theta_hat=theta_hat, boundary=p_hat in (0.0, 1.0))
+    return 4.0 * phi**2
 
 
 def ramsey_table(qubit_list: Sequence[int], shots: int, replicates: int,
                  seed: int) -> tuple[dict[str, np.ndarray], int]:
     """Product vs GHZ fringe readout at an equal qubit budget, per register size N.
 
+    N uncorrelated atoms measured one by one see the fringe cos^2(theta); a
+    GHZ register accumulates the phase N times faster and its parity readout
+    sees cos^2(N theta).  Either way a shot is one Bernoulli draw with
+    p = cos^2(phi theta), phi = 1 or N, and a replicate inverts its binomial
+    count on the first fringe branch: theta_hat = arccos(sqrt(p_hat)) / phi.
     `shots` GHZ repetitions consume shots * N qubits, so the product rows run
     shots * N single-qubit ones, and delta_theta = 1/sqrt(FI * repetitions)
     falls like N^-1/2 (product) and N^-1 (GHZ).  Working point theta = pi/(8N)
@@ -191,21 +99,27 @@ def ramsey_table(qubit_list: Sequence[int], shots: int, replicates: int,
     `replicates` child seeds from one SeedSequence on `seed`; empirical_stderr
     is the ddof=1 spread of theta_hat over them.  Returns the table (columns
     N, scheme, FI, delta_theta, empirical_stderr) and the count of replicates
-    at the fringe boundary, which stay in the spread.
+    at the fringe boundary (p_hat 0 or 1), which stay in the spread: arccos
+    still inverts there, but the delta-method stderr does not hold.
     """
     require_count("shots", shots)
     for n_qubits in qubit_list:  # before any draw, and before 8 N meets a float
         require_count("shots * N", shots * n_qubits)
-    models = [RamseyModel(scheme, n, math.pi / (8.0 * n))
-              for n in qubit_list for scheme in (Scheme.PRODUCT, Scheme.GHZ)]
-    reps = [shots * m.n_qubits if m.scheme is Scheme.PRODUCT else shots for m in models]
     root = np.random.SeedSequence(check_seed(seed))
-    estimates = [[ramsey_simulate(m, n, int(child.generate_state(1, np.uint64)[0]))
-                  for child in root.spawn(replicates)] for m, n in zip(models, reps)]
-    info = np.array([ramsey_fisher(m) for m in models])
-    table = {"N": np.array([m.n_qubits for m in models]),
-             "scheme": np.array([m.scheme.value for m in models]), "FI": info,
-             "delta_theta": 1.0 / np.sqrt(info * np.array(reps)),
-             "empirical_stderr": np.array([np.std([e.theta_hat for e in row], ddof=1)
-                                           for row in estimates])}
-    return table, sum(e.boundary for row in estimates for e in row)
+    rows, at_boundary = [], 0
+    for n in qubit_list:
+        theta = math.pi / (8.0 * n)
+        for scheme, phi, reps in (("product", 1, shots * n), ("ghz", n, shots)):
+            p = math.cos(phi * theta) ** 2
+            theta_hat = []
+            for child in root.spawn(replicates):
+                child_seed = int(child.generate_state(1, np.uint64)[0])
+                rng = np.random.Generator(np.random.PCG64(child_seed))
+                p_hat = int(rng.binomial(reps, p)) / reps
+                at_boundary += p_hat in (0.0, 1.0)
+                theta_hat.append(math.acos(math.sqrt(p_hat)) / phi)
+            info = ramsey_fisher(phi)
+            rows.append((n, scheme, info, 1.0 / math.sqrt(info * reps),
+                         np.std(theta_hat, ddof=1)))
+    header = ("N", "scheme", "FI", "delta_theta", "empirical_stderr")
+    return {key: np.array([row[i] for row in rows]) for i, key in enumerate(header)}, at_boundary

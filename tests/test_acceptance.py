@@ -15,10 +15,8 @@ from catsense.cli import run_figure1
 
 def test_criterion_1_sql_floor_and_monte_carlo(report):
     floor_ok = bounds.eps_min_sql() == 0.5
-    exp = estimation.HomodyneExperiment(
-        estimation.CoherentProbe(), true_eps=0.5, shots=1_000_000, seed=20260814
-    )
-    eps_hat, stderr = estimation.estimate_eps(estimation.sample_homodyne(exp), exp.probe)
+    row = estimation.homodyne_table("coherent", r=0.0, eps=0.5, shots=1_000_000, seed=20260814)
+    eps_hat, stderr = row["eps_hat"][0], row["stderr"][0]
     mc_ok = stderr == 1.0 / 2000.0 and abs(eps_hat - 0.5) < 5 * stderr
     report(
         "criterion 1: coherent floor 0.5, recovered by 1e6-shot Monte Carlo",

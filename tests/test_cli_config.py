@@ -172,6 +172,15 @@ def test_empty_target_path_writes_nothing(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["f.csv", "./f.csv"])
+def test_csv_and_svg_naming_one_file_write_nothing(out, tmp_path, monkeypatch, capsys):
+    # one spelling would keep only the SVG; two would collide on one temporary file
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure1", "--points", "3", "--out", out, "--svg", "f.csv"]) == 1
+    assert capsys.readouterr().err == f"error: the outputs {out!r}, 'f.csv' name one file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("cmd", sorted(DEFAULTS))
 def test_help_shows_every_default(cmd, capsys):
     assert main([cmd, "--help"]) == 0

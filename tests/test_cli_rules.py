@@ -36,6 +36,9 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
     # the noise sqrt(exp(-2r)) is no wider than the spacing of doubles at 2 * eps
     (["montecarlo", "--probe", "squeezed", "--r", "40"], 1, None),
     (["montecarlo", "--probe", "squeezed", "--r", "366", "--eps", "1e300"], 1, None),
+    # r must be a finite real >= 0 for every probe, not only the one it squeezes
+    (["montecarlo", "--probe", "coherent", "--r", "nan"], 1, None),
+    (["montecarlo", "--probe", "coherent", "--r", "-3"], 1, None),
     # counts past 2^63 - 1, numpy's largest; ramsey's product rows draw shots * N
     (["ramsey", "--qubit-list", "1000000000000000", "--shots", "100000", "--replicates", "2"],
      1, None),

@@ -16,15 +16,7 @@ from catsense.bounds import (
     invert_ntot,
 )
 from catsense.coherent import make_entangled_cat
-from catsense.estimation import (
-    CoherentProbe,
-    HomodyneExperiment,
-    RamseyModel,
-    Scheme,
-    SqueezedProbe,
-    ramsey_simulate,
-    ramsey_table,
-)
+from catsense.estimation import homodyne_table, ramsey_table
 from catsense.fock import coherent_vector, qfi_fidelity_fd, squeezed_vector
 
 COUNTS = [
@@ -32,9 +24,8 @@ COUNTS = [
     ("n_modes", lambda n: invert_ntot(1.0, n)),
     ("n_copies", lambda n: eps_min_separable_cats(1.0, n)),
     ("n_modes", lambda n: entangled_cat_generator_variance(1.0, n)),
-    ("shots", lambda n: HomodyneExperiment(CoherentProbe(), 0.1, n, 1)),
-    ("n_qubits", lambda n: RamseyModel(Scheme.GHZ, n, 0.1)),
-    ("shots", lambda n: ramsey_simulate(RamseyModel(Scheme.GHZ, 2, 0.1), n, 1)),
+    ("shots", lambda n: homodyne_table("coherent", 0.0, 0.1, n, 1)),
+    ("shots * N", lambda n: ramsey_table((n,), 1, 2, 1)),  # one shot: the count is N
     ("shots", lambda n: ramsey_table((2,), n, 2, 1)),
     ("n_modes", lambda n: make_entangled_cat(0.5, n)),
 ]
@@ -44,8 +35,9 @@ REALS = [
     ("n_tot", lambda x: eps_min_separable_cats(x, 2)),
     ("alpha", lambda x: entangled_cat_generator_variance(x, 2)),
     ("r", eps_min_squeezed_exact),
-    ("r", SqueezedProbe),
-    ("true_eps", lambda x: HomodyneExperiment(CoherentProbe(), x, 3, 1)),
+    ("r", lambda x: homodyne_table("squeezed", x, 0.1, 3, 1)),
+    ("r", lambda x: homodyne_table("coherent", x, 0.1, 3, 1)),  # r is checked for every probe
+    ("true_eps", lambda x: homodyne_table("coherent", 0.0, x, 3, 1)),
     ("r", lambda x: squeezed_vector(x, 20)),
 ]
 
