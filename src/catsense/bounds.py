@@ -9,15 +9,16 @@ noise after one shot?  The convention used throughout is
 i.e. the displacement that moves the signal by one standard deviation of
 the generator.  Pure-state quantum Fisher information is 4 Var(G), so the
 single-shot quantum Cramer-Rao limit sits a factor 2 below each of these
-numbers; the `qfi` field of BoundResult carries Var(G) itself (4 on the
-coherent row, its 1 / eps_min^2), and the oracle bridge in the test suite
-converts explicitly where the 4x convention is needed.
+numbers; the `qfi` column of `bounds_table` carries Var(G) itself (4 on
+the coherent row, its 1 / eps_min^2), and the oracle bridge in the test
+suite converts explicitly where the 4x convention is needed.
 
 The closed forms and `invert_ntot` take a scalar or a float64 array and
 answer in kind (a float for a scalar).  `curve` evaluates a family over a
-whole grid as one BoundResult of arrays and is the one place each
-family's Var(G) is stated; the scalar eps_min forms read it from there, and
-`eps_min_entangled_cat` gives one point with float fields.
+whole grid as four float64 arrays (n_tot, alpha, eps_min, Var(G)) and is
+the one place each family's Var(G) is stated; the scalar eps_min forms read
+it from there.  `bounds_table` and `figure1_table` are the tables of
+`catsense bounds` and `catsense figure1`, column name -> column.
 
 Baselines:
     vacuum / coherent probe      eps_min = 1/2
@@ -35,7 +36,6 @@ tests, with the factor bookkeeping spelled out there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -53,36 +53,6 @@ class FamilyKind(str, Enum):
 
 # The families whose mode/copy count may exceed 1; every other one is single-mode.
 MULTIMODE_FAMILIES = (FamilyKind.SEPARABLE_CATS, FamilyKind.ENTANGLED_CAT)
-
-
-@dataclass(frozen=True)
-class ProbeFamily:
-    """A bound family plus the mode/copy count where that is meaningful."""
-
-    kind: FamilyKind
-    n_modes: int = 1
-
-    def __post_init__(self) -> None:
-        require_count("n_modes", self.n_modes)
-        if self.kind not in MULTIMODE_FAMILIES and self.n_modes != 1:
-            raise ValueError(f"{self.kind.value} is a single-mode family")
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """A bound at one point, or along a whole photon-budget grid.
-
-    From `eps_min_entangled_cat` the fields are floats for one point; from
-    `curve` n_tot, alpha, eps_min and qfi are float64 arrays aligned with the
-    grid.  alpha is the per-mode cat amplitude that realizes the stated n_tot
-    (NaN for families without a cat amplitude); qfi is Var(G).
-    """
-
-    family: ProbeFamily
-    n_tot: float | np.ndarray
-    alpha: float | np.ndarray
-    eps_min: float | np.ndarray
-    qfi: float | np.ndarray
 
 
 def _out(x: np.ndarray) -> float | np.ndarray:
@@ -124,7 +94,7 @@ def eps_min_sql() -> float:
 
 def eps_min_squeezed(n_tot: float | np.ndarray) -> float | np.ndarray:
     """Squeezed-vacuum bound 1/sqrt(4 n_tot) with n_tot = sinh^2 r photons."""
-    return _out(curve(ProbeFamily(FamilyKind.SQUEEZED), n_tot).eps_min)
+    return _out(curve(FamilyKind.SQUEEZED, n_tot)[2])
 
 
 def eps_min_squeezed_exact(r: float) -> float:
@@ -164,21 +134,18 @@ def eps_min_single_cat(n_tot: float | np.ndarray) -> float | np.ndarray:
     at small n_tot it deviates from the oracle at the percent level, which
     the tests document rather than hide.
     """
-    return _out(curve(ProbeFamily(FamilyKind.SINGLE_CAT), n_tot).eps_min)
+    return _out(curve(FamilyKind.SINGLE_CAT, n_tot)[2])
 
 
 def eps_min_separable_cats(n_tot: float | np.ndarray, n_copies: int) -> float | np.ndarray:
     """N independent single-mode cats sharing n_tot photons: 1/sqrt(N + 4 n_tot)."""
     require_count("n_copies", n_copies)
-    return _out(curve(ProbeFamily(FamilyKind.SEPARABLE_CATS, n_copies), n_tot).eps_min)
+    return _out(curve(FamilyKind.SEPARABLE_CATS, n_tot, n_copies)[2])
 
 
-def eps_min_entangled_cat(alpha: float, n_modes: int) -> BoundResult:
+def eps_min_entangled_cat(alpha: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     """Bound of the N-mode entangled cat at per-mode amplitude alpha."""
-    var = entangled_cat_generator_variance(alpha, n_modes)
-    eps = _eps_from_variance(var, "alpha", alpha)
-    return BoundResult(ProbeFamily(FamilyKind.ENTANGLED_CAT, n_modes),
-                       entangled_cat_ntot(alpha, n_modes), float(alpha), eps, var)
+    return _eps_from_variance(entangled_cat_generator_variance(alpha, n_modes), "alpha", alpha)
 
 
 def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
@@ -217,15 +184,20 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     return _out(np.sqrt(u / n_modes))
 
 
-def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
+def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, ...]:
     """Evaluate one family on a whole grid of total photon numbers.
 
-    Returns one BoundResult whose n_tot, alpha, eps_min and qfi fields are
-    float64 arrays aligned with the grid (0-d for a scalar grid).  A grid
-    point whose Var(G) is past the largest double is refused.
+    Returns the float64 arrays (n_tot, alpha, eps_min, Var(G)), aligned with
+    the grid (0-d for a scalar grid); alpha is the per-mode cat amplitude
+    that realizes each n_tot (NaN for families without one).  Only the
+    multimode families take n_modes > 1.  A grid point whose Var(G) is past
+    the largest double is refused.
     """
-    kind, m = family.kind, family.n_modes
-    n = require_nonnegative("n_tot", np.array(n_tot_grid, np.float64), kind is FamilyKind.SQUEEZED)
+    kind, m = FamilyKind(kind), n_modes
+    require_count("n_modes", m)
+    if kind not in MULTIMODE_FAMILIES and m != 1:
+        raise ValueError(f"{kind.value} is a single-mode family")
+    n = require_nonnegative("n_tot", np.array(n_tot, np.float64), kind is FamilyKind.SQUEEZED)
     alpha, var = np.full(n.shape, np.nan), np.full(n.shape, eps_min_sql() ** -2)
     if kind is FamilyKind.ENTANGLED_CAT:
         # n_tot stays the requested grid; the round trip through alpha gives it to ~1e-15
@@ -239,5 +211,23 @@ def curve(family: ProbeFamily, n_tot_grid) -> BoundResult:
                 var, alpha = 1.0 + 4.0 * n, np.sqrt(n)
             else:
                 var, alpha = m + 4.0 * n, np.sqrt(n / m)
-    fields = alpha, _eps_from_variance(var, "n_tot", n), var
-    return BoundResult(family, n, *(np.asarray(f, np.float64) for f in fields))
+    eps = _eps_from_variance(var, "n_tot", n)
+    return (n, *(np.asarray(f, np.float64) for f in (alpha, eps, var)))
+
+
+def bounds_table(family: FamilyKind | str, n_modes: int, n_tot) -> dict[str, object]:
+    """The `catsense bounds` table of one family; a single-mode family reports n_modes 1."""
+    kind = FamilyKind(family)
+    n_modes = n_modes if kind in MULTIMODE_FAMILIES else 1
+    n, alpha, eps, var = curve(kind, n_tot, n_modes)
+    return {"family": kind.value, "n_modes": n_modes, "n_tot": n,
+            "alpha": alpha, "eps_min": eps, "qfi": var}
+
+
+def figure1_table(n_modes: int, n_tot) -> dict[str, object]:
+    """The `catsense figure1` table: the three cat-probe bounds on one photon-budget grid."""
+    n, alpha, ent, _ = curve(FamilyKind.ENTANGLED_CAT, n_tot, n_modes)
+    sep = curve(FamilyKind.SEPARABLE_CATS, n, n_modes)[2]
+    one = curve(FamilyKind.SINGLE_CAT, n)[2]
+    return {"n_tot": n, "eps_entangled": ent, "eps_separable": sep, "eps_single_cat": one,
+            "alpha_entangled": alpha}

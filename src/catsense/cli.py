@@ -28,7 +28,9 @@ from . import bounds  # at the top: the --family choices are read from it
 from .errors import CatsenseError, ToleranceFailure, require_count
 from .outputs import csv_text, write_all
 
-Table = dict[str, Any]  # what `run_*` and `estimation.*_table` return: CSV header -> column
+_CONFIG_KEY = "catsense.config"  # the ctx.meta key holding the run's --config path
+
+Table = dict[str, Any]  # what the library's `*_table` functions return: CSV header -> column
 
 
 def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) -> int:
@@ -36,12 +38,19 @@ def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) ->
 
     Floats print to 17 significant digits and lines end in LF.  Every
     subcommand writes its files through this one call.  Two paths that name one
-    file are refused before any file is staged.
+    file, or an output that names the run's ``--config`` file, are refused
+    before any file is staged.
     """
     also = also or {}
     targets = [path, *also]
-    if len({os.path.realpath(p) for p in targets}) < len(targets):
+    real = [os.path.realpath(p) for p in targets]
+    if len(set(real)) < len(targets):
         raise ValueError(f"the outputs {', '.join(map(repr, targets))} name one file")
+    ctx = click.get_current_context(silent=True)
+    config = ctx.meta.get(_CONFIG_KEY) if ctx else None
+    if config is not None and os.path.realpath(config) in real:
+        clash = targets[real.index(os.path.realpath(config))]
+        raise ValueError(f"the output {clash!r} names the config file {config!r}")
     write_all({path: csv_text(list(table), list(table.values())), **also})
     return next((len(c) for c in table.values() if np.ndim(c)), 0)
 
@@ -59,27 +68,8 @@ def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> n
         return np.geomspace(ntot_min, ntot_max, points)
 
 
-# ---------------------------------------------------------------- figure1
-
-def run_figure1(
-    n_modes: int,
-    ntot_min: float,
-    ntot_max: float,
-    points: int,
-    spacing: str,
-) -> Table:
-    """Sweep the photon budget and tabulate the three cat-probe bounds."""
-    grid = _make_grid(ntot_min, ntot_max, points, spacing)
-    family, kinds = bounds.ProbeFamily, bounds.FamilyKind
-    ent = bounds.curve(family(kinds.ENTANGLED_CAT, n_modes), grid)
-    sep = bounds.curve(family(kinds.SEPARABLE_CATS, n_modes), grid)
-    one = bounds.curve(family(kinds.SINGLE_CAT), grid)
-    return {"n_tot": ent.n_tot, "eps_entangled": ent.eps_min, "eps_separable": sep.eps_min,
-            "eps_single_cat": one.eps_min, "alpha_entangled": ent.alpha}
-
-
 def figure1_svg(table: Table, n_modes: int, spacing: str) -> str:
-    """SVG text plotting the three bound columns of a `run_figure1` table."""
+    """SVG text plotting the three bound columns of a `bounds.figure1_table` table."""
     from . import svgplot
     grid = table["n_tot"]
     curves = [
@@ -94,25 +84,6 @@ def figure1_svg(table: Table, n_modes: int, spacing: str) -> str:
         ylabel="eps_min",
         log_x=(spacing == "log"),
     )
-
-
-# ---------------------------------------------------------------- bounds
-
-def run_bounds(
-    family: str,
-    n_modes: int,
-    ntot_min: float,
-    ntot_max: float,
-    points: int,
-    spacing: str,
-) -> Table:
-    """Tabulate one bound family: n_tot, alpha, eps_min and qfi per grid point."""
-    kind = bounds.FamilyKind(family)
-    fam = bounds.ProbeFamily(kind, n_modes if kind in bounds.MULTIMODE_FAMILIES else 1)
-    grid = _make_grid(ntot_min, ntot_max, points, spacing)
-    res = bounds.curve(fam, grid)
-    return {"family": kind.value, "n_modes": fam.n_modes, "n_tot": res.n_tot,
-            "alpha": res.alpha, "eps_min": res.eps_min, "qfi": res.qfi}
 
 
 # ---------------------------------------------------------------- click wiring
@@ -136,10 +107,11 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     """Load a flat ``key = value`` file, keyed by long-flag name, into ``ctx.default_map``."""
     if path is None:
         return
+    ctx.meta[_CONFIG_KEY] = path
     names = {opt[2:]: p.name for p in ctx.command.params if p is not param
              for opt in p.opts if opt.startswith("--")}
     settings: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: a leading byte-order mark is dropped
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -194,10 +166,10 @@ def cli() -> None:
 @click.option("--out", type=str, default="figure1.csv", help="CSV path")
 @click.option("--svg", type=str, default=None, help="also render an SVG plot here")
 @_config_opt
-def figure1_cmd(out, svg, **grid):
+def figure1_cmd(out, svg, n_modes, spacing, **grid):
     """Compare entangled, separable and single-cat bounds over a photon sweep."""
-    table = run_figure1(**grid)
-    plot = {} if svg is None else {svg: figure1_svg(table, grid["n_modes"], grid["spacing"])}
+    table = bounds.figure1_table(n_modes, _make_grid(spacing=spacing, **grid))
+    plot = {} if svg is None else {svg: figure1_svg(table, n_modes, spacing)}
     rows = write_csv(out, table, plot)
     click.echo(f"figure1: wrote {rows} rows")
 
@@ -208,10 +180,9 @@ def figure1_cmd(out, svg, **grid):
 @_grid_opts(points=50)
 @click.option("--out", type=str, default="bounds.csv", help="CSV path")
 @_config_opt
-def bounds_cmd(out, **settings):
-    """Tabulate a single bound family."""
-    table = run_bounds(**settings)
-    rows = write_csv(out, table)
+def bounds_cmd(out, family, n_modes, **grid):
+    """Tabulate one bound family.  Single-mode families ignore --modes and report n_modes 1."""
+    rows = write_csv(out, bounds.bounds_table(family, n_modes, _make_grid(**grid)))
     click.echo(f"bounds: wrote {rows} rows")
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from catsense import bounds, coherent, estimation, fock
-from catsense.cli import run_figure1
 
 
 def test_criterion_1_sql_floor_and_monte_carlo(report):
@@ -57,7 +56,7 @@ def test_criterion_3_photon_budget_and_inversion(report):
 
 
 def test_criterion_4_figure_reference_points_and_shape(report):
-    pin = np.column_stack(list(run_figure1(10, 0.1, 100.0, 4, "log").values()))
+    pin = np.column_stack(list(bounds.figure1_table(10, np.geomspace(0.1, 100.0, 4)).values()))
     n_tot, ent, sep, single, _ = pin[2]
     values_ok = (
         abs(n_tot - 10.0) < 1e-9
@@ -65,7 +64,7 @@ def test_criterion_4_figure_reference_points_and_shape(report):
         and abs(sep / 0.1414213562373095 - 1.0) < 1e-9
         and abs(single / 0.15617376188860607 - 1.0) < 1e-9
     )
-    sweep = np.column_stack(list(run_figure1(10, 0.1, 100.0, 200, "log").values()))
+    sweep = np.column_stack(list(bounds.figure1_table(10, np.geomspace(0.1, 100.0, 200)).values()))
     ordered = all(r[1] < r[2] < r[3] for r in sweep)
     decreasing = all(
         a[1] > b[1] and a[2] > b[2] and a[3] > b[3] for a, b in zip(sweep, sweep[1:])
@@ -81,8 +80,8 @@ def test_criterion_5_heisenberg_asymptote(report):
     worst_low, worst_high = 1.0, 0.0
     for n_modes in (1, 10, 100):
         for n_tot in (100.0, 1000.0, 10000.0):
-            res = bounds.eps_min_entangled_cat(bounds.invert_ntot(n_tot, n_modes), n_modes)
-            ratio = res.eps_min * math.sqrt(4.0 * n_modes * n_tot)
+            eps = bounds.eps_min_entangled_cat(bounds.invert_ntot(n_tot, n_modes), n_modes)
+            ratio = eps * math.sqrt(4.0 * n_modes * n_tot)
             worst_low = min(worst_low, ratio)
             worst_high = max(worst_high, ratio)
     report(
@@ -94,7 +93,7 @@ def test_criterion_5_heisenberg_asymptote(report):
 
 def test_criterion_6_sqrt_n_entanglement_advantage(report):
     n_modes, n_tot = 10, 1000.0
-    ent = bounds.eps_min_entangled_cat(bounds.invert_ntot(n_tot, n_modes), n_modes).eps_min
+    ent = bounds.eps_min_entangled_cat(bounds.invert_ntot(n_tot, n_modes), n_modes)
     gap = bounds.eps_min_separable_cats(n_tot, n_modes) / ent
     rel = abs(gap / math.sqrt(n_modes) - 1.0)
     report(

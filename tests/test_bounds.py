@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from catsense import bounds, coherent, fock
 from catsense.bounds import (
-    BoundResult,
     FamilyKind,
-    ProbeFamily,
     curve,
     entangled_cat_generator_variance,
     entangled_cat_ntot,
@@ -81,9 +79,9 @@ class TestScalarBounds:
         assert eps_min_single_cat(0.0) == 1.0
         assert eps_min_separable_cats(0.0, 4) == 0.5
         assert invert_ntot(0.0, 3) == 0.0
-        res = curve(ProbeFamily(FamilyKind.ENTANGLED_CAT, 4), [0.0, 1.0])
-        assert res.alpha[0] == 0.0
-        assert res.eps_min[0] == 0.5
+        _, alpha, eps, _ = curve(FamilyKind.ENTANGLED_CAT, [0.0, 1.0], 4)
+        assert alpha[0] == 0.0
+        assert eps[0] == 0.5
 
 
 class TestVarianceForms:
@@ -131,19 +129,22 @@ class TestVarianceForms:
 
 
 class TestEntangledBound:
-    def test_result_fields(self):
-        res = eps_min_entangled_cat(1.0, 1)
-        assert isinstance(res, BoundResult)
+    def test_unit_amplitude_point(self):
+        eps = eps_min_entangled_cat(1.0, 1)
+        assert type(eps) is float
         var = 1.0 + 4.0 / (1.0 + math.exp(-2.0))
-        assert res.eps_min == pytest.approx(1.0 / math.sqrt(var), rel=1e-14)
-        assert res.qfi == pytest.approx(var, rel=1e-14)
-        assert res.n_tot == pytest.approx(math.tanh(1.0), rel=1e-14)
-        assert res.alpha == 1.0
-        assert res.family.kind is FamilyKind.ENTANGLED_CAT
+        assert eps == pytest.approx(1.0 / math.sqrt(var), rel=1e-14)
+        assert entangled_cat_generator_variance(1.0, 1) == pytest.approx(var, rel=1e-14)
+        assert entangled_cat_ntot(1.0, 1) == pytest.approx(math.tanh(1.0), rel=1e-14)
+
+    def test_array_amplitude_gives_array(self):
+        alphas = np.array([0.5, 1.0, 2.0])
+        eps = eps_min_entangled_cat(alphas, 3)
+        assert eps.tolist() == [eps_min_entangled_cat(a, 3) for a in alphas.tolist()]
 
     def test_ten_mode_ten_photon_point(self):
-        res = eps_min_entangled_cat(invert_ntot(10.0, 10), 10)
-        assert res.eps_min == pytest.approx(0.0493864797828243, rel=1e-12)
+        eps = eps_min_entangled_cat(invert_ntot(10.0, 10), 10)
+        assert eps == pytest.approx(0.0493864797828243, rel=1e-12)
 
     def test_agrees_with_fock_oracle(self):
         # eps_min = 1/sqrt(Var G); the oracle returns 4 Var G, so divide out
@@ -152,7 +153,7 @@ class TestEntangledBound:
             psi = fock.to_fock(coherent.make_entangled_cat(alpha, n_modes))
             g = fock.collective_quad_x(psi.dim, n_modes)
             oracle_eps = 1.0 / math.sqrt(fock.qfi_pure(psi, g) / 4.0)
-            assert eps_min_entangled_cat(alpha, n_modes).eps_min == pytest.approx(
+            assert eps_min_entangled_cat(alpha, n_modes) == pytest.approx(
                 oracle_eps, abs=1e-8
             )
 
@@ -192,50 +193,62 @@ class TestCurve:
             (FamilyKind.SEPARABLE_CATS, 10),
             (FamilyKind.ENTANGLED_CAT, 10),
         ]:
-            eps = curve(ProbeFamily(kind, n_modes), self.grid).eps_min
+            eps = curve(kind, self.grid, n_modes)[2]
             assert eps.shape == self.grid.shape, kind
             assert (eps[:-1] > eps[1:]).all(), kind
 
     def test_sql_curve_is_flat(self):
-        eps = curve(ProbeFamily(FamilyKind.COHERENT_SQL), self.grid).eps_min
+        eps = curve(FamilyKind.COHERENT_SQL, self.grid)[2]
         assert eps.tolist() == [0.5] * len(self.grid)
 
     def test_entangled_below_separable_below_single(self):
-        fam_e = ProbeFamily(FamilyKind.ENTANGLED_CAT, 10)
-        fam_s = ProbeFamily(FamilyKind.SEPARABLE_CATS, 10)
-        fam_1 = ProbeFamily(FamilyKind.SINGLE_CAT)
-        e, s, o = (curve(fam, self.grid).eps_min for fam in (fam_e, fam_s, fam_1))
+        families = [(FamilyKind.ENTANGLED_CAT, 10), (FamilyKind.SEPARABLE_CATS, 10),
+                    (FamilyKind.SINGLE_CAT, 1)]
+        e, s, o = (curve(kind, self.grid, n_modes)[2] for kind, n_modes in families)
         assert e.shape == s.shape == o.shape == self.grid.shape
         assert ((e < s) & (s < o)).all()
 
     def test_rows_carry_requested_ntot_and_qfi(self):
-        res = curve(ProbeFamily(FamilyKind.ENTANGLED_CAT, 3), [0.5, 5.0])
-        assert res.n_tot.tolist() == [0.5, 5.0]
-        assert res.qfi == pytest.approx(1.0 / res.eps_min**2, rel=1e-14)
-        assert entangled_cat_ntot(res.alpha, 3) == pytest.approx([0.5, 5.0], rel=1e-10)
+        n_tot, alpha, eps, qfi = curve(FamilyKind.ENTANGLED_CAT, [0.5, 5.0], 3)
+        assert n_tot.tolist() == [0.5, 5.0]
+        assert qfi == pytest.approx(1.0 / eps**2, rel=1e-14)
+        assert entangled_cat_ntot(alpha, 3) == pytest.approx([0.5, 5.0], rel=1e-10)
 
     @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_scalar_grid_gives_0d_float64_arrays(self, kind):
-        family = ProbeFamily(kind, 3 if kind in bounds.MULTIMODE_FAMILIES else 1)
-        one, grid = curve(family, 3.0), curve(family, [3.0])
-        for field in ("n_tot", "alpha", "eps_min", "qfi"):
-            value = getattr(one, field)
+        n_modes = 3 if kind in bounds.MULTIMODE_FAMILIES else 1
+        one, grid = curve(kind, 3.0, n_modes), curve(kind, [3.0], n_modes)
+        for field, value, column in zip(("n_tot", "alpha", "eps_min", "qfi"), one, grid):
             assert type(value) is np.ndarray and value.dtype == np.float64, field
-            assert value.shape == () and np.array_equal(value, getattr(grid, field)[0],
-                                                        equal_nan=True), field
+            assert value.shape == () and np.array_equal(value, column[0], equal_nan=True), field
 
     def test_scalar_eps_min_forms_give_python_floats(self):
         values = eps_min_squeezed(3.0), eps_min_single_cat(3.0), eps_min_separable_cats(3.0, 2)
         assert all(type(value) is float for value in values)
 
     def test_single_mode_family_rejects_multimode(self):
-        with pytest.raises(ValueError):
-            ProbeFamily(FamilyKind.SINGLE_CAT, 3)
+        with pytest.raises(ValueError, match="^single-cat is a single-mode family$"):
+            curve(FamilyKind.SINGLE_CAT, 1.0, 3)
+
+    def test_family_named_by_its_string_value(self):
+        for a, b in zip(curve("separable-cats", self.grid, 4),
+                        curve(FamilyKind.SEPARABLE_CATS, self.grid, 4)):
+            assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_bounds_table_reports_one_mode_for_single_mode_families(self, kind):
+        table = bounds.bounds_table(kind.value, 3, self.grid)
+        multimode = kind in bounds.MULTIMODE_FAMILIES
+        assert (table["family"], table["n_modes"]) == (kind.value, 3 if multimode else 1)
+        n_tot, alpha, eps, qfi = curve(kind, self.grid, table["n_modes"])
+        got = table["n_tot"], table["alpha"], table["eps_min"], table["qfi"]
+        for a, b in zip(got, (n_tot, alpha, eps, qfi)):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     def test_sql_checks_the_budget_like_every_family(self, bad):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            curve(ProbeFamily(FamilyKind.COHERENT_SQL), [1.0, bad])
+            curve(FamilyKind.COHERENT_SQL, [1.0, bad])
 
 
 def _mp_entangled(n_tot: float, n_modes: int) -> tuple:
@@ -264,8 +277,8 @@ class TestHighPrecisionReference:
     @example(log_n=-200.0, n_modes=1000)
     def test_entangled_curve_matches_mpmath(self, log_n, n_modes):
         n_tot = 10.0**log_n
-        res = curve(ProbeFamily(FamilyKind.ENTANGLED_CAT, n_modes), [n_tot])
-        for got, want in zip((res.alpha, res.eps_min, res.qfi), _mp_entangled(n_tot, n_modes)):
+        _, *res = curve(FamilyKind.ENTANGLED_CAT, [n_tot], n_modes)
+        for got, want in zip(res, _mp_entangled(n_tot, n_modes)):
             assert _rel_err(float(got[0]), want) <= 1e-14
 
     @given(log_ns=st.lists(log_budgets, min_size=1, max_size=20), n_modes=st.integers(1, 10_000))
@@ -279,25 +292,25 @@ class TestHighPrecisionReference:
     def test_closed_form_families_equal_math_formulas(self, log_ns, n_modes):
         grid = 10.0 ** np.array(log_ns)
         formulas = {  # (alpha, eps_min, qfi) at one point, in plain float arithmetic
-            ProbeFamily(FamilyKind.COHERENT_SQL): lambda n: (math.nan, 0.5, 4.0),
-            ProbeFamily(FamilyKind.SQUEEZED): lambda n: (
+            (FamilyKind.COHERENT_SQL, 1): lambda n: (math.nan, 0.5, 4.0),
+            (FamilyKind.SQUEEZED, 1): lambda n: (
                 math.nan, 1.0 / math.sqrt(4.0 * n), 4.0 * n),
-            ProbeFamily(FamilyKind.SINGLE_CAT): lambda n: (
+            (FamilyKind.SINGLE_CAT, 1): lambda n: (
                 math.sqrt(n), 1.0 / math.sqrt(1.0 + 4.0 * n), 1.0 + 4.0 * n),
-            ProbeFamily(FamilyKind.SEPARABLE_CATS, n_modes): lambda n: (
+            (FamilyKind.SEPARABLE_CATS, n_modes): lambda n: (
                 math.sqrt(n / n_modes), 1.0 / math.sqrt(n_modes + 4.0 * n), n_modes + 4.0 * n),
         }
         scalar_forms = {FamilyKind.SQUEEZED: eps_min_squeezed,
                         FamilyKind.SINGLE_CAT: eps_min_single_cat,
                         FamilyKind.SEPARABLE_CATS: lambda n: eps_min_separable_cats(n, n_modes)}
-        for fam, formula in formulas.items():
-            res = curve(fam, grid)
+        for (kind, m), formula in formulas.items():
+            _, alpha, eps, qfi = curve(kind, grid, m)
             want = np.array([formula(n) for n in grid.tolist()])
-            np.testing.assert_array_equal(res.alpha, want[:, 0])
-            np.testing.assert_array_equal(res.eps_min, want[:, 1])
-            np.testing.assert_array_equal(res.qfi, want[:, 2])
-            if fam.kind in scalar_forms:  # each scalar form is its curve element, bit for bit
-                assert [scalar_forms[fam.kind](n) for n in grid.tolist()] == res.eps_min.tolist()
+            np.testing.assert_array_equal(alpha, want[:, 0])
+            np.testing.assert_array_equal(eps, want[:, 1])
+            np.testing.assert_array_equal(qfi, want[:, 2])
+            if kind in scalar_forms:  # each scalar form is its curve element, bit for bit
+                assert [scalar_forms[kind](n) for n in grid.tolist()] == eps.tolist()
         for n in grid.tolist():
             assert eps_min_squeezed(n) == 1.0 / math.sqrt(4.0 * n)
             assert eps_min_single_cat(n) == 1.0 / math.sqrt(1.0 + 4.0 * n)
@@ -310,11 +323,9 @@ class TestHighPrecisionReference:
     (FamilyKind.ENTANGLED_CAT, 1), (FamilyKind.ENTANGLED_CAT, 10), (FamilyKind.ENTANGLED_CAT, 1000),
 ])
 def test_last_budget_before_the_variance_overflows(kind, n_modes):
-    family = ProbeFamily(kind, n_modes)
-
     def accepted(bits: int) -> bool:
         try:
-            curve(family, [np.int64(bits).view(np.float64)])
+            curve(kind, [np.int64(bits).view(np.float64)], n_modes)
         except ValueError as exc:
             assert "puts Var(G) past the largest double" in str(exc)
             return False
@@ -326,7 +337,7 @@ def test_last_budget_before_the_variance_overflows(kind, n_modes):
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
     n_tot = float(np.int64(lo).view(np.float64))
-    res = curve(family, [n_tot])
+    _, _, res_eps, res_qfi = curve(kind, [n_tot], n_modes)
     with mpmath.workdps(50):
         if kind is FamilyKind.ENTANGLED_CAT:
             _, eps, var = _mp_entangled(n_tot, n_modes)
@@ -334,21 +345,20 @@ def test_last_budget_before_the_variance_overflows(kind, n_modes):
             var = (kind is not FamilyKind.SQUEEZED) * n_modes + 4 * mpmath.mpf(n_tot)
             eps = 1 / mpmath.sqrt(var)
         assert abs(var / np.finfo(np.float64).max - 1) < mpmath.mpf(2) ** -50  # the range's end
-    assert _rel_err(float(res.eps_min[0]), eps) <= 1e-14
-    assert _rel_err(float(res.qfi[0]), var) <= 1e-14
+    assert _rel_err(float(res_eps[0]), eps) <= 1e-14
+    assert _rel_err(float(res_qfi[0]), var) <= 1e-14
     eps_of = {  # the scalar entry point of each family
         FamilyKind.SQUEEZED: eps_min_squeezed,
         FamilyKind.SINGLE_CAT: eps_min_single_cat,
         FamilyKind.SEPARABLE_CATS: lambda n: eps_min_separable_cats(n, n_modes),
-        FamilyKind.ENTANGLED_CAT: lambda n: eps_min_entangled_cat(
-            invert_ntot(n, n_modes), n_modes).eps_min,
+        FamilyKind.ENTANGLED_CAT: lambda n: eps_min_entangled_cat(invert_ntot(n, n_modes), n_modes),
     }[kind]
-    assert eps_of(n_tot) == res.eps_min[0]
+    assert eps_of(n_tot) == res_eps[0]
     with pytest.raises(ValueError, match=r"puts Var\(G\) past the largest double"):
         eps_of(float(np.int64(hi).view(np.float64)))
     if kind is FamilyKind.SQUEEZED:  # Var(G) = 4 n_tot is positive where 1 / eps_min^2 overflows
         tiny = np.array([1e-320, 1e-310])
-        qfi = curve(family, tiny).qfi
+        qfi = curve(kind, tiny, n_modes)[3]
         np.testing.assert_array_equal(qfi, 4.0 * tiny)
         assert (qfi > 0.0).all()
 
@@ -472,12 +482,12 @@ class TestAsymptotics:
     @pytest.mark.parametrize("n_modes", [1, 10, 100])
     def test_entangled_approaches_heisenberg_form(self, n_modes):
         for n_tot in [100.0, 1000.0, 10000.0]:
-            res = eps_min_entangled_cat(invert_ntot(n_tot, n_modes), n_modes)
-            ratio = res.eps_min * math.sqrt(4.0 * n_modes * n_tot)
+            eps = eps_min_entangled_cat(invert_ntot(n_tot, n_modes), n_modes)
+            ratio = eps * math.sqrt(4.0 * n_modes * n_tot)
             assert 0.995 <= ratio <= 1.0
 
     def test_sqrt_n_gap_between_separable_and_entangled(self):
         n_modes, n_tot = 10, 1000.0
-        res = eps_min_entangled_cat(invert_ntot(n_tot, n_modes), n_modes)
-        gap = eps_min_separable_cats(n_tot, n_modes) / res.eps_min
+        eps = eps_min_entangled_cat(invert_ntot(n_tot, n_modes), n_modes)
+        gap = eps_min_separable_cats(n_tot, n_modes) / eps
         assert gap == pytest.approx(math.sqrt(n_modes), rel=0.01)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from catsense import bounds, cli, fock
-from catsense.cli import main, run_figure1, write_csv
+from catsense.cli import main, write_csv
 
 
 def read_rows(path):
@@ -306,10 +306,10 @@ class TestMonteCarloCommand:
                      "--out", str(tmp_path / "m.csv")]) == 1
 
 
-class TestRunFigure1Function:
+class TestFigure1Table:
     def test_returns_rows_matching_csv(self, tmp_path):
         out = tmp_path / "f.csv"
-        table = run_figure1(10, 0.1, 100.0, 4, "log")
+        table = bounds.figure1_table(10, np.geomspace(0.1, 100.0, 4))
         write_csv(str(out), table)
         rows = np.column_stack(list(table.values()))
         assert len(rows) == 4
@@ -330,4 +330,4 @@ def test_each_command_writes_through_one_call(tmp_path, monkeypatch, args, files
     monkeypatch.chdir(tmp_path)
     assert main([*args, "--out", "t.csv"]) == 0
     assert [sorted(docs) for docs in calls] == [sorted(["t.csv", "t.svg"][:files])]
-    assert list(tmp_path.iterdir()) == []  # the run_* functions open no file
+    assert list(tmp_path.iterdir()) == []  # the table functions open no file

@@ -181,6 +181,32 @@ def test_csv_and_svg_naming_one_file_write_nothing(out, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [["bounds", "--out", "c.cfg"],
+                                  ["figure1", "--out", "f.csv", "--svg", "./c.cfg"]])
+def test_output_naming_the_config_file_writes_nothing(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    _write_config(cfg, {"points": "3"})
+    before = cfg.read_bytes()
+    assert main([*args, "--config", "c.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: the output {args[-1]!r} names the config file 'c.cfg'\n"
+    assert cfg.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_with_a_byte_order_mark(tmp_path):
+    settings = {"family": "squeezed", "points": "5", "spacing": "linear"}
+    plain = _write_config(tmp_path / "plain.cfg", settings)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.cfg").read_bytes())
+    outputs = []
+    for cfg in (plain, str(tmp_path / "bom.cfg")):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 6
+
+
 @pytest.mark.parametrize("cmd", sorted(DEFAULTS))
 def test_help_shows_every_default(cmd, capsys):
     assert main([cmd, "--help"]) == 0

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from catsense import cli, errors
+from catsense import bounds, cli, errors
 from catsense.bounds import (
     FamilyKind,
-    ProbeFamily,
+    curve,
     entangled_cat_generator_variance,
     eps_min_separable_cats,
     eps_min_squeezed_exact,
@@ -20,7 +20,7 @@ from catsense.estimation import homodyne_table, ramsey_table
 from catsense.fock import coherent_vector, qfi_fidelity_fd, squeezed_vector
 
 COUNTS = [
-    ("n_modes", lambda n: ProbeFamily(FamilyKind.ENTANGLED_CAT, n)),
+    ("n_modes", lambda n: curve(FamilyKind.ENTANGLED_CAT, 1.0, n)),
     ("n_modes", lambda n: invert_ntot(1.0, n)),
     ("n_copies", lambda n: eps_min_separable_cats(1.0, n)),
     ("n_modes", lambda n: entangled_cat_generator_variance(1.0, n)),
@@ -80,9 +80,9 @@ ERROR_TYPES = [cls for cls in vars(errors).values()
 def test_exit_code_matches_the_readme(cls, monkeypatch, capsys):
     assert cls.exit_code == _documented_exit_codes()[cls.__name__]
 
-    def fail(**settings):
+    def fail(*args):
         raise cls("boom")
 
-    monkeypatch.setattr(cli, "run_bounds", fail)
+    monkeypatch.setattr(bounds, "bounds_table", fail)
     assert cli.main(["bounds"]) == cls.exit_code
     assert capsys.readouterr().err == "error: boom\n"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catsense import cli, svgplot
+from catsense import bounds, cli, svgplot
 
 
 def reference_points(v) -> str:
@@ -72,7 +72,7 @@ def test_figure1_svg_matches_the_reference_render(monkeypatch, spacing, n_modes)
     for points in [2, 3, 50, 1000, 10_000]:
         lo = 10.0 ** rng.uniform(-4.0, 5.0)
         hi = lo * 10.0 ** rng.uniform(0.3, 10.0)
-        tables.append(cli.run_figure1(n_modes, lo, hi, points, spacing))
+        tables.append(bounds.figure1_table(n_modes, cli._make_grid(lo, hi, points, spacing)))
     got = [cli.figure1_svg(t, n_modes, spacing) for t in tables]
     monkeypatch.setattr(svgplot, "_points_text", reference_points)
     assert got == [cli.figure1_svg(t, n_modes, spacing) for t in tables]
