@@ -68,24 +68,6 @@ def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> n
         return np.geomspace(ntot_min, ntot_max, points)
 
 
-def figure1_svg(table: Table, n_modes: int, spacing: str) -> str:
-    """SVG text plotting the three bound columns of a `bounds.figure1_table` table."""
-    from . import svgplot
-    grid = table["n_tot"]
-    curves = [
-        svgplot.Curve(f"entangled cat, {n_modes} modes", grid, table["eps_entangled"], "solid"),
-        svgplot.Curve(f"{n_modes} separable cats", grid, table["eps_separable"], "dotted"),
-        svgplot.Curve("single-mode cat", grid, table["eps_single_cat"], "dashed"),
-    ]
-    return svgplot.render_line_plot(
-        curves,
-        title="Minimum detectable displacement vs photon budget",
-        xlabel="total mean photon number",
-        ylabel="eps_min",
-        log_x=(spacing == "log"),
-    )
-
-
 # ---------------------------------------------------------------- click wiring
 
 class CommaList(click.ParamType):
@@ -169,7 +151,10 @@ def cli() -> None:
 def figure1_cmd(out, svg, n_modes, spacing, **grid):
     """Compare entangled, separable and single-cat bounds over a photon sweep."""
     table = bounds.figure1_table(n_modes, _make_grid(spacing=spacing, **grid))
-    plot = {} if svg is None else {svg: figure1_svg(table, n_modes, spacing)}
+    plot = {}
+    if svg is not None:
+        from . import svgplot
+        plot[svg] = svgplot.figure1_svg(table, n_modes, log_x=(spacing == "log"))
     rows = write_csv(out, table, plot)
     click.echo(f"figure1: wrote {rows} rows")
 

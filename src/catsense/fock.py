@@ -19,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -100,9 +101,14 @@ class FockVector:
         return self.amplitudes.reshape((self.dim,) * self.mode_count)
 
 
+def _top_mass(amps: np.ndarray, axis: int = 0) -> float:
+    """The mass in the top two levels of one tensor axis."""
+    return float(np.sum(np.abs(np.moveaxis(amps, axis, 0)[-2:]) ** 2))
+
+
 def _check_tail(amps: np.ndarray, what: str, tol: float = TAIL_TOL) -> None:
-    tail = float(np.sum(np.abs(amps[-2:]) ** 2))
-    if tail >= tol:
+    tail = _top_mass(amps)
+    if not tail < tol:  # a NaN tail fails too
         raise TruncationError(
             f"{what}: mass {tail:.3e} in the top two levels, cutoff too small"
         )
@@ -113,17 +119,25 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
 
     Coefficients exp(-|alpha|^2/2) alpha^n / sqrt(n!) via the stable
     recurrence c_n = c_{n-1} alpha / sqrt(n).  Raises TruncationError when
-    the top of the basis still holds mass, instead of silently clipping.
+    the top of the basis still holds mass, instead of silently clipping, or
+    when |alpha|^2 overflows; a NaN or infinite alpha is a ValueError.
     """
     a = complex(alpha)
+    if not cmath.isfinite(a):
+        raise ValueError(f"coherent_vector: alpha must be finite, got {a}")
+    try:
+        mean = abs(a) ** 2
+    except OverflowError:
+        raise TruncationError(f"coherent_vector(alpha={a}): |alpha|^2 overflows, "
+                              "past every cutoff") from None
     c = np.empty(dim, dtype=np.complex128)
-    c[0] = math.exp(-0.5 * abs(a) ** 2)
+    c[0] = math.exp(-0.5 * mean)
     for n in range(1, dim):
         c[n] = c[n - 1] * a / math.sqrt(n)
     if dim >= 2:
         _check_tail(c, f"coherent_vector(alpha={a})")
     nrm = np.linalg.norm(c)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:
         raise TruncationError(f"coherent_vector norm {nrm} too far from 1")
     return FockVector(c / nrm, dim, 1)
 
@@ -241,7 +255,10 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
 
     Each D(beta_k) is a dim x dim dense matrix contracted along axis k of
     the amplitude tensor; memory stays at one state vector.  Each distinct
-    amplitude builds its matrix once, and D(0) = I is skipped.
+    amplitude builds its matrix once, and D(0) = I is skipped.  Raises
+    TruncationError when a kick adds TAIL_TOL or more to the mass in the top
+    two levels of its mode: the truncated D(beta) would clip that mass, and
+    the result would be renormalized with its photon number quietly wrong.
     """
     kicks = [complex(b) for b in betas]
     if len(kicks) != state.mode_count:
@@ -252,7 +269,12 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
     tens = state.tensor()
     for k, b in enumerate(kicks):
         if b in matrices:
+            before = _top_mass(tens, k)
             tens = _contract(matrices[b], tens, k)
+            added = _top_mass(tens, k) - before
+            if not added < TAIL_TOL:
+                raise TruncationError(f"displace_fock: the kick {b} on mode {k} adds mass "
+                                      f"{added:.3e} to its top two levels, cutoff too small")
     return FockVector(tens, state.dim, state.mode_count)
 
 

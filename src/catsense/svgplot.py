@@ -1,51 +1,30 @@
-"""Tiny hand-rolled SVG line plots.
+"""The SVG plot of the paper's Figure 1, written by hand.
 
-Only what the CLI figure needs: a log or linear x axis over a log y axis,
-decade/even ticks, a handful of styled polylines and a legend.  Emitting
-the markup directly keeps the package free of plotting dependencies and
-the output is a plain text file that diffs cleanly.
+`figure1_svg` draws the three bound columns of a `bounds.figure1_table`
+table: eps_min against the photon budget on a log or linear x axis over a
+log y axis, with decade/even ticks and a legend.  Emitting the markup
+directly keeps the package free of plotting dependencies and the output is
+a plain text file that diffs cleanly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from html import escape
-from typing import Sequence
 
 import numpy as np
 
 from .outputs import _text_cells
 
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
-_DASHES = {"solid": None, "dashed": "8 5", "dotted": "2 4"}
+# label (formatted with the mode count), column, colour, dash pattern
+_CURVES = (
+    ("entangled cat, {} modes", "eps_entangled", "#1f77b4", None),
+    ("{} separable cats", "eps_separable", "#d62728", "2 4"),
+    ("single-mode cat", "eps_single_cat", "#2ca02c", "8 5"),
+)
 _WIDTH, _HEIGHT = 720, 540
 # "%.2f" words: the integer part 0...999 after holes (0xFF), and ".dd" then "," (x) or " " (y)
 _UNITS = np.frombuffer(b"".join(b"%4d" % k for k in range(1000)).replace(b" ", b"\xff"), "<u4")
 _CENTS = np.frombuffer(b"".join(b".%02d%c" % (k, s) for s in b", " for k in range(100)), "<u4")
-
-
-@dataclass(frozen=True)
-class Curve:
-    label: str
-    xs: Sequence[float]
-    ys: Sequence[float]
-    style: str = "solid"  # solid | dashed | dotted
-
-    def __post_init__(self) -> None:
-        if self.style not in _DASHES:
-            raise ValueError(f"unknown line style {self.style!r}")
-
-
-def _finite_points(curve: Curve) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.asarray(curve.xs, dtype=np.float64)
-    ys = np.asarray(curve.ys, dtype=np.float64)
-    if len(xs) != len(ys):
-        raise ValueError(f"curve {curve.label!r}: x/y length mismatch")
-    keep = np.isfinite(xs) & np.isfinite(ys)
-    if np.count_nonzero(keep) < 2:
-        raise ValueError(f"curve {curve.label!r}: fewer than 2 finite points")
-    return xs[keep], ys[keep]
 
 
 def _points_text(v: np.ndarray) -> str:
@@ -93,24 +72,14 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     return [lo + i * step for i in range(5)]
 
 
-def render_line_plot(
-    curves: Sequence[Curve],
-    *,
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    log_x: bool = True,
-) -> str:
-    """Return a complete standalone SVG document, log y axis, as a string."""
-    if not curves:
-        raise ValueError("nothing to plot")
-    pts = {c.label: _finite_points(c) for c in curves}
-    xs_all = np.concatenate([xs for xs, _ in pts.values()])
-    ys_all = np.concatenate([ys for _, ys in pts.values()])
-    if log_x and xs_all.min() <= 0.0:
-        raise ValueError("log x axis needs strictly positive x values")
-    if ys_all.min() <= 0.0:
-        raise ValueError("log y axis needs strictly positive y values")
+def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
+    """A complete standalone SVG document plotting a `bounds.figure1_table` table.
+
+    Each eps column is 1/sqrt(Var(G)) of a Var(G) that `bounds.curve` has
+    checked to be finite and positive, so every point lies on a log y axis.
+    """
+    xs = table["n_tot"]
+    ys = [table[column] for _, column, _, _ in _CURVES]
 
     def span(values: np.ndarray, log: bool) -> tuple[float, float]:
         lo, hi = float(values.min()), float(values.max())
@@ -119,8 +88,8 @@ def render_line_plot(
             return (lo / (1 + 0.1) if log else lo - pad, hi * (1 + 0.1) if log else hi + pad)
         return lo, hi
 
-    x_lo, x_hi = span(xs_all, log_x)
-    y_lo, y_hi = span(ys_all, True)
+    x_lo, x_hi = span(xs, log_x)
+    y_lo, y_hi = span(np.concatenate(ys), True)
 
     margin_l, margin_r, margin_t, margin_b = 72, 24, 46, 58
     plot_w = _WIDTH - margin_l - margin_r
@@ -139,7 +108,7 @@ def render_line_plot(
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<text x="{_WIDTH / 2:.0f}" y="26" text-anchor="middle" font-size="16">'
-        f"{escape(title, quote=False)}</text>"
+        "Minimum detectable displacement vs photon budget</text>"
     )
 
     # gridlines + tick labels
@@ -175,30 +144,30 @@ def render_line_plot(
     )
     out.append(
         f'<text x="{margin_l + plot_w / 2:.0f}" y="{_HEIGHT - 14}" text-anchor="middle">'
-        f"{escape(xlabel, quote=False)}</text>"
+        "total mean photon number</text>"
     )
     out.append(
         f'<text x="20" y="{margin_t + plot_h / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 20 {margin_t + plot_h / 2:.0f})">'
-        f"{escape(ylabel, quote=False)}</text>"
+        "eps_min</text>"
     )
 
     # each curve's stroke, shared by its polyline and its legend entry
-    strokes = [f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.8"'
-               + (f' stroke-dasharray="{_DASHES[c.style]}"' if _DASHES[c.style] else "")
-               for i, c in enumerate(curves)]
+    strokes = [f'stroke="{color}" stroke-width="1.8"'
+               + (f' stroke-dasharray="{dash}"' if dash else "")
+               for _, _, color, dash in _CURVES]
 
     # curves
-    for c, stroke in zip(curves, strokes):
-        coords = _points_text(np.stack(to_px(*pts[c.label]), axis=1).ravel())
+    for y, stroke in zip(ys, strokes):
+        coords = _points_text(np.stack(to_px(xs, y), axis=1).ravel())
         out.append(f'<polyline fill="none" {stroke} points="{coords}"/>')
 
     # legend, top right corner of the frame
-    for i, (c, stroke) in enumerate(zip(curves, strokes)):
+    for i, ((label, _, _, _), stroke) in enumerate(zip(_CURVES, strokes)):
         ly = margin_t + 16 + 18 * i
         lx = margin_l + plot_w - 190
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 34}" y2="{ly}" {stroke}/>')
-        out.append(f'<text x="{lx + 42}" y="{ly + 4}">{escape(c.label, quote=False)}</text>')
+        out.append(f'<text x="{lx + 42}" y="{ly + 4}">{label.format(n_modes)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

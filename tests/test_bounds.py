@@ -433,6 +433,21 @@ class TestExtremeBudgetsThroughCli:
         digest = hashlib.sha256((tmp_path / "figure1.svg").read_bytes()).hexdigest()
         assert digest.startswith("e39933fe03ddaf99")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args, pin", [
+        # every eps is 1.0: the y axis takes span's widening of a degenerate range
+        (["--modes", "1", "--ntot-min", "1e-300", "--ntot-max", "2e-300", "--points", "5"],
+         "514ec36a4e01e405"),
+        (["--modes", "1000", "--spacing", "linear", "--ntot-min", "0", "--points", "500"],
+         "63ab4bb24c2e8f52"),
+        (["--ntot-min", "1e-300", "--ntot-max", "1e300", "--points", "5000"], "979e8b1e3bbdcd81"),
+    ])
+    def test_other_svgs_unchanged(self, tmp_path, monkeypatch, args, pin):
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure1", *args, "--svg", "figure1.svg"]) == 0
+        digest = hashlib.sha256((tmp_path / "figure1.svg").read_bytes()).hexdigest()
+        assert digest.startswith(pin)
+
     # ramsey and montecarlo depend only on PCG64 streams and libm; qfi_check.csv is
     # left out because its last bits depend on LAPACK's eigh
     @pytest.mark.parametrize("cmd, pin", [("figure1", "0987970f8b8cd103"),

@@ -3,9 +3,10 @@
 import builtins
 import errno
 
+import numpy as np
 import pytest
 
-from catsense import svgplot
+from catsense import bounds, svgplot
 from catsense.cli import main, write_csv
 from catsense.outputs import write_all
 
@@ -153,8 +154,7 @@ def test_failed_csv_write_keeps_previous_file(old_files, full_disk):
 
 def test_failed_svg_write_keeps_previous_file(old_files, full_disk):
     with pytest.raises(OSError):
-        svg = svgplot.render_line_plot([svgplot.Curve("c", [1.0, 2.0], [1.0, 3.0])],
-                                       title="t", xlabel="x", ylabel="y")
+        svg = svgplot.figure1_svg(bounds.figure1_table(2, np.array([1.0, 2.0])), 2, True)
         write_all({str(old_files[1]): svg})
     _assert_untouched(old_files)
 

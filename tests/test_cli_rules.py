@@ -129,8 +129,8 @@ def test_one_seed_rule(tmp_path, capsys, cmd, seed):
 
 
 def test_cli_import_skips_the_network_stack():
-    # svgplot escapes with html.escape; xml.sax.saxutils would pull in
-    # urllib.request, http.client and email on every subcommand
+    # an XML helper such as xml.sax.saxutils would pull in urllib.request,
+    # http.client and email on every subcommand
     src = Path(fock.__file__).resolve().parents[1]
     paths = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))

@@ -52,6 +52,24 @@ class TestCoherentVector:
     def test_recommended_dim_passes_tail_gate(self, alpha):
         fock.coherent_vector(alpha, fock.recommended_dim(alpha))  # must not raise
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_nonfinite_alpha_refused(self, alpha):
+        # a NaN compares false in both the tail and the norm gate, so it is refused first
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            fock.coherent_vector(alpha, 25)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308)])
+    def test_overflowing_alpha_refused(self, alpha):
+        with pytest.raises(TruncationError, match="overflows"):
+            fock.coherent_vector(alpha, 25)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_tail_fails_the_gate(self):
+        with pytest.raises(TruncationError, match="nan in the top two levels"):
+            fock._check_tail(np.array([1.0, math.nan, 0.0]), "v")
+
 
 class TestSqueezedVector:
     def test_quadrature_variances(self):
@@ -287,6 +305,21 @@ class TestDisplacement:
         cat = coherent.make_entangled_cat(0.8, 3)
         psi = fock.to_fock(cat)
         kicked = fock.displace_fock(psi, [0.1j, -0.2, 0.05 + 0.05j])
+        assert kicked.norm() == pytest.approx(psi.norm(), abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_kick_past_the_cutoff_refused(self):
+        # the truncated D(3i) clips ~1e-4 of the mass; renormalized, <n> would read
+        # 9.249982 for the exact 9.25
+        with pytest.raises(TruncationError, match="kick 3j on mode 0 adds mass 9.38"):
+            fock.displace_fock(fock.coherent_vector(0.5, 25), [3j])
+
+    @pytest.mark.filterwarnings("error")
+    def test_gate_counts_only_the_mass_a_kick_adds(self):
+        # squeezed vacuum passes its own looser gate with ~9.3e-9 at the top
+        psi = fock.squeezed_vector(1.0, 60)
+        assert np.sum(np.abs(psi.amplitudes[-2:]) ** 2) > 1e-9
+        kicked = fock.displace_fock(psi, [1e-3j])
         assert kicked.norm() == pytest.approx(psi.norm(), abs=1e-12)
 
     def test_wrong_kick_count(self):

@@ -73,6 +73,6 @@ def test_figure1_svg_matches_the_reference_render(monkeypatch, spacing, n_modes)
         lo = 10.0 ** rng.uniform(-4.0, 5.0)
         hi = lo * 10.0 ** rng.uniform(0.3, 10.0)
         tables.append(bounds.figure1_table(n_modes, cli._make_grid(lo, hi, points, spacing)))
-    got = [cli.figure1_svg(t, n_modes, spacing) for t in tables]
+    got = [svgplot.figure1_svg(t, n_modes, spacing == "log") for t in tables]
     monkeypatch.setattr(svgplot, "_points_text", reference_points)
-    assert got == [cli.figure1_svg(t, n_modes, spacing) for t in tables]
+    assert got == [svgplot.figure1_svg(t, n_modes, spacing == "log") for t in tables]
