@@ -78,7 +78,7 @@ def require_nonnegative(name: str, x, strict: bool = False) -> np.ndarray:
 
 
 def require_real(what: str, z: complex) -> float:
-    """The real part of z, after checking |Im z| <= TOL_HERM * max(1, |Re z|)."""
-    if abs(z.imag) > TOL_HERM * max(1.0, abs(z.real)):
-        raise ConsistencyError(f"{what} has imaginary part {z.imag}")
+    """The real part of z, after checking z is finite and |Im z| <= TOL_HERM * max(1, |Re z|)."""
+    if not (np.isfinite(z) and abs(z.imag) <= TOL_HERM * max(1.0, abs(z.real))):
+        raise ConsistencyError(f"{what} is {z}, not a finite real number")
     return z.real

@@ -10,11 +10,11 @@ Conventions:
   * mode 0 is the slowest-varying tensor index.  A vector of a k-mode
     system reshaped to (dim,) * k indexes as [n_0, n_1, ..., n_{k-1}],
     which is also what consecutive `numpy.kron` calls produce.
-  * a single-mode operator is a dense (dim, dim) array.  An operator on a
-    k-mode state is a sequence of k such arrays, None for a mode with no
-    term, and stands for the sum of its per-mode terms; `lift` and
-    `collective_quad_x` build that form.  Every term acts by contracting
-    its matrix along one tensor axis, so no full-space matrix is formed.
+  * an observable is one dense (dim, dim) Hermitian array O; on a k-mode
+    state it stands for the collective sum O_0 + ... + O_{k-1}, as in
+    `coherent`, so `quad_x(dim)` is G = sum_k X_k on any mode count.  Each
+    copy acts by one contraction along its tensor axis, so no full-space
+    matrix is formed.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ TAIL_TOL = 1e-12
 # second moments built on a basis passing this are good to ~1e-6 and callers
 # wanting better must raise dim until the gate passes a stricter tol.
 SQUEEZED_TAIL_TOL = 1e-8
-
-Operator = np.ndarray | Sequence[np.ndarray | None]
-
 
 def _require_capacity(dim: int, mode_count: int) -> None:
     """The oracle's one capacity rule, checked before anything of that size is built."""
@@ -122,6 +119,7 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
     the top of the basis still holds mass, instead of silently clipping, or
     when |alpha|^2 overflows; a NaN or infinite alpha is a ValueError.
     """
+    _require_capacity(dim, 1)
     a = complex(alpha)
     if not cmath.isfinite(a):
         raise ValueError(f"coherent_vector: alpha must be finite, got {a}")
@@ -151,6 +149,7 @@ def squeezed_vector(r: float, dim: int) -> FockVector:
     The sign convention (positive tanh) is what squeezes Y = -i(a - a*);
     flipping it would squeeze X instead.
     """
+    _require_capacity(dim, 1)
     rr = float(require_nonnegative("r", r))
     # sinh(r) overflows past r ~ 710.5, where the need is already infinite
     need = recommended_dim(math.sinh(min(rr, 710.0)))
@@ -212,25 +211,6 @@ def quad_y(dim: int) -> np.ndarray:
     return -1j * (a - a.conj().T)
 
 
-def lift(op: np.ndarray, mode: int, mode_count: int) -> tuple[np.ndarray | None, ...]:
-    """Embed a single-mode operator at position `mode` of a mode_count system."""
-    dim = op.shape[0]
-    if op.shape != (dim, dim):
-        raise DimensionMismatch(f"operator shape {op.shape} is not square")
-    if not 0 <= mode < mode_count:
-        raise DimensionMismatch(f"mode {mode} outside 0..{mode_count - 1}")
-    _require_capacity(dim, mode_count)
-    return (None,) * mode + (op,) + (None,) * (mode_count - mode - 1)
-
-
-def collective_quad_x(dim: int, mode_count: int) -> tuple[np.ndarray, ...]:
-    """G = sum_k (a_k + a_k*), the displacement generator used everywhere."""
-    x = quad_x(dim)
-    x.setflags(write=False)  # one array serves every mode
-    lift(x, 0, mode_count)  # the input checks of a lifted term
-    return (x,) * mode_count
-
-
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     """exp(beta a* - conj(beta) a) on the truncated basis.
 
@@ -284,40 +264,34 @@ def inner_fock(u: FockVector, v: FockVector) -> complex:
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-def _moment(state: FockVector, op: Operator) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """psi, op psi, <op> and ||psi||^2, checking every term and that <op> is real."""
-    terms = [op] if isinstance(op, np.ndarray) else list(op)
-    if len(terms) != state.mode_count:
-        raise DimensionMismatch(f"operator has {len(terms)} terms for {state.mode_count} modes")
+def _moment(state: FockVector, op: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """psi, O psi, <O> and ||psi||^2 for the collective sum O = sum_k O_k, O Hermitian."""
+    op = np.asarray(op)
+    if op.shape != (state.dim, state.dim):
+        raise DimensionMismatch(f"operator has shape {op.shape}, dim is {state.dim}")
+    worst = float(np.max(np.abs(op - op.conj().T)))
+    if not worst <= 1e-10:  # a NaN entry fails too
+        raise HermiticityError(f"operator deviates from Hermitian by {worst:.3e}")
     psi = state.tensor()
-    opsi = np.zeros_like(psi)
-    for k, term in enumerate(terms):
-        if term is None:
-            continue
-        if term.shape != (state.dim, state.dim):
-            raise DimensionMismatch(f"term on mode {k} has shape {term.shape}, dim is {state.dim}")
-        worst = float(np.max(np.abs(term - term.conj().T)))
-        if worst > 1e-10:
-            raise HermiticityError(f"term on mode {k} deviates from Hermitian by {worst:.3e}")
-        opsi += _contract(term, psi, k)
+    opsi = sum(_contract(op, psi, k) for k in range(state.mode_count))
     nrm2 = float(np.vdot(psi, psi).real)
     m = require_real("Hermitian expectation", complex(np.vdot(psi, opsi)) / nrm2)
     return psi, opsi, m, nrm2
 
 
-def expectation(state: FockVector, op: Operator) -> float:
-    """<psi|op|psi> / <psi|psi> for Hermitian op."""
+def expectation(state: FockVector, op: np.ndarray) -> float:
+    """<psi|O|psi> / <psi|psi> for the collective sum O of a Hermitian (dim, dim) op."""
     return _moment(state, op)[2]
 
 
-def variance(state: FockVector, op: Operator) -> float:
-    """Var(op) = ||(op - m) psi||^2 / ||psi||^2, m = <op>: never cancels against m^2."""
+def variance(state: FockVector, op: np.ndarray) -> float:
+    """Var(O) = ||(O - m) psi||^2 / ||psi||^2, m = <O>: never cancels against m^2."""
     psi, opsi, m, nrm2 = _moment(state, op)
     dev = opsi - m * psi
     return float(np.vdot(dev, dev).real) / nrm2
 
 
-def qfi_pure(state: FockVector, generator: Operator) -> float:
+def qfi_pure(state: FockVector, generator: np.ndarray) -> float:
     """Quantum Fisher information of a pure state under exp(i eps G): 4 Var(G)."""
     return 4.0 * variance(state, generator)
 
@@ -379,6 +353,6 @@ def _cat_qfi_case(n_modes: int, alpha: float, fd_step: float) -> tuple:
     """modes, alpha, dim and the closed-form, generator and fidelity QFI of one cat."""
     closed = 4.0 * bounds.entangled_cat_generator_variance(alpha, n_modes)
     state = to_fock(coherent.make_entangled_cat(alpha, n_modes))
-    oracle = qfi_pure(state, collective_quad_x(state.dim, n_modes))
+    oracle = qfi_pure(state, quad_x(state.dim))
     fd = qfi_fidelity_fd(lambda eps: displace_fock(state, [1j * eps] * n_modes), fd_step)
     return n_modes, alpha, state.dim, closed, oracle, fd

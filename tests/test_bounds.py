@@ -151,8 +151,7 @@ class TestEntangledBound:
         # the quantum-Fisher factor before comparing
         for n_modes, alpha in [(1, 0.5), (1, 1.0), (2, 0.8), (3, 1.0)]:
             psi = fock.to_fock(coherent.make_entangled_cat(alpha, n_modes))
-            g = fock.collective_quad_x(psi.dim, n_modes)
-            oracle_eps = 1.0 / math.sqrt(fock.qfi_pure(psi, g) / 4.0)
+            oracle_eps = 1.0 / math.sqrt(fock.qfi_pure(psi, fock.quad_x(psi.dim)) / 4.0)
             assert eps_min_entangled_cat(alpha, n_modes) == pytest.approx(
                 oracle_eps, abs=1e-8
             )

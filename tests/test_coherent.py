@@ -276,6 +276,15 @@ class TestMoments:
         s = SuperpositionState([(1.0, label(0.5, -0.3j, 1.0))])
         assert variance_generator(s) == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_moments_past_the_double_range_raise(self):
+        # the +-1e155 cat's moments overflow the double range
+        s = SuperpositionState([(1.0, label(1e155)), (1.0, label(-1e155))])
+        with pytest.raises(ConsistencyError, match="not a finite real number"):
+            mean_photon_number(s)
+        with pytest.raises(ConsistencyError, match="not a finite real number"):
+            variance_generator(s)
+
     def test_degenerate_moment_raises(self):
         s = SuperpositionState([(1.0, label(1.0)), (-1.0, label(1.0 + 1e-13))])
         with pytest.raises(DegenerateState):

@@ -86,3 +86,11 @@ def test_exit_code_matches_the_readme(cls, monkeypatch, capsys):
     monkeypatch.setattr(bounds, "bounds_table", fail)
     assert cli.main(["bounds"]) == cls.exit_code
     assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                               complex(1.0, math.nan), complex(1.0, 1e-3)])
+def test_require_real_refuses_non_finite_and_complex_values(z):
+    with pytest.raises(errors.ConsistencyError, match="not a finite real number"):
+        errors.require_real("moment", z)
+    assert errors.require_real("moment", complex(2.0, 1e-12)) == 2.0

@@ -178,59 +178,49 @@ class TestOperators:
             1.0, rel=1e-8
         )
 
-    def test_lift_targets_requested_mode(self):
-        # two modes, state |1, 0>: number operator lifted to mode 0 sees 1,
-        # lifted to mode 1 sees 0; pins mode 0 as the slow index
-        dim = 3
-        e1 = np.zeros(dim)
-        e1[1] = 1.0
-        e0 = np.zeros(dim)
-        e0[0] = 1.0
-        psi = fock.FockVector(np.kron(e1, e0), dim, 2)
-        n = fock.number_operator(dim)
-        assert fock.expectation(psi, fock.lift(n, 0, 2)) == pytest.approx(1.0)
-        assert fock.expectation(psi, fock.lift(n, 1, 2)) == pytest.approx(0.0)
-
-    def test_lift_bad_mode(self):
-        with pytest.raises(DimensionMismatch):
-            fock.lift(fock.quad_x(4), 2, 2)
+    def test_mode_0_is_the_slow_index(self):
+        # the label (0.8, 0) leaves mode 1 in vacuum: all mass sits at n_1 = 0
+        dim = 20
+        label = coherent.CoherentLabel((0.8, 0.0))
+        psi = fock.to_fock(coherent.SuperpositionState([(1.0, label)]), dim)
+        assert np.all(psi.tensor()[:, 1:] == 0)
+        assert np.sum(np.abs(psi.tensor()[1:, 0]) ** 2) > 0.4
+        assert_allclose(psi.amplitudes, np.kron(fock.coherent_vector(0.8, dim).amplitudes,
+                                                fock.coherent_vector(0.0, dim).amplitudes))
 
     def test_collective_generator_matches_exact_algebra(self):
         cat = coherent.make_entangled_cat(0.9, 3)
         psi = fock.to_fock(cat)
-        g = fock.collective_quad_x(psi.dim, 3)
-        assert fock.variance(psi, g) == pytest.approx(
+        assert fock.variance(psi, fock.quad_x(psi.dim)) == pytest.approx(
             coherent.variance_generator(cat), rel=1e-11
         )
 
 
-def _kron_reference(terms, dim: int) -> np.ndarray:
-    """Full-space matrix of a per-mode operator, one explicit np.kron product per term."""
-    total = np.zeros((dim ** len(terms),) * 2, dtype=np.complex128)
-    for k, term in enumerate(terms):
-        if term is not None:
-            factors = [np.eye(dim)] * len(terms)
-            factors[k] = term
-            product = factors[0]
-            for f in factors[1:]:
-                product = np.kron(product, f)
-            total += product
+def _kron_reference(op: np.ndarray, modes: int) -> np.ndarray:
+    """Full-space matrix of the collective sum of op, one explicit np.kron product per mode."""
+    dim = op.shape[0]
+    total = np.zeros((dim**modes,) * 2, dtype=np.complex128)
+    for k in range(modes):
+        factors = [np.eye(dim)] * modes
+        factors[k] = op
+        product = factors[0]
+        for f in factors[1:]:
+            product = np.kron(product, f)
+        total += product
     return total
 
 
 class TestAgainstKronReference:
     @pytest.mark.parametrize("modes", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_lifted_and_collective_moments(self, modes, dim):
+    def test_collective_moments(self, modes, dim):
         rng = np.random.default_rng(100 * modes + dim)
         amps = rng.normal(size=dim**modes) + 1j * rng.normal(size=dim**modes)
         psi = fock.FockVector(amps, dim, modes)
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         herm = raw + raw.conj().T
-        ops = [fock.lift(herm, k, modes) for k in range(modes)]
-        ops.append(fock.collective_quad_x(dim, modes))
-        for op in ops:
-            full = _kron_reference(op, dim)
+        for op in (herm, fock.quad_x(dim)):
+            full = _kron_reference(op, modes)
             nrm2 = np.vdot(amps, amps).real
             mean = np.vdot(amps, full @ amps).real / nrm2
             dev = full @ amps - mean * amps
@@ -238,21 +228,27 @@ class TestAgainstKronReference:
             assert fock.expectation(psi, op) == pytest.approx(mean, rel=1e-12, abs=1e-12)
             assert fock.variance(psi, op) == pytest.approx(var, rel=1e-12, abs=1e-12)
 
-    def test_non_hermitian_term_on_mode_1(self):
+    def test_non_hermitian_operator(self):
         psi = fock.to_fock(coherent.make_entangled_cat(0.5, 2))
-        op = (fock.quad_x(psi.dim), fock.annihilation(psi.dim))
-        with pytest.raises(HermiticityError, match="mode 1"):
-            fock.variance(psi, op)
+        with pytest.raises(HermiticityError, match="deviates from Hermitian"):
+            fock.variance(psi, fock.annihilation(psi.dim))
 
-    def test_wrong_term_shape_or_count(self):
+    def test_nan_entry_is_not_hermitian(self):
+        # NaN compares false with the tolerance, so the gate must fail closed
+        psi = fock.to_fock(coherent.make_entangled_cat(0.5, 2))
+        op = fock.quad_x(psi.dim)
+        op[2, 3] = np.nan
+        for moment in (fock.expectation, fock.variance, fock.qfi_pure):
+            with pytest.raises(HermiticityError, match="by nan"):
+                moment(psi, op)
+
+    def test_wrong_shape(self):
         psi = fock.to_fock(coherent.make_entangled_cat(0.5, 2))
         x = fock.quad_x(psi.dim)
         bad = [
-            (x, fock.quad_x(psi.dim + 1)),  # term shape
-            (x,),  # term count
-            (x, None, x),
-            x,  # a bare matrix is the one-mode case
-            np.kron(x, np.eye(psi.dim)),  # full-space matrices are not the operator format
+            fock.quad_x(psi.dim + 1),
+            (x, x),  # per-mode terms are not the operator format
+            np.kron(x, np.eye(psi.dim)),  # nor are full-space matrices
         ]
         for op in bad:
             with pytest.raises(DimensionMismatch):
@@ -260,10 +256,11 @@ class TestAgainstKronReference:
             with pytest.raises(DimensionMismatch):
                 fock.variance(psi, op)
 
-    def test_idle_modes_and_the_zero_operator(self):
+    def test_the_zero_operator(self):
         psi = fock.to_fock(coherent.make_entangled_cat(0.7, 3))
-        assert fock.expectation(psi, (None, None, None)) == 0.0
-        assert fock.variance(psi, (None, None, None)) == 0.0
+        zero = np.zeros((psi.dim, psi.dim))
+        assert fock.expectation(psi, zero) == 0.0
+        assert fock.variance(psi, zero) == 0.0
 
 
 class TestDisplacement:
@@ -369,8 +366,7 @@ class TestQfi:
     def test_sparse_generator_accepted(self):
         cat = coherent.make_entangled_cat(1.0, 2)
         psi = fock.to_fock(cat)
-        g = fock.collective_quad_x(psi.dim, 2)
-        assert fock.qfi_pure(psi, g) == pytest.approx(
+        assert fock.qfi_pure(psi, fock.quad_x(psi.dim)) == pytest.approx(
             4.0 * coherent.variance_generator(cat), rel=1e-10
         )
 
@@ -426,8 +422,14 @@ class TestFockVectorValidation:
     lambda: fock.FockVector(np.zeros(16), 2, 4),
     lambda: fock.to_fock(coherent.SuperpositionState([(1.0, coherent.CoherentLabel((0.1,) * 4))])),
     lambda: fock.to_fock(coherent.make_entangled_cat(0.5, 1), dim=129),
-    lambda: fock.lift(fock.quad_x(4), 0, 4),
-    lambda: fock.lift(fock.quad_x(129), 0, 1),
+    lambda: fock.coherent_vector(0.5, 129),
+    lambda: fock.squeezed_vector(0.5, 0),
+    # refused before the vector is built
+    lambda: fock.coherent_vector(0.5, 0),
+    lambda: fock.coherent_vector(0.5, -3),
+    lambda: fock.coherent_vector(0.5, 10**6),
+    lambda: fock.squeezed_vector(0.5, -3),
+    lambda: fock.squeezed_vector(0.5, 10**6),
 ])
 def test_one_capacity_rule_and_message(request_over_cap):
     with pytest.raises(CapacityError, match=r"oracle caps of 1\.\.3 modes and 1\.\.128 levels"):
