@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 # the public names, by the submodule that defines them
 _PUBLIC = {
     "bounds": ("FamilyKind", "curve", "entangled_cat_generator_variance", "entangled_cat_ntot",
-               "eps_min_entangled_cat", "eps_min_separable_cats", "eps_min_single_cat",
-               "eps_min_sql", "eps_min_squeezed", "eps_min_squeezed_exact", "invert_ntot"),
+               "eps_min_entangled_cat", "eps_min_squeezed_exact", "invert_ntot"),
     "coherent": ("CoherentLabel", "SuperpositionState", "displace", "expect_generator",
                  "make_entangled_cat", "mean_photon_number", "norm_squared", "overlap",
                  "variance_generator"),

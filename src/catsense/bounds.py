@@ -13,12 +13,12 @@ numbers; the `qfi` column of `bounds_table` carries Var(G) itself (4 on
 the coherent row, its 1 / eps_min^2), and the oracle bridge in the test
 suite converts explicitly where the 4x convention is needed.
 
-The closed forms and `invert_ntot` take a scalar or a float64 array and
-answer in kind (a float for a scalar).  `curve` evaluates a family over a
-whole grid as four float64 arrays (n_tot, alpha, eps_min, Var(G)) and is
-the one place each family's Var(G) is stated; the scalar eps_min forms read
-it from there.  `bounds_table` and `figure1_table` are the tables of
-`catsense bounds` and `catsense figure1`, column name -> column.
+`curve` is the one evaluator of a family at a photon budget: it evaluates
+the family over a whole grid as four float64 arrays (n_tot, alpha, eps_min,
+Var(G)) and is the one place each family's Var(G) is stated.  The cat
+forms in the amplitude alpha and `invert_ntot` take a scalar or a float64
+array and answer in kind (a float for a scalar).  `bounds_table` and
+`figure1_table` are the `catsense bounds` and `catsense figure1` tables.
 
 Baselines:
     vacuum / coherent probe      eps_min = 1/2
@@ -60,11 +60,6 @@ def _out(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _exp_neg(x: np.ndarray) -> np.ndarray:
-    # the bounds only need x >= 0; beyond 700, exp(-x) < 1e-304 counts as its limit 0
-    return np.where(x > 700.0, 0.0, np.exp(-x))
-
-
 def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
     """u = N alpha^2, after checking N >= 1 and 0 <= alpha < inf."""
     require_count("n_modes", n_modes)
@@ -87,24 +82,15 @@ def _eps_from_variance(var: float | np.ndarray, what: str, x) -> float | np.ndar
     return _out(1.0 / np.sqrt(v))
 
 
-def eps_min_sql() -> float:
-    """Coherent-probe floor: no amount of coherent amplitude moves it."""
-    return 0.5
-
-
-def eps_min_squeezed(n_tot: float | np.ndarray) -> float | np.ndarray:
-    """Squeezed-vacuum bound 1/sqrt(4 n_tot) with n_tot = sinh^2 r photons."""
-    return _out(curve(FamilyKind.SQUEEZED, n_tot)[2])
-
-
 def eps_min_squeezed_exact(r: float) -> float:
     """exp(-r)/2: the noise-limited displacement of a Y-squeezed probe.
 
     Equals half the standard deviation of the squeezed quadrature, and
     matches 1/sqrt(QFI) of the same probe computed in the Fock oracle.
-    The large-r photon-counting form `eps_min_squeezed` sits a factor 2
-    above this; both are kept because each matches a different published
-    normalization, and the relation is pinned down in the tests.
+    The large-r photon-counting form, `curve`'s squeezed row 1/sqrt(4 n_tot)
+    at n_tot = sinh^2 r, sits a factor 2 above this; both are kept because
+    each matches a different published normalization, and the relation is
+    pinned down in the tests.
     """
     return 0.5 * math.exp(-float(require_nonnegative("r", r)))
 
@@ -118,29 +104,13 @@ def entangled_cat_generator_variance(alpha: float | np.ndarray, n_modes: int) ->
     """
     u = _cat_u(alpha, n_modes)
     with np.errstate(over="ignore"):  # 2u and 4u past the double range are inf, like u in _cat_u
-        return _out(n_modes * (1.0 + 4.0 * u / (1.0 + _exp_neg(2.0 * u))))
+        return _out(n_modes * (1.0 + 4.0 * u / (1.0 + np.exp(-2.0 * u))))
 
 
 def entangled_cat_ntot(alpha: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     """Total photon number of the n-mode cat: u tanh(u) with u = N a^2."""
     u = _cat_u(alpha, n_modes)
     return _out(u * np.tanh(u))
-
-
-def eps_min_single_cat(n_tot: float | np.ndarray) -> float | np.ndarray:
-    """Single-cat bound 1/sqrt(1 + 4 n_tot), with n_tot standing in for a^2.
-
-    Exact only for a^2 >> 1 where the cat's photon number approaches a^2;
-    at small n_tot it deviates from the oracle at the percent level, which
-    the tests document rather than hide.
-    """
-    return _out(curve(FamilyKind.SINGLE_CAT, n_tot)[2])
-
-
-def eps_min_separable_cats(n_tot: float | np.ndarray, n_copies: int) -> float | np.ndarray:
-    """N independent single-mode cats sharing n_tot photons: 1/sqrt(N + 4 n_tot)."""
-    require_count("n_copies", n_copies)
-    return _out(curve(FamilyKind.SEPARABLE_CATS, n_tot, n_copies)[2])
 
 
 def eps_min_entangled_cat(alpha: float | np.ndarray, n_modes: int) -> float | np.ndarray:
@@ -198,7 +168,8 @@ def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, 
     if kind not in MULTIMODE_FAMILIES and m != 1:
         raise ValueError(f"{kind.value} is a single-mode family")
     n = require_nonnegative("n_tot", np.array(n_tot, np.float64), kind is FamilyKind.SQUEEZED)
-    alpha, var = np.full(n.shape, np.nan), np.full(n.shape, eps_min_sql() ** -2)
+    # the sql row: the coherent floor eps_min = 1/2, which no coherent amplitude moves
+    alpha, var = np.full(n.shape, np.nan), np.full(n.shape, 4.0)
     if kind is FamilyKind.ENTANGLED_CAT:
         # n_tot stays the requested grid; the round trip through alpha gives it to ~1e-15
         alpha = invert_ntot(n, m)
@@ -218,6 +189,7 @@ def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, 
 def bounds_table(family: FamilyKind | str, n_modes: int, n_tot) -> dict[str, object]:
     """The `catsense bounds` table of one family; a single-mode family reports n_modes 1."""
     kind = FamilyKind(family)
+    require_count("n_modes", n_modes)  # every family refuses a bad count; single-mode ones drop it
     n_modes = n_modes if kind in MULTIMODE_FAMILIES else 1
     n, alpha, eps, var = curve(kind, n_tot, n_modes)
     return {"family": kind.value, "n_modes": n_modes, "n_tot": n,

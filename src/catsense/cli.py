@@ -166,7 +166,7 @@ def figure1_cmd(out, svg, n_modes, spacing, **grid):
 @click.option("--out", type=str, default="bounds.csv", help="CSV path")
 @_config_opt
 def bounds_cmd(out, family, n_modes, **grid):
-    """Tabulate one bound family.  Single-mode families ignore --modes and report n_modes 1."""
+    """Tabulate one bound family.  Single-mode families ignore a valid --modes, reporting 1."""
     rows = write_csv(out, bounds.bounds_table(family, n_modes, _make_grid(**grid)))
     click.echo(f"bounds: wrote {rows} rows")
 

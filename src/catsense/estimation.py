@@ -103,6 +103,8 @@ def ramsey_table(qubit_list: Sequence[int], shots: int, replicates: int,
     still inverts there, but the delta-method stderr does not hold.
     """
     require_count("shots", shots)
+    if replicates < 2:  # the ddof=1 spread needs two
+        raise ValueError(f"replicates must be >= 2, got {replicates}")
     for n_qubits in qubit_list:  # before any draw, and before 8 N meets a float
         require_count("shots * N", shots * n_qubits)
     root = np.random.SeedSequence(check_seed(seed))

@@ -216,9 +216,12 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
 
     Computed as exp(-i H) with the Hermitian H = i(beta a* - conj(beta) a)
     through its eigendecomposition, so the result is unitary to roundoff
-    (a Taylor series on a truncated a would not be).
+    (a Taylor series on a truncated a would not be).  A NaN or infinite
+    beta is a ValueError, raised before anything is built.
     """
     b = complex(beta)
+    if not cmath.isfinite(b):
+        raise ValueError(f"displacement_matrix: beta must be finite, got {b}")
     a = annihilation(dim)
     h = 1j * (b * a.conj().T - b.conjugate() * a)
     w, v = np.linalg.eigh(h)

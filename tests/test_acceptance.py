@@ -13,7 +13,7 @@ from catsense import bounds, coherent, estimation, fock
 
 
 def test_criterion_1_sql_floor_and_monte_carlo(report):
-    floor_ok = bounds.eps_min_sql() == 0.5
+    floor_ok = bounds.curve("sql", 1.0)[2] == 0.5
     row = estimation.homodyne_table("coherent", r=0.0, eps=0.5, shots=1_000_000, seed=20260814)
     eps_hat, stderr = row["eps_hat"][0], row["stderr"][0]
     mc_ok = stderr == 1.0 / 2000.0 and abs(eps_hat - 0.5) < 5 * stderr
@@ -94,7 +94,7 @@ def test_criterion_5_heisenberg_asymptote(report):
 def test_criterion_6_sqrt_n_entanglement_advantage(report):
     n_modes, n_tot = 10, 1000.0
     ent = bounds.eps_min_entangled_cat(bounds.invert_ntot(n_tot, n_modes), n_modes)
-    gap = bounds.eps_min_separable_cats(n_tot, n_modes) / ent
+    gap = float(bounds.curve("separable-cats", n_tot, n_modes)[2]) / ent
     rel = abs(gap / math.sqrt(n_modes) - 1.0)
     report(
         "criterion 6: separable/entangled gap hits sqrt(10) at n_tot=1000",
@@ -131,7 +131,8 @@ def test_criterion_8_squeezed_probe_consistency(report):
     )
     oracle_eps = 1.0 / math.sqrt(fock.qfi_pure(psi, fock.quad_x(dim)))
     exact_ok = abs(bounds.eps_min_squeezed_exact(r) - oracle_eps) < 1e-8
-    ratio = bounds.eps_min_squeezed(math.sinh(5.0) ** 2) / bounds.eps_min_squeezed_exact(5.0)
+    budget = float(bounds.curve("squeezed", math.sinh(5.0) ** 2)[2])
+    ratio = budget / bounds.eps_min_squeezed_exact(5.0)
     factor_ok = abs(ratio - 2.0) < 1e-4
     report(
         "criterion 8: squeezed moments, oracle bound and the two normalizations",

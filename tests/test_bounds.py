@@ -17,10 +17,6 @@ from catsense.bounds import (
     entangled_cat_generator_variance,
     entangled_cat_ntot,
     eps_min_entangled_cat,
-    eps_min_separable_cats,
-    eps_min_single_cat,
-    eps_min_sql,
-    eps_min_squeezed,
     eps_min_squeezed_exact,
     invert_ntot,
 )
@@ -29,17 +25,17 @@ from catsense.cli import main
 
 class TestScalarBounds:
     def test_sql_is_half(self):
-        assert eps_min_sql() == 0.5
+        assert curve("sql", 1.0)[2] == 0.5
 
     def test_squeezed_formula(self):
-        assert eps_min_squeezed(0.25) == pytest.approx(1.0)
-        assert eps_min_squeezed(25.0) == pytest.approx(0.1)
+        assert curve(FamilyKind.SQUEEZED, 0.25)[2] == pytest.approx(1.0)
+        assert curve(FamilyKind.SQUEEZED, 25.0)[2] == pytest.approx(0.1)
 
     def test_squeezed_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            eps_min_squeezed(0.0)
+            curve(FamilyKind.SQUEEZED, 0.0)
         with pytest.raises(ValueError):
-            eps_min_squeezed(-1.0)
+            curve(FamilyKind.SQUEEZED, -1.0)
 
     def test_squeezed_exact_formula(self):
         assert eps_min_squeezed_exact(0.0) == pytest.approx(0.5)
@@ -50,34 +46,35 @@ class TestScalarBounds:
         # holds sinh^2 r photons and e^{-r} ~ 1/sqrt(4 sinh^2 r) * 2, so the
         # two published normalizations sit exactly a factor 2 apart
         r = 5.0
-        budget = eps_min_squeezed(math.sinh(r) ** 2)
+        budget = curve(FamilyKind.SQUEEZED, math.sinh(r) ** 2)[2]
         exact = eps_min_squeezed_exact(r)
         assert budget / exact == pytest.approx(2.0, abs=1e-4)
 
     def test_single_cat_formula(self):
-        assert eps_min_single_cat(2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert curve(FamilyKind.SINGLE_CAT, 2.0)[2] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_separable_formula(self):
-        assert eps_min_separable_cats(10.0, 10) == pytest.approx(
+        assert curve(FamilyKind.SEPARABLE_CATS, 10.0, 10)[2] == pytest.approx(
             1.0 / math.sqrt(50.0), rel=1e-14
         )
 
     def test_separable_validation(self):
         with pytest.raises(ValueError):
-            eps_min_separable_cats(1.0, 0)
+            curve(FamilyKind.SEPARABLE_CATS, 1.0, 0)
         with pytest.raises(ValueError):
-            eps_min_separable_cats(-1.0, 2)
+            curve(FamilyKind.SEPARABLE_CATS, -1.0, 2)
 
     @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf])
     def test_budget_must_be_finite_and_nonnegative(self, bad):
-        for fn in (eps_min_single_cat, lambda n: eps_min_separable_cats(n, 2),
-                   lambda n: invert_ntot(n, 3), eps_min_squeezed):
+        for fn in (lambda n: curve(FamilyKind.SINGLE_CAT, n),
+                   lambda n: curve(FamilyKind.SEPARABLE_CATS, n, 2),
+                   lambda n: invert_ntot(n, 3), lambda n: curve(FamilyKind.SQUEEZED, n)):
             with pytest.raises(ValueError):
                 fn(bad)
 
     def test_zero_budget_is_the_vacuum(self):
-        assert eps_min_single_cat(0.0) == 1.0
-        assert eps_min_separable_cats(0.0, 4) == 0.5
+        assert curve(FamilyKind.SINGLE_CAT, 0.0)[2] == 1.0
+        assert curve(FamilyKind.SEPARABLE_CATS, 0.0, 4)[2] == 0.5
         assert invert_ntot(0.0, 3) == 0.0
         _, alpha, eps, _ = curve(FamilyKind.ENTANGLED_CAT, [0.0, 1.0], 4)
         assert alpha[0] == 0.0
@@ -222,7 +219,8 @@ class TestCurve:
             assert value.shape == () and np.array_equal(value, column[0], equal_nan=True), field
 
     def test_scalar_eps_min_forms_give_python_floats(self):
-        values = eps_min_squeezed(3.0), eps_min_single_cat(3.0), eps_min_separable_cats(3.0, 2)
+        values = (eps_min_entangled_cat(3.0, 2), entangled_cat_ntot(3.0, 2), invert_ntot(3.0, 2),
+                  eps_min_squeezed_exact(3.0))
         assert all(type(value) is float for value in values)
 
     def test_single_mode_family_rejects_multimode(self):
@@ -272,7 +270,7 @@ log_budgets = st.floats(-300.0, 300.0)
 class TestHighPrecisionReference:
     @given(log_n=log_budgets, n_modes=st.integers(1, 10_000))
     @example(log_n=1.5, n_modes=1)  # u = 31.6: tanh saturates to 1.0
-    @example(log_n=3.0, n_modes=7)  # 2u = 2000 > 700: the _exp_neg clamp is active
+    @example(log_n=3.0, n_modes=7)  # 2u = 2000 > 700: e^{-2u} underflows to 0
     @example(log_n=-200.0, n_modes=1000)
     def test_entangled_curve_matches_mpmath(self, log_n, n_modes):
         n_tot = 10.0**log_n
@@ -299,21 +297,17 @@ class TestHighPrecisionReference:
             (FamilyKind.SEPARABLE_CATS, n_modes): lambda n: (
                 math.sqrt(n / n_modes), 1.0 / math.sqrt(n_modes + 4.0 * n), n_modes + 4.0 * n),
         }
-        scalar_forms = {FamilyKind.SQUEEZED: eps_min_squeezed,
-                        FamilyKind.SINGLE_CAT: eps_min_single_cat,
-                        FamilyKind.SEPARABLE_CATS: lambda n: eps_min_separable_cats(n, n_modes)}
         for (kind, m), formula in formulas.items():
             _, alpha, eps, qfi = curve(kind, grid, m)
             want = np.array([formula(n) for n in grid.tolist()])
             np.testing.assert_array_equal(alpha, want[:, 0])
             np.testing.assert_array_equal(eps, want[:, 1])
             np.testing.assert_array_equal(qfi, want[:, 2])
-            if kind in scalar_forms:  # each scalar form is its curve element, bit for bit
-                assert [scalar_forms[kind](n) for n in grid.tolist()] == eps.tolist()
-        for n in grid.tolist():
-            assert eps_min_squeezed(n) == 1.0 / math.sqrt(4.0 * n)
-            assert eps_min_single_cat(n) == 1.0 / math.sqrt(1.0 + 4.0 * n)
-            assert eps_min_separable_cats(n, n_modes) == 1.0 / math.sqrt(n_modes + 4.0 * n)
+        for n in grid.tolist():  # a scalar budget takes curve's 0-d path to the same bits
+            assert curve(FamilyKind.SQUEEZED, n)[2] == 1.0 / math.sqrt(4.0 * n)
+            assert curve(FamilyKind.SINGLE_CAT, n)[2] == 1.0 / math.sqrt(1.0 + 4.0 * n)
+            assert curve(FamilyKind.SEPARABLE_CATS, n, n_modes)[2] == (
+                1.0 / math.sqrt(n_modes + 4.0 * n))
 
 
 @pytest.mark.filterwarnings("error")
@@ -346,12 +340,9 @@ def test_last_budget_before_the_variance_overflows(kind, n_modes):
         assert abs(var / np.finfo(np.float64).max - 1) < mpmath.mpf(2) ** -50  # the range's end
     assert _rel_err(float(res_eps[0]), eps) <= 1e-14
     assert _rel_err(float(res_qfi[0]), var) <= 1e-14
-    eps_of = {  # the scalar entry point of each family
-        FamilyKind.SQUEEZED: eps_min_squeezed,
-        FamilyKind.SINGLE_CAT: eps_min_single_cat,
-        FamilyKind.SEPARABLE_CATS: lambda n: eps_min_separable_cats(n, n_modes),
+    eps_of = {  # the scalar entry point of each family: a scalar curve, or the amplitude form
         FamilyKind.ENTANGLED_CAT: lambda n: eps_min_entangled_cat(invert_ntot(n, n_modes), n_modes),
-    }[kind]
+    }.get(kind, lambda n: curve(kind, n, n_modes)[2])
     assert eps_of(n_tot) == res_eps[0]
     with pytest.raises(ValueError, match=r"puts Var\(G\) past the largest double"):
         eps_of(float(np.int64(hi).view(np.float64)))
@@ -470,9 +461,9 @@ class TestAgainstOracleConventions:
             psi = fock.to_fock(coherent.make_entangled_cat(alpha, 1))
             return 1.0 / math.sqrt(fock.qfi_pure(psi, fock.quad_x(psi.dim)) / 4.0)
 
-        dev_small = abs(eps_min_single_cat(2.0) / oracle_eps(2.0) - 1.0)
+        dev_small = abs(curve(FamilyKind.SINGLE_CAT, 2.0)[2] / oracle_eps(2.0) - 1.0)
         assert 1e-3 < dev_small < 1e-2
-        dev_large = abs(eps_min_single_cat(16.0) / oracle_eps(16.0) - 1.0)
+        dev_large = abs(curve(FamilyKind.SINGLE_CAT, 16.0)[2] / oracle_eps(16.0) - 1.0)
         assert dev_large < 1e-10
 
     def test_separable_formula_against_exact_variance(self):
@@ -481,7 +472,7 @@ class TestAgainstOracleConventions:
         n_modes, n_tot = 4, 36.0
         alpha = invert_ntot(n_tot / n_modes, 1)
         exact_var = n_modes * entangled_cat_generator_variance(alpha, 1)
-        assert eps_min_separable_cats(n_tot, n_modes) == pytest.approx(
+        assert curve(FamilyKind.SEPARABLE_CATS, n_tot, n_modes)[2] == pytest.approx(
             1.0 / math.sqrt(exact_var), rel=1e-6
         )
 
@@ -503,5 +494,5 @@ class TestAsymptotics:
     def test_sqrt_n_gap_between_separable_and_entangled(self):
         n_modes, n_tot = 10, 1000.0
         eps = eps_min_entangled_cat(invert_ntot(n_tot, n_modes), n_modes)
-        gap = eps_min_separable_cats(n_tot, n_modes) / eps
+        gap = curve(FamilyKind.SEPARABLE_CATS, n_tot, n_modes)[2] / eps
         assert gap == pytest.approx(math.sqrt(n_modes), rel=0.01)

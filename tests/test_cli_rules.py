@@ -49,6 +49,10 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
     (["montecarlo", "--shots", HUGE], 1, None),
     (["figure1", "--points", "3", "--modes", HUGE], 1, None),
     (["bounds", "--points", "3", "--modes", HUGE], 1, None),
+    # a single-mode family ignores a valid --modes but refuses a bad one
+    *[(["bounds", "--family", family, "--points", "3", "--modes", modes], 1, None)
+      for family in ("sql", "squeezed", "single-cat")
+      for modes in ("-5", "0", "99999999999999999999")],
     (["qfi-check", "--alpha-list", "0.5", "--modes-list", HUGE], 1, None),
     (["figure1", "--points", HUGE], 1, None),
     # counts numpy cannot allocate: MemoryError is bad input, not a traceback

@@ -11,7 +11,6 @@ from catsense.bounds import (
     FamilyKind,
     curve,
     entangled_cat_generator_variance,
-    eps_min_separable_cats,
     eps_min_squeezed_exact,
     invert_ntot,
 )
@@ -22,7 +21,7 @@ from catsense.fock import coherent_vector, qfi_fidelity_fd, squeezed_vector
 COUNTS = [
     ("n_modes", lambda n: curve(FamilyKind.ENTANGLED_CAT, 1.0, n)),
     ("n_modes", lambda n: invert_ntot(1.0, n)),
-    ("n_copies", lambda n: eps_min_separable_cats(1.0, n)),
+    ("n_modes", lambda n: curve(FamilyKind.SEPARABLE_CATS, 1.0, n)),
     ("n_modes", lambda n: entangled_cat_generator_variance(1.0, n)),
     ("shots", lambda n: homodyne_table("coherent", 0.0, 0.1, n, 1)),
     ("shots * N", lambda n: ramsey_table((n,), 1, 2, 1)),  # one shot: the count is N
@@ -32,7 +31,7 @@ COUNTS = [
 
 REALS = [
     ("n_tot", lambda x: invert_ntot(x, 2)),
-    ("n_tot", lambda x: eps_min_separable_cats(x, 2)),
+    ("n_tot", lambda x: curve(FamilyKind.SEPARABLE_CATS, x, 2)),
     ("alpha", lambda x: entangled_cat_generator_variance(x, 2)),
     ("r", eps_min_squeezed_exact),
     ("r", lambda x: homodyne_table("squeezed", x, 0.1, 3, 1)),

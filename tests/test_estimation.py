@@ -131,6 +131,15 @@ class TestRamseyReadout:
         with pytest.raises(ValueError):
             ramsey_table((1,), 0, 2, 1)
 
+    @pytest.mark.parametrize("replicates", [1, 0, -3])
+    def test_replicates_below_two_refused_before_any_draw(self, monkeypatch, replicates):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the replicate count")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_draw)  # the seeds of every draw
+        with pytest.raises(ValueError, match=rf"^replicates must be >= 2, got {replicates}$"):
+            ramsey_table((2,), 10, replicates, 1)
+
     def test_ghz_beats_product_at_equal_qubit_budget(self):
         # same number of atoms consumed: product runs N * shots repetitions
         n, shots = 8, 20_000

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -318,6 +319,22 @@ class TestDisplacement:
         assert np.sum(np.abs(psi.amplitudes[-2:]) ** 2) > 1e-9
         kicked = fock.displace_fock(psi, [1e-3j])
         assert kicked.norm() == pytest.approx(psi.norm(), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, complex(0.0, -math.inf),
+                                      complex(math.nan, 1.0)])
+    def test_non_finite_kick_refused(self, monkeypatch, beta):
+        psi = fock.coherent_vector(0.5, 25)
+
+        def no_build(dim):
+            raise AssertionError("built the ladder operator before checking the kick")
+
+        monkeypatch.setattr(fock, "annihilation", no_build)
+        shown = re.escape(str(complex(beta)))
+        message = rf"^displacement_matrix: beta must be finite, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            fock.displacement_matrix(beta, 25)
+        with pytest.raises(ValueError, match=message):
+            fock.displace_fock(psi, [beta])
 
     def test_wrong_kick_count(self):
         psi = fock.to_fock(coherent.make_entangled_cat(0.5, 2))
