@@ -149,12 +149,6 @@ def norm_squared(s: SuperpositionState) -> float:
     return _positive_norm(s, inner(s, s))
 
 
-def fidelity(s: SuperpositionState, t: SuperpositionState) -> float:
-    """|<s|t>|^2 / (<s|s><t|t>), in [0, 1] up to roundoff."""
-    f = abs(inner(s, t)) ** 2 / (norm_squared(s) * norm_squared(t))
-    return min(f, 1.0) if f < 1.0 + 1e-9 else f
-
-
 def make_entangled_cat(alpha: float, n_modes: int) -> SuperpositionState:
     """( |alpha,...,alpha> + |-alpha,...,-alpha> ) / sqrt(2), over n_modes modes.
 

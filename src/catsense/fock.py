@@ -7,9 +7,9 @@ at MAX_MODES modes and MAX_DIM levels per mode, because state vectors
 grow like dim**modes; the exact algebra covers everything beyond.
 
 Conventions:
-  * mode 0 is the slowest-varying tensor index.  A vector of a k-mode
-    system reshaped to (dim,) * k indexes as [n_0, n_1, ..., n_{k-1}],
-    which is also what consecutive `numpy.kron` calls produce.
+  * a k-mode state is its read-only (dim,) * k amplitude tensor, indexed
+    [n_0, n_1, ..., n_{k-1}]; mode 0 is the slowest-varying index of its
+    C-order flattening, which is what consecutive `numpy.kron` calls produce.
   * an observable is one dense (dim, dim) Hermitian array O; on a k-mode
     state it stands for the collective sum O_0 + ... + O_{k-1}, as in
     `coherent`, so `quad_x(dim)` is G = sum_k X_k on any mode count.  Each
@@ -72,7 +72,10 @@ def recommended_dim(alpha_max: float) -> int | float:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """State over (dim,)*mode_count number states, flattened C-order; equal only to itself."""
+    """A state as its read-only (dim,)*mode_count amplitude tensor; equal only to itself.
+
+    The constructor copies dim**mode_count amplitudes of any shape, read in C order.
+    """
 
     amplitudes: np.ndarray
     dim: int
@@ -80,22 +83,16 @@ class FockVector:
 
     def __init__(self, amplitudes: np.ndarray, dim: int, mode_count: int) -> None:
         _require_capacity(dim, mode_count)
-        amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
+        amps = np.array(amplitudes, dtype=np.complex128, order="C")
         if amps.size != dim**mode_count:
-            raise DimensionMismatch(
-                f"{amps.size} amplitudes for dim {dim} and {mode_count} modes"
-            )
-        amps = amps.copy()
+            raise DimensionMismatch(f"{amps.size} amplitudes for dim {dim} and {mode_count} modes")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", amps.reshape((dim,) * mode_count))
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "mode_count", int(mode_count))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((self.dim,) * self.mode_count)
 
 
 def _top_mass(amps: np.ndarray, axis: int = 0) -> float:
@@ -249,7 +246,7 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
             f"{len(kicks)} displacement amplitudes for {state.mode_count} modes"
         )
     matrices = {b: displacement_matrix(b, state.dim) for b in set(kicks) - {0j}}
-    tens = state.tensor()
+    tens = state.amplitudes
     for k, b in enumerate(kicks):
         if b in matrices:
             before = _top_mass(tens, k)
@@ -275,7 +272,7 @@ def _moment(state: FockVector, op: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     worst = float(np.max(np.abs(op - op.conj().T)))
     if not worst <= 1e-10:  # a NaN entry fails too
         raise HermiticityError(f"operator deviates from Hermitian by {worst:.3e}")
-    psi = state.tensor()
+    psi = state.amplitudes
     opsi = sum(_contract(op, psi, k) for k in range(state.mode_count))
     nrm2 = float(np.vdot(psi, psi).real)
     m = require_real("Hermitian expectation", complex(np.vdot(psi, opsi)) / nrm2)

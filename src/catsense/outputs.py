@@ -205,7 +205,8 @@ def write_all(docs: Mapping[str, str]) -> None:
     """Write each ``path -> text`` pair with LF line endings, or none of them.
 
     Each text is staged in a temporary file beside its target and no target is
-    replaced until all are staged; on any error the temporaries are removed.
+    replaced until all are staged; on any error the temporaries are removed.  An
+    error while staging names the target, with the errno it had.
     """
     # an empty path or a directory would fail only at its rename, after earlier targets
     for path in docs:
@@ -217,9 +218,12 @@ def write_all(docs: Mapping[str, str]) -> None:
     try:
         for path, text in docs.items():
             tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-                staged.append((tmp, path))
-                fh.write(text)
+            try:
+                with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+                    staged.append((tmp, path))
+                    fh.write(text)
+            except OSError as exc:  # name the file asked for, not its temporary
+                raise OSError(exc.errno, exc.strerror, path) from None
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:

@@ -153,6 +153,18 @@ class TestEntangledBound:
                 oracle_eps, abs=1e-8
             )
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 10])
+    def test_least_share_of_the_photon_budget_ceiling(self, n_modes):
+        # Var(G) / (N (sqrt(n) + sqrt(n + 1))^2) depends on u = N alpha^2 alone; it
+        # tends to 1 at both ends of the budget and dips to 0.92 in between
+        alpha = np.sqrt(np.linspace(0.5, 4.0, 350001) / n_modes)
+        n = entangled_cat_ntot(alpha, n_modes)
+        ceiling = n_modes * (np.sqrt(n) + np.sqrt(n + 1)) ** 2
+        ratio = entangled_cat_generator_variance(alpha, n_modes) / ceiling
+        least = np.argmin(ratio)
+        assert ratio[least] == pytest.approx(0.92000, abs=1e-5)
+        assert n[least] == pytest.approx(1.561, abs=1e-3)
+
 
 class TestInvertNtot:
     def test_unit_point(self):

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -124,6 +126,19 @@ class TestUsageErrors:
 class TestIoErrors:
     def test_missing_output_directory(self, tmp_path):
         assert main(["figure1", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("args, target", [
+        (["bounds", "--out", "no/x.csv"], "no/x.csv"),
+        (["figure1", "--out", "f.csv", "--svg", "no/f.svg"], "no/f.svg"),
+    ])
+    def test_error_names_the_target_and_leaves_nothing(self, args, target, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"io error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {target!r}\n"
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path):
         assert main(["figure1", "--config", str(tmp_path / "absent.cfg"),

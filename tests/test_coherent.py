@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from catsense import coherent, fock
@@ -12,7 +12,6 @@ from catsense.coherent import (
     SuperpositionState,
     displace,
     expect_generator,
-    fidelity,
     inner,
     make_entangled_cat,
     mean_photon_number,
@@ -49,6 +48,18 @@ def separated_terms(draw):
         coeff = draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
         terms.append((coeff, amps))
     return terms
+
+
+@st.composite
+def free_states(draw):
+    """1..4-mode states of 1..9 terms, every label component free in a box."""
+    modes = draw(st.integers(1, 4))
+    box = st.floats(-2.0, 2.0)
+    terms = []
+    for _ in range(draw(st.integers(1, 9))):
+        coeff = draw(st.floats(0.1, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        terms.append((coeff, label(*(complex(draw(box), draw(box)) for _ in range(modes)))))
+    return SuperpositionState(terms)
 
 
 class TestOverlap:
@@ -238,7 +249,8 @@ class TestDisplace:
         s = make_entangled_cat(0.9, 1)
         two_step = displace(displace(s, [b1]), [b2])
         one_step = displace(s, [b1 + b2])
-        assert fidelity(two_step, one_step) == pytest.approx(1.0, abs=1e-11)
+        fid = abs(inner(two_step, one_step)) ** 2 / (norm_squared(two_step) * norm_squared(one_step))
+        assert fid == pytest.approx(1.0, abs=1e-11)
 
     @given(eps=st.floats(-1.0, 1.0))
     def test_imaginary_kick_leaves_generator_mean(self, eps):
@@ -328,6 +340,16 @@ class TestMoments:
         dim = 26
         brute = fock.inner_fock(fock.to_fock(s, dim), fock.to_fock(t, dim))
         assert brute == pytest.approx(exact, abs=1e-10)
+
+    @given(s=free_states())
+    def test_variance_under_the_photon_budget_ceiling(self, s):
+        # G = sqrt(M) X_s for the symmetric mode a_s, whose photons n_s <= n, and
+        # Var(X_s) <= 2 n_s + 1 + 2 |<a_s^2>| <= (sqrt(n_s) + sqrt(n_s + 1))^2
+        try:
+            var, n = variance_generator(s), mean_photon_number(s)
+        except DegenerateState:
+            assume(False)
+        assert var <= s.mode_count * (math.sqrt(n) + math.sqrt(n + 1)) ** 2 * (1 + 1e-12)
 
 
 class TestTranslationInvariance:

@@ -184,10 +184,10 @@ class TestOperators:
         dim = 20
         label = coherent.CoherentLabel((0.8, 0.0))
         psi = fock.to_fock(coherent.SuperpositionState([(1.0, label)]), dim)
-        assert np.all(psi.tensor()[:, 1:] == 0)
-        assert np.sum(np.abs(psi.tensor()[1:, 0]) ** 2) > 0.4
-        assert_allclose(psi.amplitudes, np.kron(fock.coherent_vector(0.8, dim).amplitudes,
-                                                fock.coherent_vector(0.0, dim).amplitudes))
+        assert np.all(psi.amplitudes[:, 1:] == 0)
+        assert np.sum(np.abs(psi.amplitudes[1:, 0]) ** 2) > 0.4
+        assert_allclose(psi.amplitudes.ravel(), np.kron(fock.coherent_vector(0.8, dim).amplitudes,
+                                                        fock.coherent_vector(0.0, dim).amplitudes))
 
     def test_collective_generator_matches_exact_algebra(self):
         cat = coherent.make_entangled_cat(0.9, 3)
@@ -195,6 +195,22 @@ class TestOperators:
         assert fock.variance(psi, fock.quad_x(psi.dim)) == pytest.approx(
             coherent.variance_generator(cat), rel=1e-11
         )
+
+    @pytest.mark.parametrize("dim, alpha", [(20, 0.6), (24, 0.8)])
+    def test_beam_splitter_folds_the_two_mode_cat_into_one_mode(self, dim, alpha):
+        # the 50:50 splitter U = exp(-i (pi/4) H), H = i (a* b - a b*), sends the
+        # symmetric mode (a + b) / sqrt(2) to a: |x, x> -> |sqrt(2) x, 0>
+        eye = np.eye(dim)
+        a, b = np.kron(fock.annihilation(dim), eye), np.kron(eye, fock.annihilation(dim))
+        w, v = np.linalg.eigh(1j * (a.conj().T @ b - a @ b.conj().T))
+        u = (v * np.exp(-0.25j * np.pi * w)) @ v.conj().T
+        pair = fock.to_fock(coherent.make_entangled_cat(alpha, 2), dim)
+        one = fock.to_fock(coherent.make_entangled_cat(math.sqrt(2) * alpha, 1), dim)
+        folded = fock.FockVector(u @ pair.amplitudes.ravel(), dim, 2)
+        want = np.multiply.outer(one.amplitudes, eye[0])
+        assert_allclose(folded.amplitudes, want, rtol=0, atol=1e-10)
+        x = fock.quad_x(dim)
+        assert fock.variance(pair, x) == pytest.approx(2 * fock.variance(one, x), rel=1e-12)
 
 
 def _kron_reference(op: np.ndarray, modes: int) -> np.ndarray:
@@ -345,7 +361,7 @@ class TestDisplacement:
         ([0.3j] * 3, 1), ([0.0] * 3, 0), ([0.3j, 0.0, -0.2], 2), ([0.1, 0.1j, 0.1], 2)])
     def test_each_distinct_kick_builds_one_matrix(self, monkeypatch, kicks, built):
         psi = fock.to_fock(coherent.make_entangled_cat(0.6, 3))
-        want = psi.tensor()
+        want = psi.amplitudes
         for k, b in enumerate(kicks):  # reference: one matrix per mode, D(0) included
             want = np.moveaxis(np.tensordot(fock.displacement_matrix(b, psi.dim), want,
                                             axes=([1], [k])), 0, k)
@@ -359,7 +375,7 @@ class TestDisplacement:
         monkeypatch.setattr(fock, "displacement_matrix", counting)
         got = fock.displace_fock(psi, kicks)
         assert len(calls) == built
-        assert np.array_equal(got.amplitudes, want.ravel())
+        assert np.array_equal(got.amplitudes, want)
 
 
 class TestQfi:
@@ -421,6 +437,18 @@ class TestFockVectorValidation:
         assert (v == w) is False
         assert v == v
         assert len({v, w}) == 2
+
+    def test_amplitudes_are_a_read_only_tensor_copy(self):
+        flat = np.arange(27.0)
+        psi = fock.FockVector(flat, 3, 3)
+        assert psi.amplitudes.shape == (3, 3, 3)
+        assert psi.amplitudes[1, 2, 0] == 15.0  # mode 0 varies slowest
+        shaped = np.asfortranarray(flat.reshape(9, 3))
+        assert np.array_equal(fock.FockVector(shaped, 3, 3).amplitudes, psi.amplitudes)
+        flat[0] = 1.0
+        assert psi.amplitudes[0, 0, 0] == 0.0
+        with pytest.raises(ValueError):
+            psi.amplitudes[0, 0, 0] = 1.0
 
     def test_length_must_match(self):
         with pytest.raises(DimensionMismatch):
