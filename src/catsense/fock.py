@@ -91,9 +91,6 @@ class FockVector:
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "mode_count", int(mode_count))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _top_mass(amps: np.ndarray, axis: int = 0) -> float:
     """The mass in the top two levels of one tensor axis."""
@@ -178,13 +175,11 @@ def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVecto
         for col in columns[1:]:
             block = np.multiply.outer(block, col)
         total += coeff * block
-    vec = FockVector(total, dim, s.mode_count)
+    nrm = float(np.linalg.norm(total))
     exact = math.sqrt(coherent.norm_squared(s))
-    if abs(vec.norm() - exact) > 1e-10 * max(exact, 1.0):
-        raise TruncationError(
-            f"truncated norm {vec.norm()} vs exact {exact}, cutoff too small"
-        )
-    return vec
+    if abs(nrm - exact) > 1e-10 * max(exact, 1.0):
+        raise TruncationError(f"truncated norm {nrm} vs exact {exact}, cutoff too small")
+    return FockVector(total, dim, s.mode_count)
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -258,12 +253,6 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
     return FockVector(tens, state.dim, state.mode_count)
 
 
-def inner_fock(u: FockVector, v: FockVector) -> complex:
-    if u.dim != v.dim or u.mode_count != v.mode_count:
-        raise DimensionMismatch("inner product of vectors from different spaces")
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
-
-
 def _moment(state: FockVector, op: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """psi, O psi, <O> and ||psi||^2 for the collective sum O = sum_k O_k, O Hermitian."""
     op = np.asarray(op)
@@ -304,19 +293,19 @@ def qfi_fidelity_fd(family: Callable[[float], FockVector], step: float) -> float
     converges quadratically and one Richardson step, (4 q(d/2) - q(d)) / 3,
     removes the leading error term.  When the fidelity deficit 1 - F sinks
     toward double-precision roundoff the quotient is garbage; that is
-    reported as StepTooSmallError rather than returned.
+    reported as StepTooSmallError rather than returned.  A family whose
+    states change shape is refused with DimensionMismatch.
     """
     require_nonnegative("step", step, strict=True)
-    base = family(0.0)
-    base_norm = base.norm()
-
-    def deficit(d: float) -> float:
-        other = family(d)
-        f = abs(inner_fock(base, other)) / (base_norm * other.norm())
-        return 1.0 - f
+    base = family(0.0).amplitudes
+    base_norm = np.linalg.norm(base)
 
     def quotient(d: float) -> float:
-        df = deficit(d)
+        other = family(d).amplitudes
+        if other.shape != base.shape:
+            raise DimensionMismatch(f"the state at step {d:.3e} has shape {other.shape}, "
+                                    f"the one at 0 has shape {base.shape}")
+        df = 1.0 - abs(np.vdot(base, other)) / (base_norm * np.linalg.norm(other))
         if df < 1e-13:
             raise StepTooSmallError(
                 f"fidelity deficit {df:.3e} at step {d:.3e} is below the roundoff floor"
@@ -325,7 +314,7 @@ def qfi_fidelity_fd(family: Callable[[float], FockVector], step: float) -> float
 
     q1 = quotient(step)
     q2 = quotient(step / 2.0)
-    return (4.0 * q2 - q1) / 3.0
+    return float((4.0 * q2 - q1) / 3.0)
 
 
 def cat_qfi_check(

@@ -105,7 +105,7 @@ class TestOverlap:
     def test_against_fock_oracle(self, a, b):
         exact = overlap(label(a), label(b))
         dim = fock.recommended_dim(max(abs(a), abs(b)))
-        brute = fock.inner_fock(fock.coherent_vector(a, dim), fock.coherent_vector(b, dim))
+        brute = np.vdot(fock.coherent_vector(a, dim).amplitudes, fock.coherent_vector(b, dim).amplitudes)
         assert brute == pytest.approx(exact, abs=5e-11)
 
 
@@ -338,7 +338,7 @@ class TestMoments:
         t = displace(s, (0.3, -0.2j))
         exact = inner(s, t)
         dim = 26
-        brute = fock.inner_fock(fock.to_fock(s, dim), fock.to_fock(t, dim))
+        brute = np.vdot(fock.to_fock(s, dim).amplitudes, fock.to_fock(t, dim).amplitudes)
         assert brute == pytest.approx(exact, abs=1e-10)
 
     @given(s=free_states())
@@ -396,3 +396,42 @@ class TestTranslationInvariance:
         assert expect_generator(t) == pytest.approx(expect_generator(s), rel=1e-12)
         assert variance_generator(t) == pytest.approx(variance_generator(s), rel=1e-12)
         assert mean_photon_number(t) == pytest.approx(mean_photon_number(s), rel=1e-12)
+
+
+def compass(alpha, modes=1, rotation=1.0):
+    """sum_{k=0..3} |i^k alpha>, the same label on each of `modes` modes, all turned by `rotation`."""
+    return SuperpositionState([(1.0, label(*[rotation * 1j**k * alpha] * modes)) for k in range(4)])
+
+
+class TestCompassState:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_moments_match_closed_form(self, alpha):
+        # <a^2> = 0 on the compass, so Var(X) = 1 + 2n
+        x = alpha * alpha
+        s = compass(alpha)
+        n = mean_photon_number(s)
+        want_n = x * (math.sinh(x) - math.sin(x)) / (math.cosh(x) + math.cos(x))
+        assert n == pytest.approx(want_n, rel=1e-12)
+        assert variance_generator(s) == pytest.approx(1.0 + 2.0 * n, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("theta", [math.pi / 2, 0.3])
+    def test_rotation_leaves_the_variance(self, alpha, theta):
+        turned = compass(alpha, rotation=cmath.exp(-1j * theta))
+        assert variance_generator(turned) == pytest.approx(variance_generator(compass(alpha)), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_two_modes_fold_into_the_symmetric_mode(self, alpha):
+        one = variance_generator(compass(math.sqrt(2.0) * alpha))
+        assert variance_generator(compass(alpha, modes=2)) == pytest.approx(2.0 * one, rel=1e-12)
+
+
+class TestKickedCatParity:
+    @given(n=st.sampled_from([1, 2, 3]), alpha=st.floats(0.1, 2.0), eps=st.floats(0.0, 0.5))
+    def test_parity_matches_closed_form(self, n, alpha, eps):
+        # parity flips the sign of every label: <P> = <s|Ps> / <s|s>
+        s = displace(make_entangled_cat(alpha, n), [1j * eps] * n)
+        flipped = SuperpositionState([(c, label(*(-amps))) for c, amps in zip(s.coeffs, s.labels)])
+        want = (math.exp(-2 * n * eps * eps) * math.cos(4 * n * alpha * eps)
+                + math.exp(-2 * n * (alpha * alpha + eps * eps))) / (1.0 + math.exp(-2 * n * alpha * alpha))
+        assert inner(s, flipped).real / norm_squared(s) == pytest.approx(want, abs=1e-13)

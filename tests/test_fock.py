@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from catsense import coherent, fock
+from catsense import bounds, coherent, fock
 from catsense.errors import (
     CapacityError,
     DimensionMismatch,
@@ -36,7 +36,7 @@ class TestCoherentVector:
 
     def test_unit_norm_and_mean_photon(self):
         v = fock.coherent_vector(1.5, 40)
-        assert v.norm() == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0, abs=1e-13)
         nbar = fock.expectation(v, fock.number_operator(40))
         assert nbar == pytest.approx(2.25, abs=1e-10)
 
@@ -124,7 +124,7 @@ class TestToFock:
     def test_cat_norm_matches_exact(self):
         cat = coherent.make_entangled_cat(1.0, 2)
         v = fock.to_fock(cat)
-        assert v.norm() == pytest.approx(math.sqrt(coherent.norm_squared(cat)), abs=1e-11)
+        assert np.linalg.norm(v.amplitudes) == pytest.approx(math.sqrt(coherent.norm_squared(cat)), abs=1e-11)
 
     def test_default_dim_is_recommended(self):
         cat = coherent.make_entangled_cat(1.0, 1)
@@ -319,7 +319,7 @@ class TestDisplacement:
         cat = coherent.make_entangled_cat(0.8, 3)
         psi = fock.to_fock(cat)
         kicked = fock.displace_fock(psi, [0.1j, -0.2, 0.05 + 0.05j])
-        assert kicked.norm() == pytest.approx(psi.norm(), abs=1e-12)
+        assert np.linalg.norm(kicked.amplitudes) == pytest.approx(np.linalg.norm(psi.amplitudes), abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_kick_past_the_cutoff_refused(self):
@@ -334,7 +334,7 @@ class TestDisplacement:
         psi = fock.squeezed_vector(1.0, 60)
         assert np.sum(np.abs(psi.amplitudes[-2:]) ** 2) > 1e-9
         kicked = fock.displace_fock(psi, [1e-3j])
-        assert kicked.norm() == pytest.approx(psi.norm(), abs=1e-12)
+        assert np.linalg.norm(kicked.amplitudes) == pytest.approx(np.linalg.norm(psi.amplitudes), abs=1e-12)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, complex(0.0, -math.inf),
                                       complex(math.nan, 1.0)])
@@ -429,6 +429,40 @@ class TestQfi:
     def test_fd_rejects_nonfinite_step(self, step):
         with pytest.raises(ValueError, match="finite"):
             fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), step)
+
+    def test_fd_rejects_a_family_that_changes_shape(self):
+        def family(eps: float) -> fock.FockVector:
+            return fock.coherent_vector(eps, 25 if eps == 0.0 else 26)
+
+        with pytest.raises(DimensionMismatch, match=r"shape \(26,\), the one at 0 has shape \(25,\)"):
+            fock.qfi_fidelity_fd(family, 1e-2)
+
+    @pytest.mark.parametrize("n_tot", [0.1, 1.0, 10.0, 30.0, 50.0])
+    def test_figure1_ten_mode_cat_through_the_symmetric_mode(self, n_tot):
+        # the N-mode cat is a one-mode cat of amplitude sqrt(N) alpha in the symmetric
+        # mode plus N - 1 vacua, so its QFI is N times that one-mode cat's
+        alpha = bounds.invert_ntot(n_tot, 10)
+        psi = fock.to_fock(coherent.make_entangled_cat(math.sqrt(10) * alpha, 1))
+        got = 10 * fock.qfi_pure(psi, fock.quad_x(psi.dim))
+        assert got == pytest.approx(4 * bounds.entangled_cat_generator_variance(alpha, 10), rel=1e-12)
+
+    def test_figure1_ten_mode_cat_past_the_dim_cap(self):
+        # at n_tot = 60 the symmetric-mode cat needs more than MAX_DIM levels
+        amp = math.sqrt(10) * bounds.invert_ntot(60.0, 10)
+        assert fock.recommended_dim(amp) == 142
+        with pytest.raises(CapacityError):
+            fock.to_fock(coherent.make_entangled_cat(amp, 1))
+
+    @pytest.mark.parametrize("r", [0.1, 0.2, 0.5, 0.75, 1.0])
+    def test_photon_subtracted_squeezed_vacuum(self, r):
+        # a|sq> on a 128-level basis; r = 0 is left out (a|0> = 0), and by r = 1.2
+        # the cutoff already costs ~3e-7
+        k = fock.annihilation(128) @ fock.squeezed_vector(r, 128).amplitudes
+        psi = fock.FockVector(k / np.linalg.norm(k), 128, 1)
+        n = fock.expectation(psi, fock.number_operator(128))
+        assert n == pytest.approx(1.0 + 3.0 * math.sinh(r) ** 2, abs=1e-10)
+        assert fock.variance(psi, fock.quad_x(128)) == pytest.approx(3.0 * math.exp(2 * r), abs=1e-10)
+        assert fock.variance(psi, fock.quad_y(128)) == pytest.approx(3.0 * math.exp(-2 * r), abs=1e-10)
 
 
 class TestFockVectorValidation:
