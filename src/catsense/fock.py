@@ -2,9 +2,8 @@
 
 This module deliberately does everything the slow way (dense matrices in
 a finite Fock basis) so the closed forms in `coherent` and `bounds` have
-something independent to be checked against.  Capacity is hard-capped
-at MAX_MODES modes and MAX_DIM levels per mode, because state vectors
-grow like dim**modes; the exact algebra covers everything beyond.
+something independent to be checked against: 1..MAX_MODES modes and no
+array past MAX_ENTRIES entries; the exact algebra covers everything beyond.
 
 Conventions:
   * a k-mode state is its read-only (dim,) * k amplitude tensor, indexed
@@ -38,7 +37,7 @@ from .errors import (
 )
 
 MAX_MODES = 3
-MAX_DIM = 128
+MAX_ENTRIES = 128**3  # per array: the dim**modes state, or a dense (dim, dim) operator
 
 # A cutoff is accepted when the top two levels together hold less mass than
 # this; for a Poisson-tailed state that bounds the discarded mass too.
@@ -52,9 +51,10 @@ SQUEEZED_TAIL_TOL = 1e-8
 
 def _require_capacity(dim: int, mode_count: int) -> None:
     """The oracle's one capacity rule, checked before anything of that size is built."""
-    if not (1 <= mode_count <= MAX_MODES and 1 <= dim <= MAX_DIM):
+    if not (1 <= mode_count <= MAX_MODES and 1 <= dim <= math.isqrt(MAX_ENTRIES)
+            and dim**mode_count <= MAX_ENTRIES):
         raise CapacityError(f"{mode_count} modes of {dim} levels exceed the oracle caps "
-                            f"of 1..{MAX_MODES} modes and 1..{MAX_DIM} levels per mode")
+                            f"of 1..{MAX_MODES} modes and {MAX_ENTRIES} entries per array")
 
 
 def recommended_dim(alpha_max: float) -> int | float:

@@ -27,6 +27,8 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e200"], 3, None),
     # alpha^2 is finite but 4 N alpha^2 is not, and the level count is a double
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e154"], 3, None),
+    # the level count is the double 1e200, whose square overflows: refused, not OverflowError
+    (["qfi-check", "--modes-list", "1", "--alpha-list", "1e100"], 3, None),
     # Var(Y) / shots = exp(-2r) / 10^5 underflows to 0: no stderr, so no pull
     (["montecarlo", "--probe", "squeezed", "--r", "370"], 1, None),
     # exp(-2r) itself underflows to 0

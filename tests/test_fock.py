@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_bounds import _mp_entangled
 
 from catsense import bounds, coherent, fock
 from catsense.errors import (
@@ -114,6 +116,17 @@ class TestSqueezedVector:
             with pytest.raises(TruncationError, match="inf required"):
                 fock.squeezed_vector(r, 20)
 
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_criterion_8_on_a_wide_basis(self, r):
+        # past r = 1.2 the squeezed tail needs more than 128 levels for 1e-8
+        dim = 1024
+        v = fock.squeezed_vector(r, dim)
+        assert fock.variance(v, fock.quad_y(dim)) == pytest.approx(math.exp(-2 * r), abs=1e-8)
+        nbar = fock.expectation(v, fock.number_operator(dim))
+        assert nbar == pytest.approx(math.sinh(r) ** 2, abs=1e-8)
+        eps_min = 1.0 / math.sqrt(fock.qfi_pure(v, fock.quad_x(dim)))
+        assert eps_min == pytest.approx(math.exp(-r) / 2.0, abs=1e-8)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_r_rejected(self, bad):
         with pytest.raises(ValueError, match="r must be finite and >= 0"):
@@ -137,9 +150,9 @@ class TestToFock:
             fock.to_fock(s)
 
     def test_dim_cap(self):
-        s = coherent.SuperpositionState([(1.0, coherent.CoherentLabel((9.5,)))])
+        s = coherent.SuperpositionState([(1.0, coherent.CoherentLabel((34.1,)))])
         with pytest.raises(CapacityError):
-            fock.to_fock(s)  # recommended dim 9.5^2 + 76 + 20 > 128
+            fock.to_fock(s)  # recommended dim 34.1^2 + 272.8 + 20 > 1448
 
     def test_explicit_small_dim_rejected_not_clipped(self):
         cat = coherent.make_entangled_cat(2.0, 1)
@@ -437,32 +450,40 @@ class TestQfi:
         with pytest.raises(DimensionMismatch, match=r"shape \(26,\), the one at 0 has shape \(25,\)"):
             fock.qfi_fidelity_fd(family, 1e-2)
 
-    @pytest.mark.parametrize("n_tot", [0.1, 1.0, 10.0, 30.0, 50.0])
+    @pytest.mark.parametrize("n_tot", np.geomspace(0.1, 100.0, 200))
     def test_figure1_ten_mode_cat_through_the_symmetric_mode(self, n_tot):
         # the N-mode cat is a one-mode cat of amplitude sqrt(N) alpha in the symmetric
-        # mode plus N - 1 vacua, so its QFI is N times that one-mode cat's
+        # mode plus N - 1 vacua, so its QFI is N times that one-mode cat's; figure 1's
+        # whole N = 10 curve, dims 25..201
         alpha = bounds.invert_ntot(n_tot, 10)
         psi = fock.to_fock(coherent.make_entangled_cat(math.sqrt(10) * alpha, 1))
         got = 10 * fock.qfi_pure(psi, fock.quad_x(psi.dim))
         assert got == pytest.approx(4 * bounds.entangled_cat_generator_variance(alpha, 10), rel=1e-12)
+        with mpmath.workdps(50):  # Var(G) from a 50-digit root of u tanh u = n_tot
+            assert float(abs(got / (4 * _mp_entangled(n_tot, 10)[2]) - 1)) <= 1e-12
 
-    def test_figure1_ten_mode_cat_past_the_dim_cap(self):
-        # at n_tot = 60 the symmetric-mode cat needs more than MAX_DIM levels
-        amp = math.sqrt(10) * bounds.invert_ntot(60.0, 10)
-        assert fock.recommended_dim(amp) == 142
+    def test_figure1_ten_mode_cat_at_the_entry_budget(self):
+        # one mode reaches 1448 levels: n_tot = 1150 fits, n_tot = 1160 does not
+        fits = math.sqrt(10) * bounds.invert_ntot(1150.0, 10)
+        assert fock.to_fock(coherent.make_entangled_cat(fits, 1)).dim == 1442
+        over = math.sqrt(10) * bounds.invert_ntot(1160.0, 10)
+        assert fock.recommended_dim(over) == 1453
         with pytest.raises(CapacityError):
-            fock.to_fock(coherent.make_entangled_cat(amp, 1))
+            fock.to_fock(coherent.make_entangled_cat(over, 1))
 
-    @pytest.mark.parametrize("r", [0.1, 0.2, 0.5, 0.75, 1.0])
-    def test_photon_subtracted_squeezed_vacuum(self, r):
-        # a|sq> on a 128-level basis; r = 0 is left out (a|0> = 0), and by r = 1.2
-        # the cutoff already costs ~3e-7
-        k = fock.annihilation(128) @ fock.squeezed_vector(r, 128).amplitudes
-        psi = fock.FockVector(k / np.linalg.norm(k), 128, 1)
-        n = fock.expectation(psi, fock.number_operator(128))
+    @pytest.mark.parametrize("r, dim", [
+        (0.1, 128), (0.2, 128), (0.5, 128), (0.75, 128), (1.0, 128),
+        # by r = 1.2 a 128-level cutoff already costs ~3e-7
+        (1.5, 1024), (2.0, 1024),
+    ])
+    def test_photon_subtracted_squeezed_vacuum(self, r, dim):
+        # a|sq>; r = 0 is left out (a|0> = 0)
+        k = fock.annihilation(dim) @ fock.squeezed_vector(r, dim).amplitudes
+        psi = fock.FockVector(k / np.linalg.norm(k), dim, 1)
+        n = fock.expectation(psi, fock.number_operator(dim))
         assert n == pytest.approx(1.0 + 3.0 * math.sinh(r) ** 2, abs=1e-10)
-        assert fock.variance(psi, fock.quad_x(128)) == pytest.approx(3.0 * math.exp(2 * r), abs=1e-10)
-        assert fock.variance(psi, fock.quad_y(128)) == pytest.approx(3.0 * math.exp(-2 * r), abs=1e-10)
+        assert fock.variance(psi, fock.quad_x(dim)) == pytest.approx(3.0 * math.exp(2 * r), abs=1e-10)
+        assert fock.variance(psi, fock.quad_y(dim)) == pytest.approx(3.0 * math.exp(-2 * r), abs=1e-10)
 
 
 class TestFockVectorValidation:
@@ -494,14 +515,16 @@ class TestFockVectorValidation:
 
     def test_dim_cap(self):
         with pytest.raises(CapacityError):
-            fock.FockVector(np.zeros(200), 200, 1)
+            fock.FockVector(np.zeros(1449), 1449, 1)
 
 
 @pytest.mark.parametrize("request_over_cap", [
     lambda: fock.FockVector(np.zeros(16), 2, 4),
     lambda: fock.to_fock(coherent.SuperpositionState([(1.0, coherent.CoherentLabel((0.1,) * 4))])),
-    lambda: fock.to_fock(coherent.make_entangled_cat(0.5, 1), dim=129),
-    lambda: fock.coherent_vector(0.5, 129),
+    lambda: fock.to_fock(coherent.make_entangled_cat(0.5, 1), dim=1449),
+    lambda: fock.coherent_vector(0.5, 1449),
+    lambda: fock.FockVector(np.zeros(1449**2), 1449, 2),
+    lambda: fock.FockVector(np.zeros(129**3), 129, 3),
     lambda: fock.squeezed_vector(0.5, 0),
     # refused before the vector is built
     lambda: fock.coherent_vector(0.5, 0),
@@ -511,8 +534,18 @@ class TestFockVectorValidation:
     lambda: fock.squeezed_vector(0.5, 10**6),
 ])
 def test_one_capacity_rule_and_message(request_over_cap):
-    with pytest.raises(CapacityError, match=r"oracle caps of 1\.\.3 modes and 1\.\.128 levels"):
+    with pytest.raises(CapacityError, match=r"oracle caps of 1\.\.3 modes and 2097152 entries"):
         request_over_cap()
+
+
+@pytest.mark.parametrize("request_at_cap", [
+    lambda: fock.coherent_vector(0.5, 1448),
+    lambda: fock.FockVector(np.zeros(1448**2), 1448, 2),
+    lambda: fock.FockVector(np.zeros(128**3), 128, 3),
+])
+def test_the_entry_budget_is_inclusive(request_at_cap):
+    # the largest arrays the rule accepts: 1448^2 and 128^3 entries of at most 128^3
+    request_at_cap()
 
 
 def test_oracle_runs_without_scipy(tmp_path):
