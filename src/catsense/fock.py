@@ -108,10 +108,11 @@ def _check_tail(amps: np.ndarray, what: str, tol: float = TAIL_TOL) -> None:
 def coherent_vector(alpha: complex, dim: int) -> FockVector:
     """|alpha> truncated to dim levels and renormalized.
 
-    Coefficients exp(-|alpha|^2/2) alpha^n / sqrt(n!) via the stable
-    recurrence c_n = c_{n-1} alpha / sqrt(n).  Raises TruncationError when
-    the top of the basis still holds mass, instead of silently clipping, or
-    when |alpha|^2 overflows; a NaN or infinite alpha is a ValueError.
+    Coefficients exp(-|alpha|^2/2) alpha^n / sqrt(n!): one cumulative product of
+    [exp(-|alpha|^2/2), alpha/sqrt(1), ..., alpha/sqrt(dim-1)], the Gaussian factor first so
+    that every partial product is an amplitude (at most 1) and cannot overflow.  Raises
+    TruncationError when the top of the basis still holds mass, instead of silently clipping,
+    or when |alpha|^2 overflows; a NaN or infinite alpha is a ValueError.
     """
     _require_capacity(dim, 1)
     a = complex(alpha)
@@ -122,10 +123,7 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
     except OverflowError:
         raise TruncationError(f"coherent_vector(alpha={a}): |alpha|^2 overflows, "
                               "past every cutoff") from None
-    c = np.empty(dim, dtype=np.complex128)
-    c[0] = math.exp(-0.5 * mean)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * a / math.sqrt(n)
+    c = np.cumprod(np.concatenate(([math.exp(-0.5 * mean)], a / np.sqrt(np.arange(1, dim)))))
     if dim >= 2:
         _check_tail(c, f"coherent_vector(alpha={a})")
     nrm = np.linalg.norm(c)
@@ -137,9 +135,8 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
 def squeezed_vector(r: float, dim: int) -> FockVector:
     """Momentum-squeezed vacuum: Var(Y) = exp(-2r), Var(X) = exp(+2r).
 
-    Only even levels are populated:
-        c_{2m} = tanh(r)^m sqrt((2m)!) / (2^m m!) / sqrt(cosh r),
-    built with the ratio c_{2m}/c_{2m-2} = tanh(r) sqrt((2m-1)/(2m)).
+    Only even levels are populated, c_{2m} = tanh(r)^m sqrt((2m)!) / (2^m m!) / sqrt(cosh r):
+    one cumulative product of [1/sqrt(cosh r), tanh(r) sqrt(1/2), tanh(r) sqrt(3/4), ...].
     The sign convention (positive tanh) is what squeezes Y = -i(a - a*);
     flipping it would squeeze X instead.
     """
@@ -150,10 +147,8 @@ def squeezed_vector(r: float, dim: int) -> FockVector:
     if dim < need:
         raise TruncationError(f"dim {dim} < {need} required for r = {rr}")
     c = np.zeros(dim, dtype=np.complex128)
-    c[0] = 1.0 / math.sqrt(math.cosh(rr))
-    t = math.tanh(rr)
-    for m in range(1, (dim - 1) // 2 + 1):
-        c[2 * m] = c[2 * m - 2] * t * math.sqrt((2 * m - 1) / (2 * m))
+    ratios = math.tanh(rr) * np.sqrt(np.arange(1, dim - 1, 2) / np.arange(2, dim, 2))
+    c[::2] = np.cumprod(np.concatenate(([1.0 / math.sqrt(math.cosh(rr))], ratios)))
     _check_tail(c, f"squeezed_vector(r={rr})", SQUEEZED_TAIL_TOL)
     return FockVector(c / np.linalg.norm(c), dim, 1)
 

@@ -23,6 +23,19 @@ from catsense.errors import (
 )
 
 
+def _assert_matches_50_digits(got: np.ndarray, ref: list) -> None:
+    """Every entry of got against ref normalized on the same basis, at 50 digits: within
+    1e-15 absolute, and 1e-13 relative wherever the reference is above 1e-250."""
+    with mpmath.workdps(50):
+        nrm = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in ref))
+        for n, (g, c) in enumerate(zip(got.tolist(), ref)):
+            want = c / nrm
+            err = abs(mpmath.mpc(g) - want)
+            assert err <= 1e-15, f"level {n}: {float(err):.3e} absolute"
+            assert abs(want) <= 1e-250 or err <= 1e-13 * abs(want), (
+                f"level {n}: {float(err / abs(want)):.3e} relative")
+
+
 class TestCoherentVector:
     def test_vacuum_any_dim(self):
         v = fock.coherent_vector(0.0, 10)
@@ -67,6 +80,26 @@ class TestCoherentVector:
     def test_overflowing_alpha_refused(self, alpha):
         with pytest.raises(TruncationError, match="overflows"):
             fock.coherent_vector(alpha, 25)
+
+    @pytest.mark.parametrize("alpha, dim", [
+        (0.0, 10), (0.25, 23), (-2.0, 40), (0.9 + 0.4j, 30), (3j, 60), (10.0, 200),
+        (30.0, 1448), (20 + 15j, 1024),
+    ])
+    def test_every_level_matches_a_50_digit_recurrence(self, alpha, dim):
+        with mpmath.workdps(50):
+            a = mpmath.mpc(alpha)
+            ref = [mpmath.exp(-abs(a) ** 2 / 2)]
+            for n in range(1, dim):
+                ref.append(ref[-1] * a / mpmath.sqrt(n))
+        _assert_matches_50_digits(fock.coherent_vector(alpha, dim).amplitudes, ref)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_gaussian_factor_comes_first(self):
+        # alpha^n / sqrt(n!) alone overflows near the top of 1448 levels once |alpha| >~ 37.7;
+        # with exp(-|alpha|^2/2) first every partial product is an amplitude and the tail gate
+        # refuses the cutoff instead
+        with pytest.raises(TruncationError, match="in the top two levels"):
+            fock.coherent_vector(38.0, 1448)
 
     @pytest.mark.filterwarnings("error")
     def test_nan_tail_fails_the_gate(self):
@@ -127,6 +160,17 @@ class TestSqueezedVector:
         eps_min = 1.0 / math.sqrt(fock.qfi_pure(v, fock.quad_x(dim)))
         assert eps_min == pytest.approx(math.exp(-r) / 2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("r, dim", [
+        (0.1, 30), (0.1, 128), (0.1, 1024), (1.0, 128), (1.0, 1024), (2.0, 1024),
+    ])
+    def test_every_level_matches_a_50_digit_recurrence(self, r, dim):
+        with mpmath.workdps(50):
+            t = mpmath.tanh(r)
+            ref = [1 / mpmath.sqrt(mpmath.cosh(r))]
+            for n in range(1, dim):
+                ref.append(0 if n % 2 else ref[n - 2] * t * mpmath.sqrt(mpmath.mpf(n - 1) / n))
+        _assert_matches_50_digits(fock.squeezed_vector(r, dim).amplitudes, ref)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_r_rejected(self, bad):
         with pytest.raises(ValueError, match="r must be finite and >= 0"):
@@ -153,6 +197,14 @@ class TestToFock:
         s = coherent.SuperpositionState([(1.0, coherent.CoherentLabel((34.1,)))])
         with pytest.raises(CapacityError):
             fock.to_fock(s)  # recommended dim 34.1^2 + 272.8 + 20 > 1448
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [None, np.int64(30)])
+    def test_dim_and_mode_count_are_ints_sized_to_the_amplitudes(self, n_modes, dim):
+        # a traced benchmark run counts 16 * dim ** mode_count bytes for each state
+        v = fock.to_fock(coherent.make_entangled_cat(0.5, n_modes), dim)
+        assert type(v.dim) is int and type(v.mode_count) is int
+        assert v.dim**v.mode_count == v.amplitudes.size
 
     def test_explicit_small_dim_rejected_not_clipped(self):
         cat = coherent.make_entangled_cat(2.0, 1)
@@ -461,6 +513,20 @@ class TestQfi:
         assert got == pytest.approx(4 * bounds.entangled_cat_generator_variance(alpha, 10), rel=1e-12)
         with mpmath.workdps(50):  # Var(G) from a 50-digit root of u tanh u = n_tot
             assert float(abs(got / (4 * _mp_entangled(n_tot, 10)[2]) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+    def test_symmetric_mode_reproduces_the_default_grid(self, n_modes, alpha):
+        # qfi-check's default grid through the symmetric mode: the N-mode cat under the uniform
+        # kick eps is the one-mode cat at sqrt(N) alpha under the kick sqrt(N) eps, with
+        # generator sqrt(N) X; the tensor route it is checked against never uses that identity
+        row = fock.cat_qfi_check([n_modes], [alpha], 1e-3)
+        psi = fock.to_fock(coherent.make_entangled_cat(math.sqrt(n_modes) * alpha, 1))
+        oracle = n_modes * fock.qfi_pure(psi, fock.quad_x(psi.dim))
+        assert oracle == pytest.approx(row["qfi_oracle"][0], rel=1e-12)
+        kick = 1j * math.sqrt(n_modes)
+        fd = fock.qfi_fidelity_fd(lambda e: fock.displace_fock(psi, [kick * e]), 1e-3)
+        assert fd == pytest.approx(row["qfi_fd"][0], rel=1e-8)
 
     def test_figure1_ten_mode_cat_at_the_entry_budget(self):
         # one mode reaches 1448 levels: n_tot = 1150 fits, n_tot = 1160 does not
