@@ -85,14 +85,18 @@ class CommaList(click.ParamType):
         return items
 
 
-def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+def _load_config(ctx: click.Context, param: click.Parameter, paths: tuple[str, ...]) -> None:
     """Load a flat ``key = value`` file, keyed by long-flag name, into ``ctx.default_map``."""
-    if path is None:
+    if not paths:
         return
+    if len(paths) > 1:  # one file per run: write_csv guards only the path kept in ctx.meta
+        raise click.UsageError(f"--config given {len(paths)} times: {', '.join(map(repr, paths))}")
+    path, = paths
     ctx.meta[_CONFIG_KEY] = path
     names = {opt[2:]: p.name for p in ctx.command.params if p is not param
              for opt in p.opts if opt.startswith("--")}
     settings: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: a leading byte-order mark is dropped
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -104,12 +108,16 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
             if key not in names:
                 raise click.UsageError(
                     f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(names)}")
+            if key in first_line:
+                raise click.UsageError(
+                    f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            first_line[key] = lineno
             settings[names[key]] = value
     ctx.default_map = settings
 
 
 _config_opt = click.option(
-    "--config", type=str, default=None, is_eager=True, expose_value=False,
+    "--config", type=str, multiple=True, is_eager=True, expose_value=False,
     callback=_load_config, help="flat key=value settings file; flags given here win over it",
 )
 

@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -74,22 +75,23 @@ def recommended_dim(alpha_max: float) -> int | float:
 class FockVector:
     """A state as its read-only (dim,)*mode_count amplitude tensor; equal only to itself.
 
-    The constructor copies dim**mode_count amplitudes of any shape, read in C order.
+    The constructor copies a (dim,)*mode_count tensor and reads dim and mode_count from its shape.
     """
 
     amplitudes: np.ndarray
     dim: int
     mode_count: int
 
-    def __init__(self, amplitudes: np.ndarray, dim: int, mode_count: int) -> None:
-        _require_capacity(dim, mode_count)
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        shape = np.shape(amplitudes)
+        if len(set(shape)) != 1:
+            raise DimensionMismatch(f"amplitudes of shape {shape} are no (dim,)*modes tensor")
+        _require_capacity(shape[0], len(shape))
         amps = np.array(amplitudes, dtype=np.complex128, order="C")
-        if amps.size != dim**mode_count:
-            raise DimensionMismatch(f"{amps.size} amplitudes for dim {dim} and {mode_count} modes")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps.reshape((dim,) * mode_count))
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "mode_count", int(mode_count))
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "dim", shape[0])
+        object.__setattr__(self, "mode_count", len(shape))
 
 
 def _top_mass(amps: np.ndarray, axis: int = 0) -> float:
@@ -129,7 +131,7 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
     nrm = np.linalg.norm(c)
     if not abs(nrm - 1.0) <= 1e-9:
         raise TruncationError(f"coherent_vector norm {nrm} too far from 1")
-    return FockVector(c / nrm, dim, 1)
+    return FockVector(c / nrm)
 
 
 def squeezed_vector(r: float, dim: int) -> FockVector:
@@ -150,7 +152,7 @@ def squeezed_vector(r: float, dim: int) -> FockVector:
     ratios = math.tanh(rr) * np.sqrt(np.arange(1, dim - 1, 2) / np.arange(2, dim, 2))
     c[::2] = np.cumprod(np.concatenate(([1.0 / math.sqrt(math.cosh(rr))], ratios)))
     _check_tail(c, f"squeezed_vector(r={rr})", SQUEEZED_TAIL_TOL)
-    return FockVector(c / np.linalg.norm(c), dim, 1)
+    return FockVector(c / np.linalg.norm(c))
 
 
 def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVector:
@@ -166,15 +168,12 @@ def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVecto
     total = np.zeros((dim,) * s.mode_count, dtype=np.complex128)
     for coeff, label in zip(s.coeffs, s.labels):
         columns = [coherent_vector(a, dim).amplitudes for a in label]
-        block = columns[0]
-        for col in columns[1:]:
-            block = np.multiply.outer(block, col)
-        total += coeff * block
+        total += coeff * functools.reduce(np.multiply.outer, columns)
     nrm = float(np.linalg.norm(total))
     exact = math.sqrt(coherent.norm_squared(s))
     if abs(nrm - exact) > 1e-10 * max(exact, 1.0):
         raise TruncationError(f"truncated norm {nrm} vs exact {exact}, cutoff too small")
-    return FockVector(total, dim, s.mode_count)
+    return FockVector(total)
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -245,7 +244,7 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
             if not added < TAIL_TOL:
                 raise TruncationError(f"displace_fock: the kick {b} on mode {k} adds mass "
                                       f"{added:.3e} to its top two levels, cutoff too small")
-    return FockVector(tens, state.dim, state.mode_count)
+    return FockVector(tens)
 
 
 def _moment(state: FockVector, op: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:

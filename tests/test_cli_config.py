@@ -77,6 +77,29 @@ def test_config_key_naming_no_option_exits_1(key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_key_given_twice_exits_1(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 3\n# a second value\npoints = 5\n")
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {cfg}:3: key 'points' repeats line 1\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("order", [("a.cfg", "b.cfg"), ("b.cfg", "a.cfg")])
+def test_config_given_twice_exits_1(order, tmp_path, monkeypatch, capsys):
+    # click would keep only the last --config, so an --out naming the first went unguarded
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "a.cfg", {"modes": "2"})
+    _write_config(tmp_path / "b.cfg", {"points": "4"})
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    args = [arg for cfg in order for arg in ("--config", cfg)]
+    assert main(["bounds", *args, "--out", order[0]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: --config given 2 times: {order[0]!r}, {order[1]!r}\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("cmd, flag", [
     ("qfi-check", "--modes-list"), ("qfi-check", "--alpha-list"), ("ramsey", "--qubit-list"),
 ])

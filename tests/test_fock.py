@@ -271,7 +271,7 @@ class TestOperators:
         u = (v * np.exp(-0.25j * np.pi * w)) @ v.conj().T
         pair = fock.to_fock(coherent.make_entangled_cat(alpha, 2), dim)
         one = fock.to_fock(coherent.make_entangled_cat(math.sqrt(2) * alpha, 1), dim)
-        folded = fock.FockVector(u @ pair.amplitudes.ravel(), dim, 2)
+        folded = fock.FockVector((u @ pair.amplitudes.ravel()).reshape(dim, dim))
         want = np.multiply.outer(one.amplitudes, eye[0])
         assert_allclose(folded.amplitudes, want, rtol=0, atol=1e-10)
         x = fock.quad_x(dim)
@@ -298,7 +298,7 @@ class TestAgainstKronReference:
     def test_collective_moments(self, modes, dim):
         rng = np.random.default_rng(100 * modes + dim)
         amps = rng.normal(size=dim**modes) + 1j * rng.normal(size=dim**modes)
-        psi = fock.FockVector(amps, dim, modes)
+        psi = fock.FockVector(amps.reshape((dim,) * modes))
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         herm = raw + raw.conj().T
         for op in (herm, fock.quad_x(dim)):
@@ -545,7 +545,7 @@ class TestQfi:
     def test_photon_subtracted_squeezed_vacuum(self, r, dim):
         # a|sq>; r = 0 is left out (a|0> = 0)
         k = fock.annihilation(dim) @ fock.squeezed_vector(r, dim).amplitudes
-        psi = fock.FockVector(k / np.linalg.norm(k), dim, 1)
+        psi = fock.FockVector(k / np.linalg.norm(k))
         n = fock.expectation(psi, fock.number_operator(dim))
         assert n == pytest.approx(1.0 + 3.0 * math.sinh(r) ** 2, abs=1e-10)
         assert fock.variance(psi, fock.quad_x(dim)) == pytest.approx(3.0 * math.exp(2 * r), abs=1e-10)
@@ -560,37 +560,53 @@ class TestFockVectorValidation:
         assert len({v, w}) == 2
 
     def test_amplitudes_are_a_read_only_tensor_copy(self):
-        flat = np.arange(27.0)
-        psi = fock.FockVector(flat, 3, 3)
+        tensor = np.arange(27.0).reshape(3, 3, 3)
+        psi = fock.FockVector(tensor)
         assert psi.amplitudes.shape == (3, 3, 3)
         assert psi.amplitudes[1, 2, 0] == 15.0  # mode 0 varies slowest
-        shaped = np.asfortranarray(flat.reshape(9, 3))
-        assert np.array_equal(fock.FockVector(shaped, 3, 3).amplitudes, psi.amplitudes)
-        flat[0] = 1.0
+        assert (psi.dim, psi.mode_count) == (3, 3)
+        assert type(psi.dim) is int and type(psi.mode_count) is int
+        assert psi.amplitudes.dtype == np.complex128 and psi.amplitudes.flags.c_contiguous
+        fortran = fock.FockVector(np.asfortranarray(tensor))
+        assert fortran.amplitudes.flags.c_contiguous
+        assert np.array_equal(fortran.amplitudes, psi.amplitudes)
+        tensor[0, 0, 0] = 1.0
         assert psi.amplitudes[0, 0, 0] == 0.0
         with pytest.raises(ValueError):
             psi.amplitudes[0, 0, 0] = 1.0
 
-    def test_length_must_match(self):
+    @pytest.mark.parametrize("amplitudes", [np.zeros((3, 4)), np.zeros((3, 3, 2)), np.array(1.0)])
+    def test_axes_must_have_one_length(self, amplitudes):
+        # a (3, 4) matrix or a 0-d scalar is no (dim,) * modes tensor
         with pytest.raises(DimensionMismatch):
-            fock.FockVector(np.zeros(7), 3, 2)
+            fock.FockVector(amplitudes)
 
     def test_mode_cap(self):
         with pytest.raises(CapacityError):
-            fock.FockVector(np.zeros(16), 2, 4)
+            fock.FockVector(np.zeros((2,) * 4))
 
     def test_dim_cap(self):
         with pytest.raises(CapacityError):
-            fock.FockVector(np.zeros(1449), 1449, 1)
+            fock.FockVector(np.zeros(1449))
+
+    def test_no_levels(self):
+        with pytest.raises(CapacityError):
+            fock.FockVector(np.zeros(0))
+
+    def test_capacity_is_checked_before_the_copy(self):
+        # a zero-stride view with an over-cap shape holds one element; only its copy is 34 MB
+        view = np.broadcast_to(np.complex128(0), (129,) * 3)
+        with pytest.raises(CapacityError):
+            fock.FockVector(view)
 
 
 @pytest.mark.parametrize("request_over_cap", [
-    lambda: fock.FockVector(np.zeros(16), 2, 4),
+    lambda: fock.FockVector(np.zeros((2,) * 4)),
     lambda: fock.to_fock(coherent.SuperpositionState([(1.0, coherent.CoherentLabel((0.1,) * 4))])),
     lambda: fock.to_fock(coherent.make_entangled_cat(0.5, 1), dim=1449),
     lambda: fock.coherent_vector(0.5, 1449),
-    lambda: fock.FockVector(np.zeros(1449**2), 1449, 2),
-    lambda: fock.FockVector(np.zeros(129**3), 129, 3),
+    lambda: fock.FockVector(np.zeros((1449,) * 2)),
+    lambda: fock.FockVector(np.zeros((129,) * 3)),
     lambda: fock.squeezed_vector(0.5, 0),
     # refused before the vector is built
     lambda: fock.coherent_vector(0.5, 0),
@@ -606,8 +622,8 @@ def test_one_capacity_rule_and_message(request_over_cap):
 
 @pytest.mark.parametrize("request_at_cap", [
     lambda: fock.coherent_vector(0.5, 1448),
-    lambda: fock.FockVector(np.zeros(1448**2), 1448, 2),
-    lambda: fock.FockVector(np.zeros(128**3), 128, 3),
+    lambda: fock.FockVector(np.zeros((1448,) * 2)),
+    lambda: fock.FockVector(np.zeros((128,) * 3)),
 ])
 def test_the_entry_budget_is_inclusive(request_at_cap):
     # the largest arrays the rule accepts: 1448^2 and 128^3 entries of at most 128^3
