@@ -32,6 +32,7 @@ from .errors import (
     DegenerateState,
     DimensionMismatch,
     require_count,
+    require_nonnegative,
     require_real,
 )
 
@@ -156,9 +157,7 @@ def make_entangled_cat(alpha: float, n_modes: int) -> SuperpositionState:
     alpha = 0 collapses to a single vacuum term with coefficient sqrt(2).
     """
     require_count("n_modes", n_modes)
-    a = float(alpha)
-    if a < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {a}")
+    a = float(require_nonnegative("alpha", alpha))
     c = 1.0 / math.sqrt(2.0)
     plus = CoherentLabel((a,) * n_modes)
     minus = CoherentLabel((-a,) * n_modes)

@@ -462,6 +462,15 @@ class TestExtremeBudgetsThroughCli:
         digest = hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest()
         assert digest.startswith(pin)
 
+    def test_default_qfi_check_closed_form_columns_unchanged(self, tmp_path, monkeypatch):
+        # the columns that need no eigh: the oracle columns' last bits depend on LAPACK
+        monkeypatch.chdir(tmp_path)
+        assert main(["qfi-check"]) == 0
+        rows = [line.split(",")[:4] for line in (tmp_path / "qfi_check.csv").read_text().splitlines()]
+        assert rows[0] == ["modes", "alpha", "dim", "qfi_closed_form"]
+        text = "".join(",".join(row) + "\n" for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("59b18507210eb9ad")
+
 
 class TestAgainstOracleConventions:
     def test_single_cat_formula_is_a_large_amplitude_approximation(self):

@@ -180,22 +180,23 @@ class TestEntangledCat:
         )
 
     def test_zero_amplitude_collapses_to_vacuum(self):
-        cat = make_entangled_cat(0.0, 2)
-        assert len(cat) == 1
-        assert cat.coeffs[0] == pytest.approx(math.sqrt(2.0))
-        assert norm_squared(cat) == pytest.approx(2.0, rel=1e-14)
+        for zero in (0.0, -0.0):
+            cat = make_entangled_cat(zero, 2)
+            assert len(cat) == 1
+            assert cat.coeffs[0] == pytest.approx(math.sqrt(2.0))
+            assert norm_squared(cat) == pytest.approx(2.0, rel=1e-14)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha must be finite and >= 0, got -0.1$"):
             make_entangled_cat(-0.1, 2)
 
     def test_bad_mode_count_rejected(self):
         with pytest.raises(ValueError):
             make_entangled_cat(1.0, 0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_alpha_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=rf"^alpha must be finite and >= 0, got {bad}$"):
             make_entangled_cat(bad, 2)
 
     def test_variance_closed_form(self):

@@ -42,7 +42,7 @@ REALS = [
 
 
 def _fd_step(step):
-    return qfi_fidelity_fd(lambda eps: coherent_vector(eps, 20), step)
+    return qfi_fidelity_fd(coherent_vector(0.0, 20), [1.0], step)
 
 
 CASES = (

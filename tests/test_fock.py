@@ -469,38 +469,30 @@ class TestQfi:
         )
 
     def test_fd_matches_generator_route_for_coherent(self):
-        dim = 40
-
-        def family(eps: float) -> fock.FockVector:
-            return fock.displace_fock(fock.coherent_vector(1.0, dim), [1j * eps])
-
-        got = fock.qfi_fidelity_fd(family, 1e-3)
+        got = fock.qfi_fidelity_fd(fock.coherent_vector(1.0, 40), [1j], 1e-3)
         assert got == pytest.approx(4.0, rel=1e-9)
 
     def test_fd_step_too_small(self):
-        dim = 30
-
-        def family(eps: float) -> fock.FockVector:
-            return fock.displace_fock(fock.coherent_vector(0.5, dim), [1j * eps])
-
         with pytest.raises(StepTooSmallError):
-            fock.qfi_fidelity_fd(family, 1e-9)
+            fock.qfi_fidelity_fd(fock.coherent_vector(0.5, 30), [1j], 1e-9)
 
     def test_fd_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), 0.0)
+            fock.qfi_fidelity_fd(fock.coherent_vector(0.0, 25), [1.0], 0.0)
 
     @pytest.mark.parametrize("step", [math.nan, math.inf])
     def test_fd_rejects_nonfinite_step(self, step):
         with pytest.raises(ValueError, match="finite"):
-            fock.qfi_fidelity_fd(lambda e: fock.coherent_vector(e, 25), step)
+            fock.qfi_fidelity_fd(fock.coherent_vector(0.0, 25), [1.0], step)
 
-    def test_fd_rejects_a_family_that_changes_shape(self):
-        def family(eps: float) -> fock.FockVector:
-            return fock.coherent_vector(eps, 25 if eps == 0.0 else 26)
-
-        with pytest.raises(DimensionMismatch, match=r"shape \(26,\), the one at 0 has shape \(25,\)"):
-            fock.qfi_fidelity_fd(family, 1e-2)
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5])
+    def test_fd_kicks_each_mode_by_its_own_entry(self, alpha):
+        # kicking mode 0 of the two-mode cat alone: the generator is X_0, whose variance in
+        # the cat is 1 + 4 a^2 / (1 + e^{-4 a^2}), mode 1 adding only its e^{-2 a^2} to the
+        # overlap of the two branches
+        psi = fock.to_fock(coherent.make_entangled_cat(alpha, 2))
+        want = 4 * (1 + 4 * alpha**2 / (1 + math.exp(-4 * alpha**2)))
+        assert fock.qfi_fidelity_fd(psi, [1j, 0], 1e-3) == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("n_tot", np.geomspace(0.1, 100.0, 200))
     def test_figure1_ten_mode_cat_through_the_symmetric_mode(self, n_tot):
@@ -525,7 +517,7 @@ class TestQfi:
         oracle = n_modes * fock.qfi_pure(psi, fock.quad_x(psi.dim))
         assert oracle == pytest.approx(row["qfi_oracle"][0], rel=1e-12)
         kick = 1j * math.sqrt(n_modes)
-        fd = fock.qfi_fidelity_fd(lambda e: fock.displace_fock(psi, [kick * e]), 1e-3)
+        fd = fock.qfi_fidelity_fd(psi, [kick], 1e-3)
         assert fd == pytest.approx(row["qfi_fd"][0], rel=1e-8)
 
     def test_figure1_ten_mode_cat_at_the_entry_budget(self):
