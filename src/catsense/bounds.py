@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConsistencyError, require_count, require_nonnegative
+from .errors import ConsistencyError, require_int, require_nonnegative
 
 
 class FamilyKind(str, Enum):
@@ -62,7 +62,7 @@ def _out(x: np.ndarray) -> float | np.ndarray:
 
 def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
     """u = N alpha^2, after checking N >= 1 and 0 <= alpha < inf."""
-    require_count("n_modes", n_modes)
+    n_modes = require_int("n_modes", n_modes)
     a = require_nonnegative("alpha", alpha)
     with np.errstate(over="ignore"):  # u past the double range is inf, as the forms expect
         return n_modes * a * a
@@ -131,7 +131,7 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     bracket is below one ulp of u.  Each entry takes the same path alone
     as inside an array, so scalar and array calls agree bit for bit.
     """
-    require_count("n_modes", n_modes)
+    n_modes = require_int("n_modes", n_modes)
     n = require_nonnegative("n_tot", n_tot)
     lo = np.maximum(n, np.sqrt(n))
     hi = lo + np.minimum(lo, 1.0)
@@ -163,8 +163,7 @@ def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, 
     multimode families take n_modes > 1.  A grid point whose Var(G) is past
     the largest double is refused.
     """
-    kind, m = FamilyKind(kind), n_modes
-    require_count("n_modes", m)
+    kind, m = FamilyKind(kind), require_int("n_modes", n_modes)
     if kind not in MULTIMODE_FAMILIES and m != 1:
         raise ValueError(f"{kind.value} is a single-mode family")
     n = require_nonnegative("n_tot", np.array(n_tot, np.float64), kind is FamilyKind.SQUEEZED)
@@ -178,9 +177,7 @@ def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, 
         with np.errstate(over="ignore"):  # 4 n_tot past the double range is inf, refused below
             if kind is FamilyKind.SQUEEZED:
                 var = 4.0 * n
-            elif kind is FamilyKind.SINGLE_CAT:
-                var, alpha = 1.0 + 4.0 * n, np.sqrt(n)
-            else:
+            else:  # the separable cats; the single cat is their m = 1 case
                 var, alpha = m + 4.0 * n, np.sqrt(n / m)
     eps = _eps_from_variance(var, "n_tot", n)
     return (n, *(np.asarray(f, np.float64) for f in (alpha, eps, var)))
@@ -189,8 +186,8 @@ def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, 
 def bounds_table(family: FamilyKind | str, n_modes: int, n_tot) -> dict[str, object]:
     """The `catsense bounds` table of one family; a single-mode family reports n_modes 1."""
     kind = FamilyKind(family)
-    require_count("n_modes", n_modes)  # every family refuses a bad count; single-mode ones drop it
-    n_modes = n_modes if kind in MULTIMODE_FAMILIES else 1
+    n_modes = require_int("n_modes", n_modes)  # every family refuses a bad count
+    n_modes = n_modes if kind in MULTIMODE_FAMILIES else 1  # single-mode ones drop it
     n, alpha, eps, var = curve(kind, n_tot, n_modes)
     return {"family": kind.value, "n_modes": n_modes, "n_tot": n,
             "alpha": alpha, "eps_min": eps, "qfi": var}

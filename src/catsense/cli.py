@@ -5,8 +5,9 @@ built-in defaults, which ``catsense <cmd> --help`` lists.  The config file is
 flat ``key = value`` text, keys named exactly like the long flags of the
 subcommand without the leading dashes, ``#`` comments and blank lines
 ignored; a key that names no option of the subcommand is an error.  A rule
-on one value lives on its option's click type, which ``--help`` shows; rules
-the library enforces are not repeated here.  Every output file is written
+on one value lives on its option's click type, which ``--help`` shows; the
+types of ``--replicates``, ``--qubit-list`` and ``--probe`` restate library
+rules to show them there and name the flag.  Every output file is written
 whole or not at all, so a failed run leaves none behind.  A command imports
 the library modules it runs inside its own functions, so it loads no others.
 
@@ -25,7 +26,7 @@ import click
 import numpy as np
 
 from . import bounds  # at the top: the --family choices are read from it
-from .errors import CatsenseError, ToleranceFailure, require_count
+from .errors import CatsenseError, ToleranceFailure, require_int
 from .outputs import csv_text, write_all
 
 _CONFIG_KEY = "catsense.config"  # the ctx.meta key holding the run's --config path
@@ -56,7 +57,7 @@ def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) ->
 
 
 def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> np.ndarray:
-    require_count("points", points)  # the ceiling; click's IntRange would echo a huge value
+    require_int("points", points)  # the ceiling; click's IntRange would echo a huge value
     if not (math.isfinite(ntot_min) and math.isfinite(ntot_max) and ntot_min < ntot_max):
         raise click.UsageError(f"need finite ntot-min < ntot-max, got {ntot_min} and {ntot_max}")
     if spacing == "linear":

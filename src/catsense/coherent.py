@@ -31,7 +31,7 @@ from .errors import (
     ConsistencyError,
     DegenerateState,
     DimensionMismatch,
-    require_count,
+    require_int,
     require_nonnegative,
     require_real,
 )
@@ -43,9 +43,9 @@ TOL_LABEL = 1e-12
 ComplexLike = complex | float | int
 
 
-def _require_finite(amplitudes: np.ndarray) -> None:
-    if not np.isfinite(amplitudes).all():
-        raise ValueError("non-finite amplitude in a label")
+def _require_finite(values: np.ndarray, what: str = "amplitude in a label") -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite {what}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,7 @@ class SuperpositionState:
 
     def _store(self, coeffs: np.ndarray, labels: np.ndarray) -> None:
         _require_finite(labels)
+        _require_finite(coeffs, "coefficient")
         with np.errstate(over="ignore"):  # a difference past the double range is inf: not close
             close = np.all(np.abs(labels[:, None, :] - labels[None, :, :]) <= TOL_LABEL, axis=2)
         keep, group = np.unique(np.argmax(close, axis=0), return_inverse=True)
@@ -156,7 +157,7 @@ def make_entangled_cat(alpha: float, n_modes: int) -> SuperpositionState:
     Unnormalized by construction: norm^2 = 1 + exp(-2 n_modes alpha^2).
     alpha = 0 collapses to a single vacuum term with coefficient sqrt(2).
     """
-    require_count("n_modes", n_modes)
+    n_modes = require_int("n_modes", n_modes)
     a = float(require_nonnegative("alpha", alpha))
     c = 1.0 / math.sqrt(2.0)
     plus = CoherentLabel((a,) * n_modes)

@@ -3,9 +3,11 @@
 Every exception type carries the exit code it earns in the CLI as the class
 attribute `exit_code`: 1 for bad input, 3 for an oracle capacity or tolerance
 failure.  Beside them sit the rule helpers that the other modules call on
-their inputs: `require_count`, `require_nonnegative` and `require_real`.  The
-seed rule, `estimation.check_seed`, stays beside the samplers it feeds.
+their inputs: `require_int` (counts, seeds and replicates), `require_nonnegative`
+and `require_real`.
 """
+
+import operator
 
 import numpy as np
 
@@ -59,12 +61,17 @@ class ToleranceFailure(CatsenseError, RuntimeError):
     exit_code = 3
 
 
-def require_count(name: str, n: int) -> None:
-    """A count of modes, copies, shots, qubits or points must be >= 1 and fit numpy's int64."""
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    if n > 2**63 - 1:  # the message leaves out a value that may run to hundreds of digits
-        raise ValueError(f"{name} must be <= 2^63 - 1")
+def require_int(name: str, n, least: int = 1, bits: int = 63) -> int:
+    """n as an int, once it is an integer (numpy's too) in [least, 2^bits - 1]: int64 by default."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if k < least:
+        raise ValueError(f"{name} must be >= {least}, got {k}")
+    if k >= 2**bits:  # the message leaves out a value that may run to hundreds of digits
+        raise ValueError(f"{name} must be <= 2^{bits} - 1")
+    return k
 
 
 def require_nonnegative(name: str, x, strict: bool = False) -> np.ndarray:

@@ -20,15 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import require_count, require_nonnegative
-
-
-def check_seed(seed: int) -> int:
-    """The seed as an int, which must lie in [0, 2^64)."""
-    s = int(seed)
-    if not 0 <= s < 2**64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    return s
+from .errors import require_int, require_nonnegative
 
 
 def homodyne_table(probe: str, r: float, eps: float, shots: int,
@@ -46,8 +38,8 @@ def homodyne_table(probe: str, r: float, eps: float, shots: int,
     require_nonnegative("r", r)
     require_nonnegative("true_eps", eps)
     require_nonnegative("the record mean 2 * true_eps", 2.0 * float(eps))
-    require_count("shots", shots)
-    check_seed(seed)
+    shots = require_int("shots", shots)
+    seed = require_int("seed", seed, least=0, bits=64)
     if probe == "squeezed":
         label, y_variance = f"the squeezed probe at r = {r}", math.exp(-2.0 * r)
     elif probe == "coherent":
@@ -102,12 +94,11 @@ def ramsey_table(qubit_list: Sequence[int], shots: int, replicates: int,
     at the fringe boundary (p_hat 0 or 1), which stay in the spread: arccos
     still inverts there, but the delta-method stderr does not hold.
     """
-    require_count("shots", shots)
-    if replicates < 2:  # the ddof=1 spread needs two
-        raise ValueError(f"replicates must be >= 2, got {replicates}")
+    shots = require_int("shots", shots)
+    replicates = require_int("replicates", replicates, least=2)  # the ddof=1 spread needs two
     for n_qubits in qubit_list:  # before any draw, and before 8 N meets a float
-        require_count("shots * N", shots * n_qubits)
-    root = np.random.SeedSequence(check_seed(seed))
+        require_int("shots * N", shots * n_qubits)
+    root = np.random.SeedSequence(require_int("seed", seed, least=0, bits=64))
     rows, at_boundary = [], 0
     for n in qubit_list:
         theta = math.pi / (8.0 * n)

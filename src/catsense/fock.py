@@ -291,6 +291,8 @@ def qfi_fidelity_fd(state: FockVector, kicks: Sequence[complex], step: float) ->
     reported as StepTooSmallError rather than returned.
     """
     require_nonnegative("step", step, strict=True)
+    if not any(kicks):  # no step resolves a family that does not move
+        raise ValueError(f"kicks must have a nonzero entry, got {list(kicks)}")
     base = state.amplitudes
     base_norm = np.linalg.norm(base)
 

@@ -150,6 +150,15 @@ class TestSuperpositionState:
             overlap(label(bad), label(0.5))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_nonfinite_coefficient_rejected_at_construction(self, bad):
+        # not later, as a NaN norm or an overflow warning in the first moment
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            SuperpositionState([(bad, label(1.0))])
+        with pytest.raises(ValueError, match="^non-finite coefficient$"):
+            SuperpositionState([(1.0, label(0.5)), (bad, label(0.5))])  # merged terms too
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_kick_rejected_before_arithmetic(self):
         # finite labels and a finite kick whose sum leaves the double range
         with pytest.raises(ValueError, match="non-finite"):

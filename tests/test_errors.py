@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catsense import bounds, cli, errors
@@ -17,6 +18,7 @@ from catsense.bounds import (
 from catsense.coherent import make_entangled_cat
 from catsense.estimation import homodyne_table, ramsey_table
 from catsense.fock import coherent_vector, qfi_fidelity_fd, squeezed_vector
+from catsense.outputs import csv_text
 
 COUNTS = [
     ("n_modes", lambda n: curve(FamilyKind.ENTANGLED_CAT, 1.0, n)),
@@ -41,13 +43,30 @@ REALS = [
 ]
 
 
+SEEDS = [
+    lambda s: homodyne_table("coherent", 0.0, 0.1, 3, s),
+    lambda s: ramsey_table((2,), 1, 2, s),
+]
+
+
 def _fd_step(step):
     return qfi_fidelity_fd(coherent_vector(0.0, 20), [1.0], step)
+
+
+def _replicates(n):
+    return ramsey_table((2,), 1, n, 1)
 
 
 CASES = (
     [(call, n, f"{name} must be >= 1, got {n}") for name, call in COUNTS for n in (0, -2)]
     + [(call, n, f"{name} must be <= 2^63 - 1") for name, call in COUNTS for n in (2**63, 10**400)]
+    + [(call, n, f"{name} must be an integer, got {n!r}")
+       for name, call in COUNTS for n in (2.5, "3")]
+    + [(call, s, f"seed must be an integer, got {s!r}") for call in SEEDS for s in (1.5, "7")]
+    + [(call, -1, "seed must be >= 0, got -1") for call in SEEDS]
+    + [(call, 2**64, "seed must be <= 2^64 - 1") for call in SEEDS]
+    + [(_replicates, 2.5, "replicates must be an integer, got 2.5"),
+       (_replicates, 1, "replicates must be >= 2, got 1")]
     + [(call, x, f"{name} must be finite and >= 0, got {x}")
        for name, call in REALS for x in (math.nan, math.inf, -1.0)]
     + [(_fd_step, x, f"step must be finite and > 0, got {x}")
@@ -61,6 +80,21 @@ def test_every_entry_point_states_the_shared_rule(call, bad, message):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == message
+
+
+TABLES = [
+    lambda n, seed: bounds.bounds_table("separable-cats", n, [0.5, 2.0]),
+    lambda n, seed: bounds.figure1_table(n, [0.5, 2.0]),
+    lambda n, seed: homodyne_table("coherent", 0.0, 0.1, 10 * n, seed),
+    lambda n, seed: ramsey_table((1, n), 10 * n, n, seed)[0],
+    lambda n, seed: {"labels": make_entangled_cat(0.5, n).labels.real.ravel()},
+]
+
+
+@pytest.mark.parametrize("make", TABLES)
+def test_numpy_integers_give_what_python_ints_give(make):
+    want, got = make(3, 7), make(np.int64(3), np.uint64(7))
+    assert csv_text(list(got), list(got.values())) == csv_text(list(want), list(want.values()))
 
 
 def _documented_exit_codes() -> dict[str, int]:

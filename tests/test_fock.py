@@ -485,6 +485,18 @@ class TestQfi:
         with pytest.raises(ValueError, match="finite"):
             fock.qfi_fidelity_fd(fock.coherent_vector(0.0, 25), [1.0], step)
 
+    @pytest.mark.parametrize("kicks", [[0, 0], [0.0, 0j]])
+    def test_fd_refuses_kicks_that_move_no_mode(self, monkeypatch, kicks):
+        # bad input, not a step too small: no step resolves a family that does not move
+        def no_displace(*args):
+            raise AssertionError("displaced before checking the kicks")
+
+        psi = fock.to_fock(coherent.make_entangled_cat(1.0, 2))
+        monkeypatch.setattr(fock, "displace_fock", no_displace)
+        with pytest.raises(ValueError, match="^kicks must have a nonzero entry") as info:
+            fock.qfi_fidelity_fd(psi, kicks, 1e-3)
+        assert not isinstance(info.value, StepTooSmallError)  # a plain ValueError: exit 1
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5])
     def test_fd_kicks_each_mode_by_its_own_entry(self, alpha):
         # kicking mode 0 of the two-mode cat alone: the generator is X_0, whose variance in
