@@ -31,28 +31,24 @@ from .outputs import csv_text, write_all
 
 _CONFIG_KEY = "catsense.config"  # the ctx.meta key holding the run's --config path
 
-Table = dict[str, Any]  # what the library's `*_table` functions return: CSV header -> column
 
-
-def write_csv(path: str, table: Table, also: Mapping[str, str] | None = None) -> int:
+def write_csv(path: str, table: Mapping[str, Any], also: Mapping[str, str] | None = None) -> int:
     """Write a table's CSV, and any `also` path -> text files, all or none; returns its row count.
 
-    Floats print to 17 significant digits and lines end in LF.  Every
-    subcommand writes its files through this one call.  Two paths that name one
-    file, or an output that names the run's ``--config`` file, are refused
-    before any file is staged.
+    Every subcommand writes its files through this one call, which adds to
+    `outputs.write_all` only the guard that needs the click context: an
+    output that names the run's ``--config`` file is refused before any file
+    is staged.
     """
     also = also or {}
-    targets = [path, *also]
-    real = [os.path.realpath(p) for p in targets]
-    if len(set(real)) < len(targets):
-        raise ValueError(f"the outputs {', '.join(map(repr, targets))} name one file")
     ctx = click.get_current_context(silent=True)
     config = ctx.meta.get(_CONFIG_KEY) if ctx else None
-    if config is not None and os.path.realpath(config) in real:
-        clash = targets[real.index(os.path.realpath(config))]
-        raise ValueError(f"the output {clash!r} names the config file {config!r}")
-    write_all({path: csv_text(list(table), list(table.values())), **also})
+    if config is not None:
+        real = os.path.realpath(config)
+        clash = [p for p in (path, *also) if os.path.realpath(p) == real]
+        if clash:
+            raise ValueError(f"the output {clash[0]!r} names the config file {config!r}")
+    write_all([(path, csv_text(table)), *also.items()])
     return next((len(c) for c in table.values() if np.ndim(c)), 0)
 
 

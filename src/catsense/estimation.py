@@ -96,8 +96,8 @@ def ramsey_table(qubit_list: Sequence[int], shots: int, replicates: int,
     """
     shots = require_int("shots", shots)
     replicates = require_int("replicates", replicates, least=2)  # the ddof=1 spread needs two
-    for n_qubits in qubit_list:  # before any draw, and before 8 N meets a float
-        require_int("shots * N", shots * n_qubits)
+    for n_qubits in qubit_list:  # before any draw, and N alone before it meets shots or a float
+        require_int("shots * N", shots * require_int("shots * N", n_qubits))
     root = np.random.SeedSequence(require_int("seed", seed, least=0, bits=64))
     rows, at_boundary = [], 0
     for n in qubit_list:

@@ -1,4 +1,4 @@
-"""CSV text, and all-or-nothing output files: a failed run leaves no half-written set."""
+"""The output contract: a table's CSV text, and files written all or none, none named twice."""
 
 import contextlib
 import errno
@@ -158,32 +158,28 @@ def _csv_format(v) -> str:
     return "%s"
 
 
-def csv_text(header: Sequence[str], columns: Sequence) -> str:
-    """CSV text of a table given as columns, byte for byte Python's ``%`` of each cell.
+def csv_text(table: Mapping[str, object]) -> str:
+    """CSV text of a table, CSV header -> column, byte for byte Python's ``%`` of each cell.
 
-    A column is a 1-D array or sequence, or one value repeated on every row;
-    a header without a column, a column without a header, or a column whose
-    length differs from the first is a ValueError, before any text is built.
-    A column's first cell picks its format: ``%d`` for int and bool,
-    ``%.17g`` for float, ``%s`` otherwise.  Float64 array columns go through
+    The header is the table's keys in order.  A column is a 1-D array or
+    sequence, or one value repeated on every row; a column whose length
+    differs from the first is a ValueError, before any text is built.  A
+    column's first cell picks its format: ``%d`` for int and bool, ``%.17g``
+    for float, ``%s`` otherwise.  Float64 array columns go through
     `_float_cells`; every other cell is formatted from its Python value.
     Holes (0xFF, never part of UTF-8) pad every cell and are dropped from
     the text.  Lines end in LF.
     """
     cols = [c if isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype == np.float64
-            else np.asarray(c, dtype=object) for c in columns]
+            else np.asarray(c, dtype=object) for c in table.values()]
     n_rows = next((len(c) for c in cols if c.ndim), 0)
-    if len(header) != len(cols):
-        j = min(len(header), len(cols))
-        bad = f"header {header[j]!r}" if j < len(header) else f"column {j + 1}"
-        raise ValueError(f"{len(header)} header names for {len(cols)} columns: {bad} is unpaired")
-    for name, c in zip(header, cols):
+    for name, c in zip(table, cols):
         if c.ndim and c.shape != (n_rows,):
             raise ValueError(f"column {name!r} has shape {c.shape}, not ({n_rows},) like the first")
     fmts = [_csv_format(np.atleast_1d(c)[0]) for c in cols] if n_rows else []
     floats = [j for j, c in enumerate(cols) if c.dtype == np.float64]
     ends = [b","] * (len(cols) - 1) + [b"\n"]
-    parts = [",".join(header) + "\n"]
+    parts = [",".join(table) + "\n"]
     for start in range(0, n_rows, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, n_rows - start)
         chunk = [c[start:start + rows] if c.ndim else np.atleast_1d(c) for c in cols]
@@ -201,22 +197,28 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     return "".join(parts)
 
 
-def write_all(docs: Mapping[str, str]) -> None:
-    """Write each ``path -> text`` pair with LF line endings, or none of them.
+def write_all(docs: Sequence[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` pair with LF line endings, or none of them.
 
-    Each text is staged in a temporary file beside its target and no target is
-    replaced until all are staged; on any error the temporaries are removed.  An
-    error while staging names the target, with the errno it had.
+    Two paths that name one file (by `os.path.realpath`: the same spelling, a
+    ``./`` spelling or a symlink), an empty path and a directory are refused
+    before anything is staged.  Each text is staged in a temporary file beside
+    its target and no target is replaced until all are staged; on any error
+    the temporaries are removed.  An error while staging names the target,
+    with the errno it had.
     """
+    paths = [path for path, _ in docs]
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ValueError(f"the outputs {', '.join(map(repr, paths))} name one file")
     # an empty path or a directory would fail only at its rename, after earlier targets
-    for path in docs:
+    for path in paths:
         if not path:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     staged: list[tuple[str, str]] = []
     try:
-        for path, text in docs.items():
+        for path, text in docs:
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
                 with open(tmp, "x", encoding="utf-8", newline="\n") as fh:

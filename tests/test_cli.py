@@ -344,5 +344,5 @@ def test_each_command_writes_through_one_call(tmp_path, monkeypatch, args, files
     monkeypatch.setattr(cli, "write_all", calls.append)
     monkeypatch.chdir(tmp_path)
     assert main([*args, "--out", "t.csv"]) == 0
-    assert [sorted(docs) for docs in calls] == [sorted(["t.csv", "t.svg"][:files])]
+    assert [sorted(path for path, _ in docs) for docs in calls] == [sorted(["t.csv", "t.svg"][:files])]
     assert list(tmp_path.iterdir()) == []  # the table functions open no file

@@ -2,6 +2,7 @@
 
 import builtins
 import errno
+import re
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_failed_csv_write_keeps_previous_file(old_files, full_disk):
 def test_failed_svg_write_keeps_previous_file(old_files, full_disk):
     with pytest.raises(OSError):
         svg = svgplot.figure1_svg(bounds.figure1_table(2, np.array([1.0, 2.0])), 2, True)
-        write_all({str(old_files[1]): svg})
+        write_all([(str(old_files[1]), svg)])
     _assert_untouched(old_files)
 
 
@@ -202,6 +203,31 @@ def test_csv_and_svg_naming_one_file_write_nothing(out, tmp_path, monkeypatch, c
     assert main(["figure1", "--points", "3", "--out", out, "--svg", "f.csv"]) == 1
     assert capsys.readouterr().err == f"error: the outputs {out!r}, 'f.csv' name one file\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alias", ["old.csv", "./old.csv", "link.csv"])
+def test_write_all_refuses_one_file_named_twice(alias, tmp_path, monkeypatch):
+    # the same spelling, a ./ spelling and a symlink: the last two would collide on one
+    # temporary file, or replace the link with a regular file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.csv").write_text("previous old.csv\n")
+    (tmp_path / "link.csv").symlink_to("old.csv")
+    message = f"the outputs 'old.csv', {alias!r} name one file"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_all([("old.csv", "new\n"), (alias, "other\n")])
+    assert (tmp_path / "old.csv").read_text() == "previous old.csv\n"
+    assert (tmp_path / "link.csv").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "old.csv"]  # no *.tmp
+
+
+def test_config_clash_is_named_before_a_repeated_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path / "c.cfg", {"points": "3"})
+    before = (tmp_path / "c.cfg").read_bytes()
+    assert main(["figure1", "--out", "c.cfg", "--svg", "./c.cfg", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: the output 'c.cfg' names the config file {cfg!r}\n"
+    assert (tmp_path / "c.cfg").read_bytes() == before
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
 
 @pytest.mark.parametrize("args", [["bounds", "--out", "c.cfg"],

@@ -44,7 +44,7 @@ def as_rows(columns) -> list[tuple]:
 
 
 def assert_matches_reference(header, columns) -> None:
-    assert csv_text(header, columns) == reference_csv(header, as_rows(columns))
+    assert csv_text(dict(zip(header, columns))) == reference_csv(header, as_rows(columns))
 
 
 @pytest.fixture
@@ -53,9 +53,9 @@ def tables(monkeypatch):
     seen = []
     real = csv_text
 
-    def record(header, columns):
-        seen.append((header, columns))
-        return real(header, columns)
+    def record(table):
+        seen.append((list(table), list(table.values())))
+        return real(table)
 
     monkeypatch.setattr(cli, "csv_text", record)
     return seen
@@ -89,7 +89,7 @@ def test_edge_values_match_row_at_a_time_text():
     header = ["x", "flag", "seed", "note", "modes", "step"]
     columns = (floats, flags, seeds, "100% (50%s)", 3, 0.1)
     assert_matches_reference(header, columns)
-    first = csv_text(header, columns).splitlines()[1]
+    first = csv_text(dict(zip(header, columns))).splitlines()[1]
     assert first == "nan,1,18446744073709551615,100% (50%s),3,0.10000000000000001"
 
 
@@ -101,7 +101,7 @@ def test_sequence_columns_keep_their_python_values():
 
 def test_zero_rows_give_the_header_only():
     columns = (np.array([]), np.array([], dtype=np.int64), "family", 2)
-    assert csv_text(["a", "b", "c", "d"], columns) == "a,b,c,d\n"
+    assert csv_text(dict(zip("abcd", columns))) == "a,b,c,d\n"
     assert_matches_reference(["a", "b", "c", "d"], columns)
 
 
@@ -110,12 +110,10 @@ def test_zero_rows_give_the_header_only():
     (["a", "b"], [np.arange(3.0), np.arange(5.0)], "column 'b' has shape (5,)"),
     (["a", "b"], [np.arange(3.0), np.arange(2.0)], "column 'b' has shape (2,)"),
     (["a", "b"], [np.arange(3), np.zeros((3, 2))], "column 'b' has shape (3, 2)"),
-    (["a"], [np.arange(3.0), np.arange(3.0)], "column 2 is unpaired"),
-    (["a", "b", "c"], [np.arange(3.0), "x"], "header 'c' is unpaired"),
 ])
 def test_ragged_tables_are_refused(header, columns, bad):
     with pytest.raises(ValueError, match=re.escape(bad)):
-        csv_text(header, columns)
+        csv_text(dict(zip(header, columns)))
 
 
 def test_write_csv_writes_no_ragged_table(tmp_path):
@@ -142,7 +140,7 @@ def float_text(values) -> tuple[str, str]:
     """(csv_text, row-at-a-time reference) of one float64 column, both signs."""
     values = np.asarray(values, dtype=np.float64)
     values = np.concatenate([values, -values])
-    return csv_text(["x"], [values]), reference_csv(["x"], [(v,) for v in values.tolist()])
+    return csv_text({"x": values}), reference_csv(["x"], [(v,) for v in values.tolist()])
 
 
 @pytest.mark.filterwarnings("error")
@@ -217,7 +215,7 @@ class TestFloatKernel:
         columns = (x, rng.permutation(x), np.resize(specials[::-1], rows))
         assert np.signbit(x[np.isnan(x)]).any() and not np.signbit(x[np.isnan(x)]).all()
         assert_matches_reference(["a", "b", "c"], columns)
-        assert csv_text(["x"], [specials]).splitlines()[1:] == ["nan"] * 6 + [
+        assert csv_text({"x": specials}).splitlines()[1:] == ["nan"] * 6 + [
             "0", "-0", "inf", "-inf", "1.5"]
 
     def test_every_layout(self):

@@ -66,3 +66,10 @@ def test_install_block_installs_what_the_tests_import(doc):
     if not re.search(r"pip install .*\.\[test\]", commands):
         for module in _test_only_imports():
             assert re.search(rf"pip install .*\b{module}\b", commands), f"{doc} lacks {module}"
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_module_table_names_every_module(doc):
+    rows = re.findall(r"^\| `catsense\.(\w+)` \|", (ROOT / doc).read_text(), re.M)
+    modules = {path.stem for path in (ROOT / "src" / "catsense").glob("*.py")} - {"__init__"}
+    assert sorted(rows) == sorted(modules)

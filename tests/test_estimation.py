@@ -140,6 +140,12 @@ class TestRamseyReadout:
         with pytest.raises(ValueError, match=rf"^replicates must be >= 2, got {replicates}$"):
             ramsey_table((2,), 10, replicates, 1)
 
+    def test_a_register_size_is_checked_before_it_meets_shots(self):
+        # "3" * shots would be a message of a billion characters
+        with pytest.raises(ValueError) as info:
+            ramsey_table(["3"], 10**9, 4, 1)
+        assert str(info.value) == "shots * N must be an integer, got '3'"
+
     def test_ghz_beats_product_at_equal_qubit_budget(self):
         # same number of atoms consumed: product runs N * shots repetitions
         n, shots = 8, 20_000
