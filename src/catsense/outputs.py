@@ -26,42 +26,36 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell layout and per quad of digits, the words that open the quad into its text.
+def _masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell layout, the three 4-word rows that turn a cell's words into its text.
 
-    A cell's digits are E = "0000000" and then its 17 digits: six quads of 4,
-    each opened into a word with a point slot after one of its digits.  It
+    A cell's digits are E = "0000000" and then its 17 digits, held in three
+    words (E[7], the leading digit, is byte 7 of the first); a fourth word
+    holds the exponent text from byte 1, its bytes 0 and 7 holes.  The cell
     shows E[7 + min(X, 0) : 7 + max(digits, X + 1)], a point after E[7 + X]
     when a shown digit follows, and a '-' before the first shown digit of a
     negative cell; every other byte is a hole.  The layout is
     ``(cls * 17 + digits - 1) * 2 + negative``: ``cls`` is X + 4 for the
     fixed layout of decade -4 <= X <= 16, or 21 for ``d.ddd...e±XX``, shown
     as X = 0 and then the exponent; ``digits`` counts the digits left once
-    trailing zeros are cut.  Returns per layout the finished word of quad 0,
-    always "0000", and per quad 1 to 5 (a plane each) and layout the mask of
-    the bytes that move up to open the slot, the mask of those kept, and the
-    bytes or-ed over the rest.
+    trailing zeros are cut.  Returns per layout the mask of the bytes kept
+    from the four words (the point and all before it, and the exponent
+    word's last seven bytes), the mask of those kept from the words shifted
+    up one byte (the digits after the point, E[23] landing in byte 0 of the
+    exponent word), and the bytes or-ed over the rest.
     """
     layout, neg = np.divmod(np.arange(22 * 17 * 2, dtype=np.int16), 2)
     cls, cut = np.divmod(layout, 17)  # cut = digits - 1
     x = np.where(cls < 21, cls - 4, 0)
-    start, end = 7 + np.minimum(x, 0), 8 + np.maximum(cut, x)
-    start, end, x, neg, cut = (a[:, None] for a in (start, end, x, neg, cut))
-    q, b = np.arange(6, dtype=np.int16)[:, None, None], np.arange(8, dtype=np.int16)
-    local = 7 + x - 4 * q  # the point's digit within quad q
-    point = (cut > x) & (local >= 0) & (local <= 3)
-    slot = np.where(point, local + 1, 4)
-    e = 4 * q + b - (b > slot)  # E index of byte b
-    digit = (b < 5) & (b != slot)
-    shown = digit & (e >= start) & (e < end)
-    over = np.full(shown.shape, 0xFF, np.uint8)
-    over[shown] = 0
-    over[point & (b == slot)] = ord(".")
-    over[(neg == 1) & digit & (e == start - 1)] = ord("-")
-    high = ((b >= slot) & (b < 4)) * np.uint8(0xFF)
-    high, keep, over = (t.view(_WORD)[..., 0] for t in (high, shown * np.uint8(0xFF), over))
-    first = (((high[0] & 0x30303030) * 255 + 0x30303030) & keep[0]) | over[0]  # "0000" opened
-    return first, high[1:], keep[1:], over[1:]
+    start, x, neg, cut = (a[:, None] for a in (7 + np.minimum(x, 0), x, neg, cut))
+    b = np.arange(32, dtype=np.int16)
+    keep = ((b >= start) & (b <= 7 + x)) | (b > 24)
+    shift = (b > 8 + x) & (b <= 8 + cut)  # none when no shown digit follows the point
+    over = np.where(keep | shift, np.uint8(0), np.uint8(0xFF))
+    over[(b == 8 + x) & (cut > x)] = ord(".")
+    over[(b == start - 1) & (neg == 1)] = ord("-")
+    keep, shift = keep * np.uint8(0xFF), shift * np.uint8(0xFF)
+    return keep.view(_WORD), shift.view(_WORD), over.view(_WORD)
 
 
 _HI, _LO = np.array([_power_of_ten(j) for j in range(_K_MIN, 309)]).T
@@ -72,18 +66,18 @@ _HI_HI, _HI_LO = (np.ldexp(half, e) for m, e in [np.frexp(_HI)] for half in _spl
 _DECADE = np.floor((np.arange(2048) - 1023) * np.log10(2)).astype(np.intp)
 _NEXT_DECADE = _CEIL[np.clip(_DECADE + 1 - _K_MIN, 0, _CEIL.size - 1)]
 _QUADS = (np.indices((10,) * 4, np.uint8).reshape(4, -1) + 48).T.copy()  # "0000" ... "9999"
-_QUAD_WORDS = _QUADS.view("<u4")[:, 0].astype(_WORD)
+_QUAD_TEXT = _QUADS.view("<u4")[:, 0]
 # the trailing zeros of each quad, 4 for "0000"
 _QUAD_ZEROS = (_QUADS[:, ::-1] == 48).cumprod(axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-_FIRST, _HIGH, _KEEP, _OVER = _layouts()
+_KEEP, _SHIFT, _OVER = _masks()
 _DECADES = range(_K_MIN, _K_MAX + 2)
 _CLASS = np.array([(k + 4 if -4 <= k <= 16 else 21) * 17 for k in _DECADES])
-_EXPONENT = np.frombuffer(b"".join((b"" if -4 <= k <= 16 else b"e%+03d" % k).ljust(8, b"\xff")
-                                   for k in _DECADES), _WORD)
+_EXPONENT = np.frombuffer(b"".join((b"\xff" if -4 <= k <= 16 else b"\xffe%+03d" % k)
+                                   .ljust(8, b"\xff") for k in _DECADES), _WORD)
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """Each float64 x as the bytes of ``'%.17g' % x`` in a 56-byte row padded with holes (0xFF).
+    """Each float64 x as the bytes of ``'%.17g' % x`` in a 32-byte row padded with holes (0xFF).
 
     The last byte of a row is always a hole.  For a magnitude v in
     [10^_K_MIN, 10^(_K_MAX + 1)):
@@ -103,7 +97,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     Every other cell (NaN, ±inf, ±0, magnitudes outside the range, near
     ties) is formatted by Python's ``%``, once per distinct bit pattern (a
     float dedupe would merge -0.0 into 0.0); its value never enters the
-    arithmetic.
+    arithmetic.  The text half writes "0000000" and the 17 digits into three
+    words and the exponent text into a fourth, shifts the flat word array up
+    one byte once, and finishes each cell with its layout's rows of `_masks`.
     """
     a = np.abs(x)
     text = ~((a >= _CEIL[0]) & (a < _CEIL[_K_MAX + 1 - _K_MIN]))  # NaN compares False
@@ -127,14 +123,17 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     zeros = _QUAD_ZEROS.take(quads[1:])  # a quad's trailing zeros are cut if every later quad is 0
     more = zeros[2] + (quads[3] == 0) * (zeros[1] + (quads[2] == 0) * zeros[0])
     layout = (_CLASS[k - _K_MIN] + 16 - zeros[3] - (quads[4] == 0) * more) * 2 + (x < 0)
-    words, moved = _QUAD_WORDS.take(quads), _HIGH.take(layout, axis=1)
-    moved &= words
-    words += moved * 255  # the moved bytes go up one byte: the point slot opens
-    words &= _KEEP.take(layout, axis=1)
-    out = np.empty((x.size, 7), _WORD)
-    out[:, 0] = _FIRST.take(layout)
-    np.bitwise_or(words, _OVER.take(layout, axis=1), out=out[:, 1:6].T)
-    out[:, 6] = _EXPONENT[k - _K_MIN]
+    out = np.empty((x.size, 4), _WORD)
+    halves = out.view("<u4")  # E's six quads fill the halves of words 0 to 2
+    halves[:, 0] = 0x30303030
+    halves[:, 1:6] = _QUAD_TEXT.take(quads).T
+    out[:, 3] = _EXPONENT[k - _K_MIN]
+    shifted = out << 8  # each byte up one, the top byte of a word carried into the next
+    shifted.reshape(-1)[1:] |= out.reshape(-1)[:-1] >> 56
+    shifted &= _SHIFT.take(layout, axis=0)
+    out &= _KEEP.take(layout, axis=0)
+    out |= shifted
+    out |= _OVER.take(layout, axis=0)
     out = out.view(np.uint8)
     if text.any():
         bits, back = np.unique(x[text].view(np.int64), return_inverse=True)

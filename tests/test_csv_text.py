@@ -136,6 +136,33 @@ def exact_cells(decade: int):
                 break
 
 
+def reference_masks() -> list[np.ndarray]:
+    """The kernel's keep, shift and over bytes per layout, one byte at a time from the rule.
+
+    A cell's words hold E = "0000000" and its 17 digits at bytes 0..23, then the exponent
+    text from byte 25.  A cell shows E[7 + min(X, 0) : 7 + max(digits, X + 1)]: the digits
+    up to E[7 + X] stay where they are, a point follows when a shown digit does, and the
+    digits after it come from the words shifted up one byte; a negative cell gets a '-'
+    before its first shown digit.  The exponent word is kept as it is but for byte 0.
+    """
+    n_layouts = 22 * 17 * 2
+    keep, shift = np.zeros((2, n_layouts, 32), np.uint8)
+    over = np.full((n_layouts, 32), 0xFF, np.uint8)
+    for layout in range(n_layouts):
+        cls, cut = divmod(layout // 2, 17)
+        x = cls - 4 if cls < 21 else 0
+        start, end = 7 + min(x, 0), 7 + max(cut + 1, x + 1)
+        for e in range(start, end):
+            table, byte = (keep, e) if e <= 7 + x else (shift, e + 1)
+            table[layout, byte], over[layout, byte] = 0xFF, 0
+        if end > 8 + x:
+            over[layout, 8 + x] = ord(".")
+        if layout % 2:
+            over[layout, start - 1] = ord("-")
+        keep[layout, 25:], over[layout, 25:] = 0xFF, 0
+    return [keep, shift, over]
+
+
 def float_text(values) -> tuple[str, str]:
     """(csv_text, row-at-a-time reference) of one float64 column, both signs."""
     values = np.asarray(values, dtype=np.float64)
@@ -233,6 +260,29 @@ class TestFloatKernel:
         assert len(cells) == sum(18 - d for d in least.values())
         text, want = float_text(list(cells.values()))
         assert text == want
+
+    def test_masks_match_the_layout_rule(self):
+        masks = [m.view(np.uint8) for m in (outputs._KEEP, outputs._SHIFT, outputs._OVER)]
+        for got, want in zip(masks, reference_masks()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_keep_shift_and_over_are_disjoint(self):
+        keep, shift, over = (m.view(np.uint8) for m in (outputs._KEEP, outputs._SHIFT,
+                                                        outputs._OVER))
+        assert keep.shape == shift.shape == over.shape == (22 * 17 * 2, 32)
+        assert not ((keep & shift) | (keep & over) | (shift & over)).any()
+        assert ((keep | shift | over) != 0).all()  # every byte comes from one of them
+
+    def test_rows_are_32_bytes_ending_in_a_hole(self):
+        tie = 4000000000000001 / 4  # 1000000000000000.25: its 18th digit is an exact tie
+        assert "%.18g" % tie == "1000000000000000.25"
+        values = [1.5, -2.5e-300, 6.02214076e23, tie, -tie, 0.0, -0.0, math.inf, -math.inf,
+                  math.nan, -5e-324]
+        cells = outputs._float_cells(np.array(values))
+        assert cells.shape == (len(values), 32) and cells.dtype == np.uint8
+        assert (cells[:, -1] == 0xFF).all()
+        assert [c.tobytes().replace(b"\xff", b"").decode() for c in cells] == [
+            "%.17g" % v for v in values]
 
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_floats(self, values):
