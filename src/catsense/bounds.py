@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConsistencyError, require_int, require_nonnegative
+from .errors import require_int, require_nonnegative
 
 
 class FamilyKind(str, Enum):
@@ -69,13 +69,11 @@ def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def _eps_from_variance(var: float | np.ndarray, what: str, x) -> float | np.ndarray:
-    """1 / sqrt(Var(G)), refusing a variance <= 0 or past the largest double.
+    """1 / sqrt(Var(G)), refusing a variance past the largest double.
 
     `what` and `x` name the input that gave each variance in the error.
     """
     v = np.asarray(var)
-    if (v <= 0.0).any():
-        raise ConsistencyError(f"generator variance {v[v <= 0.0][0]} <= 0")
     over = ~np.isfinite(v)
     if over.any():
         raise ValueError(f"{what} {np.asarray(x)[over][0]} puts Var(G) past the largest double")

@@ -31,6 +31,7 @@ from .errors import (
     ConsistencyError,
     DegenerateState,
     DimensionMismatch,
+    require_finite,
     require_int,
     require_nonnegative,
     require_real,
@@ -41,11 +42,6 @@ from .errors import (
 TOL_LABEL = 1e-12
 
 ComplexLike = complex | float | int
-
-
-def _require_finite(values: np.ndarray, what: str = "amplitude in a label") -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"non-finite {what}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +85,8 @@ class SuperpositionState:
         self._store(np.asarray(coeffs, dtype=np.complex128), amps)
 
     def _store(self, coeffs: np.ndarray, labels: np.ndarray) -> None:
-        _require_finite(labels)
-        _require_finite(coeffs, "coefficient")
+        require_finite("label amplitude", labels)
+        require_finite("coefficient", coeffs)
         with np.errstate(over="ignore"):  # a difference past the double range is inf: not close
             close = np.all(np.abs(labels[:, None, :] - labels[None, :, :]) <= TOL_LABEL, axis=2)
         keep, group = np.unique(np.argmax(close, axis=0), return_inverse=True)
@@ -178,20 +174,17 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
     so that phase joins the coefficient, or the overlaps of displaced terms
     would be off in phase by about |beta| ulp(beta).
     """
-    kicks = np.array([complex(b) for b in betas])
+    kicks = require_finite("kick", [complex(b) for b in betas])
     if kicks.shape != (s.mode_count,):
-        raise DimensionMismatch(
-            f"{len(kicks)} displacement amplitudes for a {s.mode_count}-mode state"
-        )
+        raise DimensionMismatch(f"{len(kicks)} kicks for a {s.mode_count}-mode state")
     with np.errstate(over="ignore"):  # a sum past the double range is rejected just below
         moved = s.labels + kicks
-    _require_finite(moved)  # before the TwoSum arithmetic, which warns on inf
+    require_finite("displaced label amplitude", moved)  # TwoSum below warns on inf
     part = moved - s.labels
     err = (s.labels - (moved - part)) + (kicks - part)
     with np.errstate(over="ignore", invalid="ignore"):  # an unused real part may overflow
         phase = np.sum((kicks * s.labels.conj()).imag + (err * moved.conj()).imag, axis=1)
-    if not np.isfinite(phase).all():
-        raise ValueError("displacement phase Im(beta conj(g)) beyond the double range")
+    require_finite("displacement phase Im(beta conj(g))", phase)
     out = object.__new__(SuperpositionState)  # arrays in hand, no term list to convert
     out._store(s.coeffs * np.exp(1j * phase), moved)
     return out

@@ -3,8 +3,8 @@
 Every exception type carries the exit code it earns in the CLI as the class
 attribute `exit_code`: 1 for bad input, 3 for an oracle capacity or tolerance
 failure.  Beside them sit the rule helpers that the other modules call on
-their inputs: `require_int` (counts, seeds and replicates), `require_nonnegative`
-and `require_real`.
+their inputs: `require_int` (counts, seeds and replicates), `require_finite`
+(amplitudes, coefficients and kicks), `require_nonnegative` and `require_real`.
 """
 
 import operator
@@ -72,6 +72,16 @@ def require_int(name: str, n, least: int = 1, bits: int = 63) -> int:
     if k >= 2**bits:  # the message leaves out a value that may run to hundreds of digits
         raise ValueError(f"{name} must be <= 2^{bits} - 1")
     return k
+
+
+def require_finite(name: str, z) -> np.ndarray:
+    """z as a complex128 array once every entry is finite."""
+    v = np.asarray(z, dtype=np.complex128)
+    ok = np.isfinite(v)
+    if not ok.all():
+        bad = z if v.ndim == 0 else np.asarray(z)[~ok][0]
+        raise ValueError(f"{name} must be finite, got {bad}")
+    return v
 
 
 def require_nonnegative(name: str, x, strict: bool = False) -> np.ndarray:

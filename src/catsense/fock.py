@@ -18,9 +18,9 @@ Conventions:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +33,8 @@ from .errors import (
     HermiticityError,
     StepTooSmallError,
     TruncationError,
+    require_finite,
+    require_int,
     require_nonnegative,
     require_real,
 )
@@ -50,12 +52,14 @@ TAIL_TOL = 1e-12
 # wanting better must raise dim until the gate passes a stricter tol.
 SQUEEZED_TAIL_TOL = 1e-8
 
+
 def _require_capacity(dim: int, mode_count: int) -> None:
     """The oracle's one capacity rule, checked before anything of that size is built."""
-    if not (1 <= mode_count <= MAX_MODES and 1 <= dim <= math.isqrt(MAX_ENTRIES)
-            and dim**mode_count <= MAX_ENTRIES):
+    if isinstance(dim, numbers.Real) and not (1 <= dim <= math.isqrt(MAX_ENTRIES)
+            and 1 <= mode_count <= MAX_MODES and dim**mode_count <= MAX_ENTRIES):
         raise CapacityError(f"{mode_count} modes of {dim} levels exceed the oracle caps "
                             f"of 1..{MAX_MODES} modes and {MAX_ENTRIES} entries per array")
+    require_int("dim", dim)  # after the caps, so a float need past 2^53 stays a CapacityError
 
 
 def recommended_dim(alpha_max: float) -> int | float:
@@ -117,9 +121,7 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
     or when |alpha|^2 overflows; a NaN or infinite alpha is a ValueError.
     """
     _require_capacity(dim, 1)
-    a = complex(alpha)
-    if not cmath.isfinite(a):
-        raise ValueError(f"coherent_vector: alpha must be finite, got {a}")
+    a = complex(require_finite("alpha", alpha))
     try:
         mean = abs(a) ** 2
     except OverflowError:
@@ -205,9 +207,7 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     (a Taylor series on a truncated a would not be).  A NaN or infinite
     beta is a ValueError, raised before anything is built.
     """
-    b = complex(beta)
-    if not cmath.isfinite(b):
-        raise ValueError(f"displacement_matrix: beta must be finite, got {b}")
+    b = complex(require_finite("beta", beta))
     a = annihilation(dim)
     h = 1j * (b * a.conj().T - b.conjugate() * a)
     w, v = np.linalg.eigh(h)
@@ -229,11 +229,9 @@ def displace_fock(state: FockVector, betas: Sequence[complex]) -> FockVector:
     two levels of its mode: the truncated D(beta) would clip that mass, and
     the result would be renormalized with its photon number quietly wrong.
     """
-    kicks = [complex(b) for b in betas]
+    kicks = require_finite("kick", [complex(b) for b in betas]).tolist()
     if len(kicks) != state.mode_count:
-        raise DimensionMismatch(
-            f"{len(kicks)} displacement amplitudes for {state.mode_count} modes"
-        )
+        raise DimensionMismatch(f"{len(kicks)} kicks for a {state.mode_count}-mode state")
     matrices = {b: displacement_matrix(b, state.dim) for b in set(kicks) - {0j}}
     tens = state.amplitudes
     for k, b in enumerate(kicks):

@@ -15,9 +15,22 @@ from catsense.bounds import (
     eps_min_squeezed_exact,
     invert_ntot,
 )
-from catsense.coherent import make_entangled_cat
+from catsense.coherent import (
+    CoherentLabel,
+    SuperpositionState,
+    displace,
+    make_entangled_cat,
+    overlap,
+)
 from catsense.estimation import homodyne_table, ramsey_table
-from catsense.fock import coherent_vector, qfi_fidelity_fd, squeezed_vector
+from catsense.fock import (
+    coherent_vector,
+    displace_fock,
+    displacement_matrix,
+    qfi_fidelity_fd,
+    squeezed_vector,
+    to_fock,
+)
 from catsense.outputs import csv_text
 
 COUNTS = [
@@ -57,6 +70,29 @@ def _replicates(n):
     return ramsey_table((2,), 1, n, 1)
 
 
+FD_STEP = 0.1
+
+# (name, call, shown): a scalar is shown as passed, a label or kick entry as its complex()
+FINITE = [
+    ("label amplitude", lambda z: SuperpositionState([(1.0, CoherentLabel([0.5, z]))]), complex),
+    ("coefficient", lambda z: SuperpositionState([(z, CoherentLabel([0.5]))]), complex),
+    ("label amplitude", lambda z: overlap(CoherentLabel([z]), CoherentLabel([0.5])), complex),
+    ("kick", lambda z: displace(make_entangled_cat(0.5, 2), [0.0, z]), complex),
+    ("alpha", lambda z: coherent_vector(z, 20), str),
+    ("beta", lambda z: displacement_matrix(z, 20), str),
+    ("kick", lambda z: displace_fock(coherent_vector(0.5, 20), [z]), complex),
+    # the first finite-difference step's kick, z * step, is the one refused
+    ("kick", lambda z: qfi_fidelity_fd(coherent_vector(0.0, 20), [z], FD_STEP),
+     lambda z: complex(z * FD_STEP)),
+]
+
+DIMS = [
+    lambda d: coherent_vector(0.1, d),
+    lambda d: squeezed_vector(0.1, d),
+    lambda d: to_fock(make_entangled_cat(0.1, 1), d),
+]
+
+
 CASES = (
     [(call, n, f"{name} must be >= 1, got {n}") for name, call in COUNTS for n in (0, -2)]
     + [(call, n, f"{name} must be <= 2^63 - 1") for name, call in COUNTS for n in (2**63, 10**400)]
@@ -71,6 +107,9 @@ CASES = (
        for name, call in REALS for x in (math.nan, math.inf, -1.0)]
     + [(_fd_step, x, f"step must be finite and > 0, got {x}")
        for x in (math.nan, math.inf, -1.0, 0.0)]
+    + [(call, z, f"{name} must be finite, got {shown(z)}") for name, call, shown in FINITE
+       for z in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0))]
+    + [(call, d, f"dim must be an integer, got {d!r}") for call in DIMS for d in (2.5, 30.0, "3")]
 )
 
 
@@ -80,6 +119,17 @@ def test_every_entry_point_states_the_shared_rule(call, bad, message):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [math.inf, 1e20])
+@pytest.mark.parametrize("call", DIMS)
+def test_an_oracle_dim_past_the_caps_stays_a_capacity_error(call, dim):
+    # checked before the integer rule: recommended_dim gives such floats past 2^53
+    with pytest.raises(errors.CapacityError) as info:
+        call(dim)
+    assert str(info.value) == (f"1 modes of {dim} levels exceed the oracle caps "
+                               "of 1..3 modes and 2097152 entries per array")
 
 
 TABLES = [

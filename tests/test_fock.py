@@ -410,11 +410,11 @@ class TestDisplacement:
             raise AssertionError("built the ladder operator before checking the kick")
 
         monkeypatch.setattr(fock, "annihilation", no_build)
-        shown = re.escape(str(complex(beta)))
-        message = rf"^displacement_matrix: beta must be finite, got {shown}$"
-        with pytest.raises(ValueError, match=message):
+        # the matrix names beta as passed; displace_fock names the bad entry of its kick vector
+        with pytest.raises(ValueError, match=rf"^beta must be finite, got {re.escape(str(beta))}$"):
             fock.displacement_matrix(beta, 25)
-        with pytest.raises(ValueError, match=message):
+        shown = re.escape(str(complex(beta)))
+        with pytest.raises(ValueError, match=rf"^kick must be finite, got {shown}$"):
             fock.displace_fock(psi, [beta])
 
     def test_wrong_kick_count(self):
