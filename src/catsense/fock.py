@@ -79,7 +79,8 @@ def recommended_dim(alpha_max: float) -> int | float:
 class FockVector:
     """A state as its read-only (dim,)*mode_count amplitude tensor; equal only to itself.
 
-    The constructor copies a (dim,)*mode_count tensor and reads dim and mode_count from its shape.
+    The constructor copies a (dim,)*mode_count tensor of finite amplitudes and reads dim and
+    mode_count from its shape.
     """
 
     amplitudes: np.ndarray
@@ -92,10 +93,20 @@ class FockVector:
             raise DimensionMismatch(f"amplitudes of shape {shape} are no (dim,)*modes tensor")
         _require_capacity(shape[0], len(shape))
         amps = np.array(amplitudes, dtype=np.complex128, order="C")
+        require_finite("amplitude", amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dim", shape[0])
         object.__setattr__(self, "mode_count", len(shape))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> by numpy's pairwise sum, not BLAS: the same bits on any thread count."""
+    return complex(np.sum(a.conj() * b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_inner(a, a).real)
 
 
 def _top_mass(amps: np.ndarray, axis: int = 0) -> float:
@@ -130,7 +141,7 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
     c = np.cumprod(np.concatenate(([math.exp(-0.5 * mean)], a / np.sqrt(np.arange(1, dim)))))
     if dim >= 2:
         _check_tail(c, f"coherent_vector(alpha={a})")
-    nrm = np.linalg.norm(c)
+    nrm = _norm(c)
     if not abs(nrm - 1.0) <= 1e-9:
         raise TruncationError(f"coherent_vector norm {nrm} too far from 1")
     return FockVector(c / nrm)
@@ -154,7 +165,7 @@ def squeezed_vector(r: float, dim: int) -> FockVector:
     ratios = math.tanh(rr) * np.sqrt(np.arange(1, dim - 1, 2) / np.arange(2, dim, 2))
     c[::2] = np.cumprod(np.concatenate(([1.0 / math.sqrt(math.cosh(rr))], ratios)))
     _check_tail(c, f"squeezed_vector(r={rr})", SQUEEZED_TAIL_TOL)
-    return FockVector(c / np.linalg.norm(c))
+    return FockVector(c / _norm(c))
 
 
 def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVector:
@@ -171,7 +182,7 @@ def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVecto
     for coeff, label in zip(s.coeffs, s.labels):
         columns = [coherent_vector(a, dim).amplitudes for a in label]
         total += coeff * functools.reduce(np.multiply.outer, columns)
-    nrm = float(np.linalg.norm(total))
+    nrm = _norm(total)
     exact = math.sqrt(coherent.norm_squared(s))
     if abs(nrm - exact) > 1e-10 * max(exact, 1.0):
         raise TruncationError(f"truncated norm {nrm} vs exact {exact}, cutoff too small")
@@ -255,8 +266,8 @@ def _moment(state: FockVector, op: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         raise HermiticityError(f"operator deviates from Hermitian by {worst:.3e}")
     psi = state.amplitudes
     opsi = sum(_contract(op, psi, k) for k in range(state.mode_count))
-    nrm2 = float(np.vdot(psi, psi).real)
-    m = require_real("Hermitian expectation", complex(np.vdot(psi, opsi)) / nrm2)
+    nrm2 = _inner(psi, psi).real
+    m = require_real("Hermitian expectation", _inner(psi, opsi) / nrm2)
     return psi, opsi, m, nrm2
 
 
@@ -269,7 +280,7 @@ def variance(state: FockVector, op: np.ndarray) -> float:
     """Var(O) = ||(O - m) psi||^2 / ||psi||^2, m = <O>: never cancels against m^2."""
     psi, opsi, m, nrm2 = _moment(state, op)
     dev = opsi - m * psi
-    return float(np.vdot(dev, dev).real) / nrm2
+    return _inner(dev, dev).real / nrm2
 
 
 def qfi_pure(state: FockVector, generator: np.ndarray) -> float:
@@ -284,19 +295,29 @@ def qfi_fidelity_fd(state: FockVector, kicks: Sequence[complex], step: float) ->
     For pure states F(0, d) = 1 - (d^2/8) QFI + O(d^4), so
         q(d) = 8 (1 - F) / d^2
     converges quadratically and one Richardson step, (4 q(d/2) - q(d)) / 3,
-    removes the leading error term.  When the fidelity deficit 1 - F sinks
-    toward double-precision roundoff the quotient is garbage; that is
-    reported as StepTooSmallError rather than returned.
+    removes the leading error term.  The deficit is taken as
+        1 - F = |a - e^{-i phi} b|^2 / 2,   phi = arg <a|b>  (0 when <a|b> = 0),
+    a and b being the normalized base and displaced states.  The form
+    1 - |<a|b>| loses half its digits to cancellation (about 1e-9 relative
+    at the default step); in this one the rounding of the two norms enters
+    only at second order.  When the deficit sinks toward double-precision
+    roundoff the quotient is garbage; that is reported as StepTooSmallError
+    rather than returned.
     """
+    require_finite("kick", [complex(k) for k in kicks])
     require_nonnegative("step", step, strict=True)
     if not any(kicks):  # no step resolves a family that does not move
         raise ValueError(f"kicks must have a nonzero entry, got {list(kicks)}")
-    base = state.amplitudes
-    base_norm = np.linalg.norm(base)
+    base = state.amplitudes * (1.0 / _norm(state.amplitudes))
 
     def quotient(d: float) -> float:
         other = displace_fock(state, [k * d for k in kicks]).amplitudes
-        df = 1.0 - abs(np.vdot(base, other)) / (base_norm * np.linalg.norm(other))
+        z = _inner(base, other)
+        # e^{-i phi} / |other|, one complex scalar, so `other` is rotated and scaled in one pass
+        turn = (z.conjugate() / abs(z) if z else 1.0) / _norm(other)
+        diff = turn * other
+        diff -= base  # in place: a fresh state-sized array costs more than the arithmetic
+        df = 0.5 * _inner(diff, diff).real
         if df < 1e-13:
             raise StepTooSmallError(
                 f"fidelity deficit {df:.3e} at step {d:.3e} is below the roundoff floor"

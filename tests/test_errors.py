@@ -24,6 +24,7 @@ from catsense.coherent import (
 )
 from catsense.estimation import homodyne_table, ramsey_table
 from catsense.fock import (
+    FockVector,
     coherent_vector,
     displace_fock,
     displacement_matrix,
@@ -70,9 +71,7 @@ def _replicates(n):
     return ramsey_table((2,), 1, n, 1)
 
 
-FD_STEP = 0.1
-
-# (name, call, shown): a scalar is shown as passed, a label or kick entry as its complex()
+# (name, call, shown): a scalar is shown as passed, an entry of a sequence as its complex()
 FINITE = [
     ("label amplitude", lambda z: SuperpositionState([(1.0, CoherentLabel([0.5, z]))]), complex),
     ("coefficient", lambda z: SuperpositionState([(z, CoherentLabel([0.5]))]), complex),
@@ -81,9 +80,8 @@ FINITE = [
     ("alpha", lambda z: coherent_vector(z, 20), str),
     ("beta", lambda z: displacement_matrix(z, 20), str),
     ("kick", lambda z: displace_fock(coherent_vector(0.5, 20), [z]), complex),
-    # the first finite-difference step's kick, z * step, is the one refused
-    ("kick", lambda z: qfi_fidelity_fd(coherent_vector(0.0, 20), [z], FD_STEP),
-     lambda z: complex(z * FD_STEP)),
+    ("kick", lambda z: qfi_fidelity_fd(coherent_vector(0.0, 20), [z], 0.1), complex),
+    ("amplitude", lambda z: FockVector([0.5, z]), complex),
 ]
 
 DIMS = [

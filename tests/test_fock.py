@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 import os
 import re
@@ -472,6 +474,25 @@ class TestQfi:
         got = fock.qfi_fidelity_fd(fock.coherent_vector(1.0, 40), [1j], 1e-3)
         assert got == pytest.approx(4.0, rel=1e-9)
 
+    @given(st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(-math.pi, math.pi),
+                              st.floats(-math.pi, math.pi)), min_size=1, max_size=3),
+           st.floats(1e-4, 1e-3))
+    def test_fd_reaches_the_coherent_qfi_to_1e_10(self, modes, step):
+        # a product of coherent states has QFI 4 per unit kick, whatever its phase;
+        # the fidelity deficit must not lose half its digits to 1 - |<a|b>|
+        dim = fock.recommended_dim(3.0)
+        columns = [fock.coherent_vector(cmath.rect(r, t), dim).amplitudes for r, t, _ in modes]
+        psi = fock.FockVector(functools.reduce(np.multiply.outer, columns))
+        kicks = [cmath.rect(1.0, phase) for _, _, phase in modes]
+        got = fock.qfi_fidelity_fd(psi, kicks, step)
+        assert got == pytest.approx(4.0 * len(modes), rel=1e-10)
+
+    def test_default_grid_meets_the_closed_form(self):
+        # qfi-check's default grid: the generator route within 1e-15, the fidelity route 1e-10
+        table = fock.cat_qfi_check((1, 2, 3), (0.25, 0.5, 1.0, 2.0), 1e-3)
+        assert np.max(table["rel_err_oracle"]) <= 1e-15
+        assert np.max(table["rel_err_fd"]) <= 1e-10
+
     def test_fd_step_too_small(self):
         with pytest.raises(StepTooSmallError):
             fock.qfi_fidelity_fd(fock.coherent_vector(0.5, 30), [1j], 1e-9)
@@ -611,6 +632,7 @@ class TestFockVectorValidation:
     lambda: fock.coherent_vector(0.5, 1449),
     lambda: fock.FockVector(np.zeros((1449,) * 2)),
     lambda: fock.FockVector(np.zeros((129,) * 3)),
+    lambda: fock.FockVector(np.full((2,) * 4, np.nan)),  # capacity before finiteness
     lambda: fock.squeezed_vector(0.5, 0),
     # refused before the vector is built
     lambda: fock.coherent_vector(0.5, 0),
@@ -634,11 +656,18 @@ def test_the_entry_budget_is_inclusive(request_at_cap):
     request_at_cap()
 
 
-def test_oracle_runs_without_scipy(tmp_path):
-    # the oracle is numpy alone: a fresh interpreter running qfi-check never loads scipy
+def _run_in_checkout(script: str, *args: str, **env_vars: str) -> None:
+    """Run `script` in a new interpreter that imports catsense from this checkout."""
     src = Path(fock.__file__).resolve().parents[1]
     paths = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **env_vars)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_oracle_runs_without_scipy(tmp_path):
+    # the oracle is numpy alone: a fresh interpreter running qfi-check never loads scipy
     script = (
         "import sys\n"
         "from catsense.cli import main\n"
@@ -647,5 +676,15 @@ def test_oracle_runs_without_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert code == 0 and not loaded, (code, loaded)\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    _run_in_checkout(script)
+
+
+def test_default_qfi_check_is_one_file_on_one_and_two_blas_threads(tmp_path):
+    # every oracle norm and overlap is numpy's pairwise sum, not a threaded BLAS reduction;
+    # no digest is pinned, since eigh's last bits may still follow the CPU's BLAS kernel
+    script = ("import sys\nfrom catsense.cli import main\n"
+              "sys.exit(main(['qfi-check', '--out', sys.argv[1]]))\n")
+    for threads in ("1", "2"):
+        _run_in_checkout(script, str(tmp_path / f"qfi_{threads}.csv"),
+                         OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    assert (tmp_path / "qfi_1.csv").read_bytes() == (tmp_path / "qfi_2.csv").read_bytes()
