@@ -29,6 +29,7 @@ import numpy as np
 from . import bounds, coherent
 from .errors import (
     CapacityError,
+    DegenerateState,
     DimensionMismatch,
     HermiticityError,
     StepTooSmallError,
@@ -100,13 +101,29 @@ class FockVector:
         object.__setattr__(self, "mode_count", len(shape))
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> by numpy's pairwise sum, not BLAS: the same bits on any thread count."""
-    return complex(np.sum(a.conj() * b))
+def _inner(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> complex:
+    """<a|b> by numpy's pairwise sum, not BLAS: the same bits on any thread count.
+
+    The products are formed in `out` when it is given (a's dtype and size; for <a|a> it
+    may be a itself): a fresh state-sized temporary costs more in page faults than the
+    arithmetic does.  <a|a> is the sum of the squares of a's real and imaginary parts.
+    """
+    if a is b:
+        x = np.ravel(a, order="K").view(np.float64)
+        prod = np.multiply(x, x, out=None if out is None else
+                           np.ravel(out, order="K").view(np.float64))
+    else:
+        prod = np.conjugate(a, out=out)  # a fresh array for a real a too, whose .conj() is a
+        prod *= b  # in place: prod's dtype must hold b's
+    return complex(prod.sum())
 
 
-def _norm(a: np.ndarray) -> float:
-    return math.sqrt(_inner(a, a).real)
+def _norm_squared(state: FockVector, out: np.ndarray) -> float:
+    """<psi|psi>, refused by name when it is zero: a zero vector has no moments and no QFI."""
+    nrm2 = _inner(state.amplitudes, state.amplitudes, out).real
+    if not nrm2 > 0.0:
+        raise DegenerateState(f"the {state.mode_count}-mode state has norm^2 = {nrm2}")
+    return nrm2
 
 
 def _top_mass(amps: np.ndarray, axis: int = 0) -> float:
@@ -141,7 +158,7 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
     c = np.cumprod(np.concatenate(([math.exp(-0.5 * mean)], a / np.sqrt(np.arange(1, dim)))))
     if dim >= 2:
         _check_tail(c, f"coherent_vector(alpha={a})")
-    nrm = _norm(c)
+    nrm = math.sqrt(_inner(c, c).real)
     if not abs(nrm - 1.0) <= 1e-9:
         raise TruncationError(f"coherent_vector norm {nrm} too far from 1")
     return FockVector(c / nrm)
@@ -165,7 +182,7 @@ def squeezed_vector(r: float, dim: int) -> FockVector:
     ratios = math.tanh(rr) * np.sqrt(np.arange(1, dim - 1, 2) / np.arange(2, dim, 2))
     c[::2] = np.cumprod(np.concatenate(([1.0 / math.sqrt(math.cosh(rr))], ratios)))
     _check_tail(c, f"squeezed_vector(r={rr})", SQUEEZED_TAIL_TOL)
-    return FockVector(c / _norm(c))
+    return FockVector(c / math.sqrt(_inner(c, c).real))
 
 
 def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVector:
@@ -182,11 +199,12 @@ def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVecto
     for coeff, label in zip(s.coeffs, s.labels):
         columns = [coherent_vector(a, dim).amplitudes for a in label]
         total += coeff * functools.reduce(np.multiply.outer, columns)
-    nrm = _norm(total)
+    state = FockVector(total)
+    nrm = math.sqrt(_inner(total, total, total).real)  # spends total: the state has a copy
     exact = math.sqrt(coherent.norm_squared(s))
     if abs(nrm - exact) > 1e-10 * max(exact, 1.0):
         raise TruncationError(f"truncated norm {nrm} vs exact {exact}, cutoff too small")
-    return FockVector(total)
+    return state
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -266,8 +284,9 @@ def _moment(state: FockVector, op: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         raise HermiticityError(f"operator deviates from Hermitian by {worst:.3e}")
     psi = state.amplitudes
     opsi = sum(_contract(op, psi, k) for k in range(state.mode_count))
-    nrm2 = _inner(psi, psi).real
-    m = require_real("Hermitian expectation", _inner(psi, opsi) / nrm2)
+    work = np.empty_like(psi)
+    nrm2 = _norm_squared(state, work)
+    m = require_real("Hermitian expectation", _inner(psi, opsi, work) / nrm2)
     return psi, opsi, m, nrm2
 
 
@@ -280,7 +299,7 @@ def variance(state: FockVector, op: np.ndarray) -> float:
     """Var(O) = ||(O - m) psi||^2 / ||psi||^2, m = <O>: never cancels against m^2."""
     psi, opsi, m, nrm2 = _moment(state, op)
     dev = opsi - m * psi
-    return _inner(dev, dev).real / nrm2
+    return _inner(dev, dev, dev).real / nrm2
 
 
 def qfi_pure(state: FockVector, generator: np.ndarray) -> float:
@@ -296,28 +315,29 @@ def qfi_fidelity_fd(state: FockVector, kicks: Sequence[complex], step: float) ->
         q(d) = 8 (1 - F) / d^2
     converges quadratically and one Richardson step, (4 q(d/2) - q(d)) / 3,
     removes the leading error term.  The deficit is taken as
-        1 - F = |a - e^{-i phi} b|^2 / 2,   phi = arg <a|b>  (0 when <a|b> = 0),
-    a and b being the normalized base and displaced states.  The form
-    1 - |<a|b>| loses half its digits to cancellation (about 1e-9 relative
-    at the default step); in this one the rounding of the two norms enters
-    only at second order.  When the deficit sinks toward double-precision
-    roundoff the quotient is garbage; that is reported as StepTooSmallError
-    rather than returned.
+        1 - F = |e^{-i phi} b - a|^2 / (2 |a|^2),   phi = arg <a|b>  (0 when <a|b> = 0),
+    a being the base state and b = D(d * kicks) a, which has a's norm since the
+    truncated D is unitary.  The form 1 - |<a|b>| / |a|^2 loses half its digits to
+    cancellation (about 1e-9 relative at the default step); in this one a relative
+    error e in the norm of b moves the deficit by e relative and e^2 / 2 absolute,
+    so it needs no normalization of b.  When the deficit sinks toward
+    double-precision roundoff the quotient is garbage; that is reported as
+    StepTooSmallError rather than returned.  A zero state is a DegenerateState.
     """
-    require_finite("kick", [complex(k) for k in kicks])
+    kicks = require_finite("kick", [complex(k) for k in kicks]).tolist()
     require_nonnegative("step", step, strict=True)
     if not any(kicks):  # no step resolves a family that does not move
-        raise ValueError(f"kicks must have a nonzero entry, got {list(kicks)}")
-    base = state.amplitudes * (1.0 / _norm(state.amplitudes))
+        raise ValueError(f"kicks must have a nonzero entry, got {kicks}")
+    base = state.amplitudes
+    work = np.empty_like(base)  # both quotients' products and differences: made once
+    nrm2 = _norm_squared(state, work)
 
     def quotient(d: float) -> float:
         other = displace_fock(state, [k * d for k in kicks]).amplitudes
-        z = _inner(base, other)
-        # e^{-i phi} / |other|, one complex scalar, so `other` is rotated and scaled in one pass
-        turn = (z.conjugate() / abs(z) if z else 1.0) / _norm(other)
-        diff = turn * other
-        diff -= base  # in place: a fresh state-sized array costs more than the arithmetic
-        df = 0.5 * _inner(diff, diff).real
+        z = _inner(base, other, work)
+        diff = np.multiply(other, z.conjugate() / abs(z) if z else 1.0, out=work)  # e^{-i phi} b
+        np.subtract(diff, base, out=diff)
+        df = 0.5 * _inner(diff, diff, diff).real / nrm2
         if df < 1e-13:
             raise StepTooSmallError(
                 f"fidelity deficit {df:.3e} at step {d:.3e} is below the roundoff floor"

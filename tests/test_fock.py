@@ -1,4 +1,5 @@
 import cmath
+import csv
 import functools
 import math
 import os
@@ -18,6 +19,7 @@ from test_bounds import _mp_entangled
 from catsense import bounds, coherent, fock
 from catsense.errors import (
     CapacityError,
+    DegenerateState,
     DimensionMismatch,
     HermiticityError,
     StepTooSmallError,
@@ -487,12 +489,6 @@ class TestQfi:
         got = fock.qfi_fidelity_fd(psi, kicks, step)
         assert got == pytest.approx(4.0 * len(modes), rel=1e-10)
 
-    def test_default_grid_meets_the_closed_form(self):
-        # qfi-check's default grid: the generator route within 1e-15, the fidelity route 1e-10
-        table = fock.cat_qfi_check((1, 2, 3), (0.25, 0.5, 1.0, 2.0), 1e-3)
-        assert np.max(table["rel_err_oracle"]) <= 1e-15
-        assert np.max(table["rel_err_fd"]) <= 1e-10
-
     def test_fd_step_too_small(self):
         with pytest.raises(StepTooSmallError):
             fock.qfi_fidelity_fd(fock.coherent_vector(0.5, 30), [1j], 1e-9)
@@ -618,6 +614,18 @@ class TestFockVectorValidation:
         with pytest.raises(CapacityError):
             fock.FockVector(np.zeros(0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-200])  # 1e-200 squared underflows to 0
+    @pytest.mark.parametrize("use", [
+        lambda psi: fock.expectation(psi, fock.quad_x(psi.dim)),
+        lambda psi: fock.qfi_pure(psi, fock.quad_x(psi.dim)),
+        lambda psi: fock.qfi_fidelity_fd(psi, [1j], 1e-3),
+    ])
+    def test_a_zero_state_has_no_moments_and_no_qfi(self, use, amplitude):
+        # refused by name, not a bare ZeroDivisionError or a nan
+        with pytest.raises(DegenerateState, match=r"^the 1-mode state has norm\^2 = 0\.0$"):
+            use(fock.FockVector(np.full(20, amplitude)))
+
     def test_capacity_is_checked_before_the_copy(self):
         # a zero-stride view with an over-cap shape holds one element; only its copy is 34 MB
         view = np.broadcast_to(np.complex128(0), (129,) * 3)
@@ -688,3 +696,9 @@ def test_default_qfi_check_is_one_file_on_one_and_two_blas_threads(tmp_path):
         _run_in_checkout(script, str(tmp_path / f"qfi_{threads}.csv"),
                          OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     assert (tmp_path / "qfi_1.csv").read_bytes() == (tmp_path / "qfi_2.csv").read_bytes()
+    # the default grid: the generator route within 1e-15, the fidelity route within 1e-10
+    with open(tmp_path / "qfi_1.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 12
+    assert max(float(row["rel_err_oracle"]) for row in rows) <= 1e-15
+    assert max(float(row["rel_err_fd"]) for row in rows) <= 1e-10
