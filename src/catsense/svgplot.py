@@ -53,23 +53,29 @@ def _points_text(v: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\xff")[:-1].decode()
 
 
-def _unit_map(lo: float, hi: float, log: bool):
-    """The map of [lo, hi] onto [0, 1], through log10 on a log axis, for scalars or arrays."""
-    f = np.log10 if log else np.asarray
-    f_lo = f(lo)
-    f_span = f(hi) - f_lo
-    return lambda v: (f(v) - f_lo) / f_span
+def _axis(values: np.ndarray, log: bool):
+    """An axis over `values`: its span lo, hi, the span's map onto [0, 1] and the ticks inside it.
 
-
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
+    A log axis maps through log10 and is ticked at its decades (at most 11), a linear one at
+    five even steps; an axis with no tick inside its span is ticked at the span's two ends.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:  # degenerate; widen a hair so the map is defined
+        pad = abs(lo) * 0.05 or 0.5
+        lo, hi = (lo / (1 + 0.1), hi * (1 + 0.1)) if log else (lo - pad, hi + pad)
     if log:
         first = math.ceil(math.log10(lo) - 1e-9)
         last = math.floor(math.log10(hi) + 1e-9)
         every = max(1, math.ceil((last - first) / 10))  # at most 11 labelled decades
-        vals = [10.0**k for k in range(first, last + 1, every)]
-        return vals or [lo, hi]
-    step = (hi - lo) / 4.0
-    return [lo + i * step for i in range(5)]
+        ticks = [10.0**k for k in range(first, last + 1, every)]
+    else:
+        step = (hi - lo) / 4.0
+        ticks = [lo + i * step for i in range(5)]
+    f = np.log10 if log else np.asarray
+    f_lo = f(lo)
+    f_span = f(hi) - f_lo
+    ticks = [t for t in ticks if lo <= t <= hi] or [lo, hi]
+    return lo, hi, lambda v: (f(v) - f_lo) / f_span, ticks
 
 
 def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
@@ -81,21 +87,12 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
     xs = table["n_tot"]
     ys = [table[column] for _, column, _, _ in _CURVES]
 
-    def span(values: np.ndarray, log: bool) -> tuple[float, float]:
-        lo, hi = float(values.min()), float(values.max())
-        if lo == hi:  # degenerate; widen a hair so the transform is defined
-            pad = abs(lo) * 0.05 or 0.5
-            return (lo / (1 + 0.1) if log else lo - pad, hi * (1 + 0.1) if log else hi + pad)
-        return lo, hi
-
-    x_lo, x_hi = span(xs, log_x)
-    y_lo, y_hi = span(np.concatenate(ys), True)
+    x_lo, _, tx, x_ticks = _axis(xs, log_x)
+    _, y_hi, ty, y_ticks = _axis(np.concatenate(ys), True)
 
     margin_l, margin_r, margin_t, margin_b = 72, 24, 46, 58
     plot_w = _WIDTH - margin_l - margin_r
     plot_h = _HEIGHT - margin_t - margin_b
-    tx = _unit_map(x_lo, x_hi, log_x)
-    ty = _unit_map(y_lo, y_hi, True)
 
     def to_px(x, y):
         return margin_l + tx(x) * plot_w, margin_t + (1.0 - ty(y)) * plot_h
@@ -112,9 +109,7 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
     )
 
     # gridlines + tick labels
-    for xv in _ticks(x_lo, x_hi, log_x):
-        if not x_lo <= xv <= x_hi:
-            continue
+    for xv in x_ticks:
         px, _ = to_px(xv, y_hi)
         out.append(
             f'<line x1="{px:.2f}" y1="{margin_t}" x2="{px:.2f}" '
@@ -124,9 +119,7 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
             f'<text x="{px:.2f}" y="{margin_t + plot_h + 18}" text-anchor="middle">'
             f"{xv:g}</text>"
         )
-    for yv in _ticks(y_lo, y_hi, True):
-        if not y_lo <= yv <= y_hi:
-            continue
+    for yv in y_ticks:
         _, py = to_px(x_lo, yv)
         out.append(
             f'<line x1="{margin_l}" y1="{py:.2f}" x2="{margin_l + plot_w}" '

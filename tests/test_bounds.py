@@ -365,6 +365,13 @@ def test_last_budget_before_the_variance_overflows(kind, n_modes):
         assert (qfi > 0.0).all()
 
 
+def _x_tick_labels(svg) -> list[str]:
+    """The x tick labels of a figure1 SVG: its centred texts that read as numbers."""
+    texts = ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+    centred = [t.text for t in texts if t.get("text-anchor") == "middle"]
+    return [v for v in centred if re.fullmatch(r"[-+.0-9e]+", v)]
+
+
 class TestExtremeBudgetsThroughCli:
     def _alphas(self, tmp_path, ntot_min: str, ntot_max: str, points: int, n_modes: int):
         out = tmp_path / "bounds.csv"
@@ -411,12 +418,17 @@ class TestExtremeBudgetsThroughCli:
         code = main(["figure1", "--ntot-min", "1e-300", "--ntot-max", "1e300", "--points", "50",
                      "--out", str(tmp_path / "wide.csv"), "--svg", str(svg)])
         assert code == 0
-        # x tick labels are the centred texts that read as numbers
-        texts = ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
-        centred = [t.text for t in texts if t.get("text-anchor") == "middle"]
-        x_labels = [float(v) for v in centred if re.fullmatch(r"[-+.0-9e]+", v)]
+        x_labels = [float(v) for v in _x_tick_labels(svg)]
         assert 2 <= len(x_labels) <= 11
         assert x_labels == sorted(x_labels)
+
+    def test_svg_ticks_an_axis_with_no_decade_inside_at_its_ends(self, tmp_path):
+        # the one decade found, 0.1, lies 1e-10 below the span; the axis once had no labels
+        svg = tmp_path / "f.svg"
+        code = main(["figure1", "--ntot-min", "0.10000000001", "--ntot-max", "0.5", "--points", "5",
+                     "--out", str(tmp_path / "f.csv"), "--svg", str(svg)])
+        assert code == 0
+        assert _x_tick_labels(svg) == ["0.1", "0.5"]
 
     @pytest.mark.parametrize("family", ["sql", "entangled-cat"])
     @pytest.mark.parametrize("flag, value", [("--ntot-max", "inf"), ("--ntot-max", "nan"),
@@ -437,7 +449,7 @@ class TestExtremeBudgetsThroughCli:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("args, pin", [
-        # every eps is 1.0: the y axis takes span's widening of a degenerate range
+        # every eps is 1.0: the y axis takes _axis's widening of a degenerate range
         (["--modes", "1", "--ntot-min", "1e-300", "--ntot-max", "2e-300", "--points", "5"],
          "514ec36a4e01e405"),
         (["--modes", "1000", "--spacing", "linear", "--ntot-min", "0", "--points", "500"],

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import catsense
 from catsense import fock
 from catsense.cli import main
 
@@ -188,6 +189,10 @@ def test_public_names_load_on_first_access():
         "    print(exc)\n"
     )
     assert _fresh_interpreter(script) == "module 'catsense' has no attribute 'no_such_name'"
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    assert {*catsense.__all__, "bounds", "coherent", "errors", "fock"} <= set(dir(catsense))
 
 
 @pytest.mark.parametrize("args, adds", [

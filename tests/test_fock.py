@@ -59,9 +59,15 @@ class TestCoherentVector:
         nbar = fock.expectation(v, fock.number_operator(40))
         assert nbar == pytest.approx(2.25, abs=1e-10)
 
-    def test_small_cutoff_rejected(self):
-        with pytest.raises(TruncationError):
-            fock.coherent_vector(3.0, 12)
+    @pytest.mark.parametrize("alpha, dim, match", [
+        (3.0, 12, "in the top two levels"),
+        # far too few levels: the top two hold almost nothing, so only the norm gate refuses
+        (12.0, 20, r"norm 5\.28\d*e-20 too far from 1"),
+        (30.0, 10, "norm 0.0 too far from 1"),
+    ])
+    def test_small_cutoff_rejected(self, alpha, dim, match):
+        with pytest.raises(TruncationError, match=match):
+            fock.coherent_vector(alpha, dim)
 
     def test_amplitudes_frozen(self):
         v = fock.coherent_vector(1.0, 25)
@@ -349,6 +355,28 @@ class TestAgainstKronReference:
         assert fock.variance(psi, zero) == 0.0
 
 
+def _cahill_glauber(beta: complex, dim: int) -> np.ndarray:
+    """<m|D(beta)|n> of the untruncated operator on the lowest dim levels (Cahill & Glauber 1969).
+
+    With x = |beta|^2 and u = beta/|beta|: <m|D|n> = f_n(m - n) u^(m - n) for m >= n and
+    f_m(n - m) (-conj u)^(n - m) for m < n, where f_0(k) = x^(k/2) e^(-x/2) / sqrt(k!) is
+    taken in log space, f_1 = (1 + k - x) f_0 / sqrt(1 + k) and f_{n+1} =
+    ((2n + 1 + k - x) f_n - sqrt(n (n + k)) f_{n-1}) / sqrt((n + 1)(n + 1 + k)).
+    """
+    if beta == 0:
+        return np.eye(dim, dtype=complex)
+    x, u = abs(beta) ** 2, beta / abs(beta)
+    k = np.arange(dim)
+    f = np.empty((dim, dim))  # f[n, k]
+    f[0] = np.exp(0.5 * k * math.log(x) - x / 2 - 0.5 * np.array([math.lgamma(j + 1) for j in k]))
+    f[1] = (1 + k - x) * f[0] / np.sqrt(1 + k)
+    for n in range(1, dim - 1):
+        f[n + 1] = ((2 * n + 1 + k - x) * f[n] - np.sqrt(n * (n + k)) * f[n - 1]) / np.sqrt(
+            (n + 1) * (n + 1 + k))
+    m, n = np.indices((dim, dim))
+    return f[np.minimum(m, n), abs(m - n)] * np.where(m >= n, u, -u.conjugate()) ** abs(m - n)
+
+
 class TestDisplacement:
     def test_unitary(self):
         d = fock.displacement_matrix(0.7 - 0.3j, 30)
@@ -367,6 +395,27 @@ class TestDisplacement:
         got = fock.displacement_matrix(1.2 + 0.5j, dim) @ vac
         want = fock.coherent_vector(1.2 + 0.5j, dim).amplitudes
         assert_allclose(got, want, atol=1e-11)
+
+    @pytest.mark.parametrize("beta", [0, 0.3, 1j, 1 - 0.5j, 2.5j, -1.7 + 0.4j])
+    def test_matches_cahill_glauber_elements(self, beta):
+        # the truncated exponential agrees with the untruncated operator away from the cutoff
+        for dim in (40, 80, 200):
+            low = dim // 3
+            got = fock.displacement_matrix(beta, dim)[:low, :low]
+            assert np.abs(got - _cahill_glauber(beta, dim)[:low, :low]).max() <= 1e-13
+
+    @pytest.mark.parametrize("beta", [0.3, 1j, 1 - 0.5j, 2.5j, -1.7 + 0.4j])
+    def test_cahill_glauber_elements_match_50_digit_laguerre(self, beta):
+        d = _cahill_glauber(beta, 40)
+        with mpmath.workdps(50):
+            b = mpmath.mpc(beta)
+            x = abs(b) ** 2
+            for m, n in [(0, 0), (5, 2), (2, 5), (17, 9)]:
+                lo, k = min(m, n), abs(m - n)
+                want = (mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(lo + k))
+                        * (b if m >= n else -mpmath.conj(b)) ** k * mpmath.exp(-x / 2)
+                        * mpmath.laguerre(lo, k, x))
+                assert abs(mpmath.mpc(complex(d[m, n])) - want) <= 1e-15, (m, n)
 
     def test_group_phase(self):
         # D(b)D(g) = exp(i Im(b conj(g))) D(b+g)

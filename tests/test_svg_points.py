@@ -76,3 +76,22 @@ def test_figure1_svg_matches_the_reference_render(monkeypatch, spacing, n_modes)
     got = [svgplot.figure1_svg(t, n_modes, spacing == "log") for t in tables]
     monkeypatch.setattr(svgplot, "_points_text", reference_points)
     assert got == [svgplot.figure1_svg(t, n_modes, spacing == "log") for t in tables]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values, log, span, ticks", [
+    # a log span with no decade inside: the 1e-9 fudge finds 0.1, just below it, so the ends tick
+    ([0.10000000001, 0.5], True, (0.10000000001, 0.5), [0.10000000001, 0.5]),
+    ([0.05, 2000.0], True, (0.05, 2000.0), [0.1, 1.0, 10.0, 100.0, 1000.0]),
+    ([1.0, 9.0, 5.0], False, (1.0, 9.0), [1.0, 3.0, 5.0, 7.0, 9.0]),
+    # degenerate spans widen a hair: by a factor 1.1 on a log axis, by 5% (0.5 about 0) on a linear
+    ([2.0, 2.0], True, (2.0 / 1.1, 2.2), [2.0 / 1.1, 2.2]),
+    ([3.0], False, (2.85, 3.15), [2.85, 2.925, 3.0, 3.075, 3.15]),
+    ([0.0], False, (-0.5, 0.5), [-0.5, -0.25, 0.0, 0.25, 0.5]),
+])
+def test_axis_span_map_and_ticks(values, log, span, ticks):
+    lo, hi, unit, got = svgplot._axis(np.array(values), log)
+    assert (lo, hi) == pytest.approx(span, rel=1e-15)
+    assert got == pytest.approx(ticks, rel=1e-15, abs=1e-15)
+    assert unit(np.array([lo, hi])).tolist() == [0.0, 1.0]
+    assert all(lo <= t <= hi for t in got) and np.all(np.diff(unit(np.array(got))) > 0)
