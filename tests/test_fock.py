@@ -64,7 +64,7 @@ class TestCoherentVector:
         # far too few levels: the top two hold almost nothing, so only the norm gate refuses
         (12.0, 20, r"norm 5\.28\d*e-20 too far from 1"),
         (30.0, 10, "norm 0.0 too far from 1"),
-    ])
+    ], ids=["tail-gate", "norm-gate-tiny", "norm-gate-zero"])
     def test_small_cutoff_rejected(self, alpha, dim, match):
         with pytest.raises(TruncationError, match=match):
             fock.coherent_vector(alpha, dim)
