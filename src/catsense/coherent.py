@@ -67,9 +67,10 @@ class SuperpositionState:
 
     `coeffs` (T,) and `labels` (T, M) are read-only complex arrays.  A label
     within `TOL_LABEL` per component of an earlier one merges into it
-    (coefficients add), so the stored labels are pairwise distinct, in order
-    of first appearance.  The state may still be a numerical null vector;
-    that is only rejected where a moment would divide by the norm.
+    (coefficients add), chains included, so the stored labels are pairwise
+    more than `TOL_LABEL` apart in some component, in order of first
+    appearance.  The state may still be a numerical null vector; that is
+    only rejected where a moment would divide by the norm.
     """
 
     coeffs: np.ndarray
@@ -89,7 +90,10 @@ class SuperpositionState:
         require_finite("coefficient", coeffs)
         with np.errstate(over="ignore"):  # a difference past the double range is inf: not close
             close = np.all(np.abs(labels[:, None, :] - labels[None, :, :]) <= TOL_LABEL, axis=2)
-        keep, group = np.unique(np.argmax(close, axis=0), return_inverse=True)
+        root = np.argmax(close, axis=0)  # each label's first close label, itself or earlier
+        while np.any(root[root] != root):  # follow chains; every pointer points back, so this ends
+            root = root[root]
+        keep, group = np.unique(root, return_inverse=True)
         merged = np.zeros(len(keep), dtype=np.complex128)
         np.add.at(merged, group, coeffs)
         for name, value in (("coeffs", merged), ("labels", labels[keep])):

@@ -188,10 +188,7 @@ def csv_text(table: Mapping[str, object]) -> str:
             cells[..., -1] = np.frombuffer(b"".join(ends[j] for j in floats), np.uint8)[:, None]
         blocks = [cells[floats.index(j)] if j in floats
                   else _text_cells(c.tolist(), fmts[j], end=ends[j]) for j, c in enumerate(chunk)]
-        stops = np.cumsum([b.shape[1] for b in blocks])
-        line = np.empty((rows, stops[-1]), np.uint8)
-        for block, stop in zip(blocks, stops):
-            line[:, stop - block.shape[1]:stop] = block
+        line = np.concatenate([np.broadcast_to(b, (rows, b.shape[1])) for b in blocks], axis=1)
         parts.append(line.tobytes().translate(None, b"\xff").decode())
     return "".join(parts)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from catsense import coherent, fock
 from catsense.coherent import (
+    TOL_LABEL,
     CoherentLabel,
     SuperpositionState,
     displace,
@@ -110,6 +111,22 @@ class TestOverlap:
         assert brute == pytest.approx(exact, abs=5e-11)
 
 
+@st.composite
+def clustered_labels(draw):
+    """3..12 labels of 1..3 modes, each one of a few base amplitudes plus offsets of up to
+    3 TOL_LABEL per component, so near labels form chains as well as pairs.  A label's offset
+    is free per component, or one step of a 0.9 TOL_LABEL grid on every component, which
+    makes chains common: steps 0, 1 and 2 are one."""
+    modes = draw(st.integers(1, 3))
+    bases = draw(st.lists(st.lists(amp, min_size=modes, max_size=modes), min_size=1, max_size=2))
+    part = st.floats(-3 * TOL_LABEL, 3 * TOL_LABEL)
+    free = st.lists(st.builds(complex, part, part), min_size=modes, max_size=modes)
+    grid = st.integers(-3, 3).map(lambda k: [0.9 * k * TOL_LABEL] * modes)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(bases), st.one_of(grid, free)),
+                          min_size=3, max_size=12))
+    return [[b + d for b, d in zip(base, offset)] for base, offset in pairs]
+
+
 class TestSuperpositionState:
     def test_nearby_labels_merge(self):
         s = SuperpositionState(
@@ -117,6 +134,20 @@ class TestSuperpositionState:
         )
         assert len(s) == 1
         assert s.coeffs[0] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("amps", [(0.0, 0.9e-12, 1.8e-12), (1.8e-12, 0.9e-12, 0.0)])
+    def test_label_chains_merge_into_one_term(self, amps):
+        # the ends are 1.8e-12 apart, but each is within TOL_LABEL of the middle label
+        s = SuperpositionState([(1.0, label(a)) for a in amps])
+        assert len(s) == 1
+        assert s.coeffs[0] == 3.0 and s.labels[0, 0] == amps[0]
+
+    @given(clustered_labels())
+    def test_stored_labels_are_pairwise_apart(self, labels):
+        s = SuperpositionState([(1.0, label(*amps)) for amps in labels])
+        gap = np.max(np.abs(s.labels[:, None, :] - s.labels[None, :, :]), axis=2)
+        assert np.all((gap > TOL_LABEL) | np.eye(len(s), dtype=bool))
+        assert np.sum(s.coeffs) == len(labels)  # merging adds coefficients, losing none
 
     def test_arrays_frozen(self):
         s = SuperpositionState([(1.0, label(0.5, 1.0)), (2.0, label(-0.5, 0.0))])
