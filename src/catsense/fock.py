@@ -101,26 +101,20 @@ class FockVector:
         object.__setattr__(self, "mode_count", len(shape))
 
 
-def _inner(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> complex:
+def _inner(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b> by numpy's pairwise sum, not BLAS: the same bits on any thread count.
 
-    The products are formed in `out` when it is given (a's dtype and size; for <a|a> it
-    may be a itself): a fresh state-sized temporary costs more in page faults than the
-    arithmetic does.  <a|a> is the sum of the squares of a's real and imaginary parts.
+    <a|a> is the sum of the squares of a's real and imaginary parts.
     """
     if a is b:
         x = np.ravel(a, order="K").view(np.float64)
-        prod = np.multiply(x, x, out=None if out is None else
-                           np.ravel(out, order="K").view(np.float64))
-    else:
-        prod = np.conjugate(a, out=out)  # a fresh array for a real a too, whose .conj() is a
-        prod *= b  # in place: prod's dtype must hold b's
-    return complex(prod.sum())
+        return complex(np.sum(x * x))
+    return complex(np.sum(np.conjugate(a) * b))
 
 
-def _norm_squared(state: FockVector, out: np.ndarray) -> float:
+def _norm_squared(state: FockVector) -> float:
     """<psi|psi>, refused by name when it is zero: a zero vector has no moments and no QFI."""
-    nrm2 = _inner(state.amplitudes, state.amplitudes, out).real
+    nrm2 = _inner(state.amplitudes, state.amplitudes).real
     if not nrm2 > 0.0:
         raise DegenerateState(f"the {state.mode_count}-mode state has norm^2 = {nrm2}")
     return nrm2
@@ -200,7 +194,7 @@ def to_fock(s: coherent.SuperpositionState, dim: int | None = None) -> FockVecto
         columns = [coherent_vector(a, dim).amplitudes for a in label]
         total += coeff * functools.reduce(np.multiply.outer, columns)
     state = FockVector(total)
-    nrm = math.sqrt(_inner(total, total, total).real)  # spends total: the state has a copy
+    nrm = math.sqrt(_inner(total, total).real)
     exact = math.sqrt(coherent.norm_squared(s))
     if abs(nrm - exact) > 1e-10 * max(exact, 1.0):
         raise TruncationError(f"truncated norm {nrm} vs exact {exact}, cutoff too small")
@@ -284,9 +278,8 @@ def _moment(state: FockVector, op: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         raise HermiticityError(f"operator deviates from Hermitian by {worst:.3e}")
     psi = state.amplitudes
     opsi = sum(_contract(op, psi, k) for k in range(state.mode_count))
-    work = np.empty_like(psi)
-    nrm2 = _norm_squared(state, work)
-    m = require_real("Hermitian expectation", _inner(psi, opsi, work) / nrm2)
+    nrm2 = _norm_squared(state)
+    m = require_real("Hermitian expectation", _inner(psi, opsi) / nrm2)
     return psi, opsi, m, nrm2
 
 
@@ -299,7 +292,7 @@ def variance(state: FockVector, op: np.ndarray) -> float:
     """Var(O) = ||(O - m) psi||^2 / ||psi||^2, m = <O>: never cancels against m^2."""
     psi, opsi, m, nrm2 = _moment(state, op)
     dev = opsi - m * psi
-    return _inner(dev, dev, dev).real / nrm2
+    return _inner(dev, dev).real / nrm2
 
 
 def qfi_pure(state: FockVector, generator: np.ndarray) -> float:
@@ -329,15 +322,13 @@ def qfi_fidelity_fd(state: FockVector, kicks: Sequence[complex], step: float) ->
     if not any(kicks):  # no step resolves a family that does not move
         raise ValueError(f"kicks must have a nonzero entry, got {kicks}")
     base = state.amplitudes
-    work = np.empty_like(base)  # both quotients' products and differences: made once
-    nrm2 = _norm_squared(state, work)
+    nrm2 = _norm_squared(state)
 
     def quotient(d: float) -> float:
         other = displace_fock(state, [k * d for k in kicks]).amplitudes
-        z = _inner(base, other, work)
-        diff = np.multiply(other, z.conjugate() / abs(z) if z else 1.0, out=work)  # e^{-i phi} b
-        np.subtract(diff, base, out=diff)
-        df = 0.5 * _inner(diff, diff, diff).real / nrm2
+        z = _inner(base, other)
+        diff = other * (z.conjugate() / abs(z) if z else 1.0) - base  # e^{-i phi} b - a
+        df = 0.5 * _inner(diff, diff).real / nrm2
         if df < 1e-13:
             raise StepTooSmallError(
                 f"fidelity deficit {df:.3e} at step {d:.3e} is below the roundoff floor"

@@ -57,7 +57,7 @@ def _axis(values: np.ndarray, log: bool):
     """An axis over `values`: its span lo, hi, the span's map onto [0, 1] and the ticks inside it.
 
     A log axis maps through log10 and is ticked at its decades (at most 11), a linear one at
-    five even steps; an axis with no tick inside its span is ticked at the span's two ends.
+    five even ticks ending exactly at hi; an axis with no tick inside is ticked at its two ends.
     """
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:  # degenerate; widen a hair so the map is defined
@@ -69,8 +69,7 @@ def _axis(values: np.ndarray, log: bool):
         every = max(1, math.ceil((last - first) / 10))  # at most 11 labelled decades
         ticks = [10.0**k for k in range(first, last + 1, every)]
     else:
-        step = (hi - lo) / 4.0
-        ticks = [lo + i * step for i in range(5)]
+        ticks = np.linspace(lo, hi, 5).tolist()
     f = np.log10 if log else np.asarray
     f_lo = f(lo)
     f_span = f(hi) - f_lo

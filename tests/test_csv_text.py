@@ -44,8 +44,20 @@ def as_rows(columns) -> list[tuple]:
     return list(zip(*lists))
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reported as the index and text of the first line that differs.
+
+    One `==` on two whole tables would have pytest diff them character by character, which
+    takes minutes for texts of a few hundred KB.
+    """
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    i = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+             min(len(got_lines), len(want_lines)))
+    assert (i, got_lines[i:i + 1]) == (i, want_lines[i:i + 1])
+
+
 def assert_matches_reference(header, columns) -> None:
-    assert csv_text(dict(zip(header, columns))) == reference_csv(header, as_rows(columns))
+    assert_same_text(csv_text(dict(zip(header, columns))), reference_csv(header, as_rows(columns)))
 
 
 @pytest.fixture
@@ -77,7 +89,7 @@ def test_subcommand_tables_match_row_at_a_time_text(tmp_path, tables, args):
     assert main([*args, "--out", str(out)]) == 0
     [(header, columns)] = tables
     text = reference_csv(header, as_rows(columns))
-    assert out.read_text() == text
+    assert_same_text(out.read_text(), text)
     assert_matches_reference(header, columns)
     if args[-1] == "7":
         assert all(line.split(",")[3] == "nan" for line in text.splitlines()[1:])
@@ -216,13 +228,13 @@ class TestFloatKernel:
             bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
             assert np.isnan(bits).any()
             text, want = float_text(bits)
-            assert text == want
+            assert_same_text(text, want)
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
         text, want = float_text(np.concatenate([np.nextafter(powers, -np.inf), powers,
                                                 np.nextafter(powers, np.inf)]))
-        assert text == want
+        assert_same_text(text, want)
         # the double nearest 10^153 lies below it and rounds up into the next decade
         assert int(1e153) < 10**153 and "\n1e+153\n" in text
 
@@ -237,18 +249,18 @@ class TestFloatKernel:
                     assert len(str(n * 5**p)) == 18 and str(n * 5**p).endswith("5")
                     values.append(n / 2**p)
         text, want = float_text(values)
-        assert text == want
+        assert_same_text(text, want)
 
     @pytest.mark.parametrize("edge", [1e-4, 1.0, 1e16, 1e17])
     def test_layout_edges(self, edge):
         ulps = np.arange(-64, 65) + np.float64(edge).view(np.int64)
         text, want = float_text(ulps.view(np.float64))
-        assert text == want
+        assert_same_text(text, want)
 
     def test_special_values(self):
         values = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
         text, want = float_text(values)
-        assert text == want
+        assert_same_text(text, want)
         assert text.split("\n")[1:-1] == [
             "0", "inf", "nan", "4.9406564584124654e-324", "2.2250738585072014e-308",
             "1.7976931348623157e+308", "-0", "-inf", "nan", "-4.9406564584124654e-324",
@@ -295,7 +307,7 @@ class TestFloatKernel:
                          **dict.fromkeys(range(-1, 23), 1)}
         assert len(cells) == sum(18 - d for d in least.values())
         text, want = float_text(list(cells.values()))
-        assert text == want
+        assert_same_text(text, want)
 
     def test_masks_match_the_layout_rule(self):
         masks = [m.view(np.uint8) for m in (outputs._KEEP, outputs._SHIFT, outputs._OVER)]
@@ -323,7 +335,7 @@ class TestFloatKernel:
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_floats(self, values):
         text, want = float_text(values)
-        assert text == want
+        assert_same_text(text, want)
 
 
 @pytest.mark.parametrize("args", [["figure1"], ["bounds"], ["qfi-check"], ["ramsey"],

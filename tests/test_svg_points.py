@@ -88,10 +88,16 @@ def test_figure1_svg_matches_the_reference_render(monkeypatch, spacing, n_modes)
     ([2.0, 2.0], True, (2.0 / 1.1, 2.2), [2.0 / 1.1, 2.2]),
     ([3.0], False, (2.85, 3.15), [2.85, 2.925, 3.0, 3.075, 3.15]),
     ([0.0], False, (-0.5, 0.5), [-0.5, -0.25, 0.0, 0.25, 0.5]),
+    # lo + 4 * (hi - lo) / 4 rounds one ulp past hi here; the right-end tick must stay
+    ([0.0010965378454489347, 0.09196931857738598], False,
+     (0.0010965378454489347, 0.09196931857738598),
+     [0.0010965378454489347, 0.023814733028433198, 0.04653292821141746,
+      0.06925112339440173, 0.09196931857738598]),
 ])
 def test_axis_span_map_and_ticks(values, log, span, ticks):
     lo, hi, unit, got = svgplot._axis(np.array(values), log)
     assert (lo, hi) == pytest.approx(span, rel=1e-15)
     assert got == pytest.approx(ticks, rel=1e-15, abs=1e-15)
+    assert log or got[-1] == hi
     assert unit(np.array([lo, hi])).tolist() == [0.0, 1.0]
     assert all(lo <= t <= hi for t in got) and np.all(np.diff(unit(np.array(got))) > 0)
