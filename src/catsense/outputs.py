@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import itertools
 import os
 from typing import Mapping, Sequence
 
@@ -21,9 +22,10 @@ def _power_of_ten(j: int) -> tuple[float, float]:
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dekker's split: x = hi + lo exactly, each with at most 26 significant bits."""
-    c = x * 134217729.0  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
+    hi = x * 134217729.0  # 2^27 + 1
+    lo = hi - x
+    hi -= lo
+    return hi, np.subtract(x, hi, out=lo)
 
 
 def _masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,34 +102,57 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     arithmetic.  The text half writes "0000000" and the 17 digits into three
     words and the exponent text into a fourth, shifts the flat word array up
     one byte once, and finishes each cell with its layout's rows of `_masks`.
+    Both halves compute in place on arrays of their own, each dropped once no
+    later stage reads it; ``x`` is only read.
     """
-    a = np.abs(x)
-    text = ~((a >= _CEIL[0]) & (a < _CEIL[_K_MAX + 1 - _K_MIN]))  # NaN compares False
-    v = np.where(text, 1.0, a)
+    v = np.abs(x)
+    text = ~((v >= _CEIL[0]) & (v < _CEIL[_K_MAX + 1 - _K_MIN]))  # NaN compares False
+    v[text] = 1.0
     binary = v.view(np.int64) >> 52
-    k = _DECADE[binary] + (v >= _NEXT_DECADE[binary])
-    i = 16 - k - _K_MIN
-    s = v * _HI[i]
+    k = _DECADE.take(binary)
+    k += v >= _NEXT_DECADE.take(binary)
+    i = 16 - _K_MIN - k
+    s = _HI.take(i)
+    s *= v
     vh, vl = _split(v)
-    ph, pl = _HI_HI[i], _HI_LO[i]
-    t = (((vh * ph - s) + vh * pl + vl * ph) + vl * pl) + v * _LO[i]
+    ph, pl = _HI_HI.take(i), _HI_LO.take(i)
+    t = vh * ph  # t = (((vh ph - s) + vh pl + vl ph) + vl pl) + v lo, in that order
+    t -= s
+    vh *= pl
+    t += vh
+    ph *= vl
+    t += ph
+    pl *= vl
+    t += pl
+    v *= _LO.take(i)
+    t += v
+    del binary, i, v, vh, vl, ph, pl
     r = np.rint(t)
-    text |= np.abs(t - r) >= 0.5 - 1e-6
-    d = s.astype(np.int64) + r.astype(np.int64)
+    t -= r
+    text |= np.abs(t, out=t) >= 0.5 - 1e-6
+    d = s.astype(np.int64)
+    d += r.astype(np.int64)
+    del t, s, r
     up = d == 10**17
-    d, k = np.where(up, 10**16, d), k + up
+    d[up] = 10**16
+    k += up
+    k -= _K_MIN
     quads = np.empty((5, x.size), np.int64)  # a plane per quad 1 to 5: "000d", then 4 x 4 digits
     np.divmod(d, 10**16, out=(quads[0], d))
     np.divmod(d, 10**8, out=(quads[1], quads[3]))
     np.divmod(quads[1::2], 10**4, out=(quads[1::2], quads[2::2]))
     zeros = _QUAD_ZEROS.take(quads[1:])  # a quad's trailing zeros are cut if every later quad is 0
     more = zeros[2] + (quads[3] == 0) * (zeros[1] + (quads[2] == 0) * zeros[0])
-    layout = (_CLASS[k - _K_MIN] + 16 - zeros[3] - (quads[4] == 0) * more) * 2 + (x < 0)
+    layout = _CLASS.take(k)
+    layout += 16 - zeros[3] - (quads[4] == 0) * more  # digits - 1, uint8 with no wrap
+    layout *= 2
+    layout += x < 0
     out = np.empty((x.size, 4), _WORD)
     halves = out.view("<u4")  # E's six quads fill the halves of words 0 to 2
     halves[:, 0] = 0x30303030
     halves[:, 1:6] = _QUAD_TEXT.take(quads).T
-    out[:, 3] = _EXPONENT[k - _K_MIN]
+    out[:, 3] = _EXPONENT.take(k)
+    del quads, k
     shifted = out << 8  # each byte up one, the top byte of a word carried into the next
     shifted.reshape(-1)[1:] |= out.reshape(-1)[:-1] >> 56
     shifted &= _SHIFT.take(layout, axis=0)
@@ -166,8 +191,10 @@ def csv_text(table: Mapping[str, object]) -> str:
     column's first cell picks its format: ``%d`` for int and bool, ``%.17g``
     for float, ``%s`` otherwise.  Float64 array columns go through
     `_float_cells`; every other cell is formatted from its Python value.
-    Holes (0xFF, never part of UTF-8) pad every cell and are dropped from
-    the text.  Lines end in LF.
+    Rows are formatted `_CHUNK_ROWS` at a time; what is the same in every
+    chunk (each column's format and separator, and the cell of a value
+    repeated on every row) is built once per table.  Holes (0xFF, never part
+    of UTF-8) pad every cell and are dropped from the text.  Lines end in LF.
     """
     cols = [c if isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype == np.float64
             else np.asarray(c, dtype=object) for c in table.values()]
@@ -175,20 +202,27 @@ def csv_text(table: Mapping[str, object]) -> str:
     for name, c in zip(table, cols):
         if c.ndim and c.shape != (n_rows,):
             raise ValueError(f"column {name!r} has shape {c.shape}, not ({n_rows},) like the first")
-    fmts = [_csv_format(np.atleast_1d(c)[0]) for c in cols] if n_rows else []
-    floats = [j for j, c in enumerate(cols) if c.dtype == np.float64]
-    ends = [b","] * (len(cols) - 1) + [b"\n"]
     parts = [",".join(table) + "\n"]
+    if not n_rows:
+        return parts[0]
+    fmts = [_csv_format(np.atleast_1d(c)[0]) for c in cols]
+    ends = [b","] * (len(cols) - 1) + [b"\n"]
+    floats = [j for j, c in enumerate(cols) if c.dtype == np.float64]
+    seps = np.frombuffer(b"".join(ends[j] for j in floats), np.uint8)[:, None]
+    fixed = {j: _text_cells([c.item()], fmts[j], end=ends[j])
+             for j, c in enumerate(cols) if not c.ndim}
     for start in range(0, n_rows, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, n_rows - start)
-        chunk = [c[start:start + rows] if c.ndim else np.atleast_1d(c) for c in cols]
         if floats:
-            cells = _float_cells(np.concatenate([chunk[j] for j in floats]))
+            cells = _float_cells(np.concatenate([cols[j][start:start + rows] for j in floats]))
             cells = cells.reshape(len(floats), rows, -1)
-            cells[..., -1] = np.frombuffer(b"".join(ends[j] for j in floats), np.uint8)[:, None]
-        blocks = [cells[floats.index(j)] if j in floats
-                  else _text_cells(c.tolist(), fmts[j], end=ends[j]) for j, c in enumerate(chunk)]
-        line = np.concatenate([np.broadcast_to(b, (rows, b.shape[1])) for b in blocks], axis=1)
+            cells[..., -1] = seps
+            float_blocks = iter(cells)
+        blocks = [np.broadcast_to(fixed[j], (rows, fixed[j].shape[1])) if j in fixed
+                  else next(float_blocks) if c.dtype == np.float64
+                  else _text_cells(c[start:start + rows].tolist(), fmts[j], end=ends[j])
+                  for j, c in enumerate(cols)]
+        line = np.concatenate(blocks, axis=1)
         parts.append(line.tobytes().translate(None, b"\xff").decode())
     return "".join(parts)
 
@@ -198,13 +232,15 @@ def write_all(docs: Sequence[tuple[str, str]]) -> None:
 
     Two paths that name one file (by `os.path.realpath`: the same spelling, a
     ``./`` spelling or a symlink), an empty path and a directory are refused
-    before anything is staged.  Each text is staged in a temporary file beside
-    its target and no target is replaced until all are staged; on any error
-    the temporaries are removed.  An error while staging names the target,
-    with the errno it had.
+    before anything is staged.  Each text is staged in a new file beside its
+    target, ``{path}.{pid}.tmp`` or, where a file (a killed run's leftover)
+    holds that name, the first free ``{path}.{pid}.{n}.tmp``; such a file is
+    never reused or removed.  No target is replaced until all are staged; on
+    any error the staged files are removed.  An error while staging names the
+    target, with the errno it had.
     """
     paths = [path for path, _ in docs]
-    if len({os.path.realpath(p) for p in paths}) < len(paths):
+    if len(paths) > 1 and len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ValueError(f"the outputs {', '.join(map(repr, paths))} name one file")
     # an empty path or a directory would fail only at its rename, after earlier targets
     for path in paths:
@@ -215,10 +251,14 @@ def write_all(docs: Sequence[tuple[str, str]]) -> None:
     staged: list[tuple[str, str]] = []
     try:
         for path, text in docs:
-            tmp = f"{path}.{os.getpid()}.tmp"
             try:
-                with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-                    staged.append((tmp, path))
+                for n in itertools.count():  # pass over a name a killed run's staging file holds
+                    tmp = f"{path}.{os.getpid()}.{n}.tmp" if n else f"{path}.{os.getpid()}.tmp"
+                    with contextlib.suppress(FileExistsError):
+                        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+                        break
+                staged.append((tmp, path))
+                with fh:
                     fh.write(text)
             except OSError as exc:  # name the file asked for, not its temporary
                 raise OSError(exc.errno, exc.strerror, path) from None

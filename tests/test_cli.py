@@ -140,6 +140,19 @@ class TestIoErrors:
         assert ".tmp" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_leftover_staging_file_is_passed_over(self, tmp_path, monkeypatch):
+        # a killed run whose PID this process now has left its staging files behind
+        monkeypatch.chdir(tmp_path)
+        stale = [tmp_path / f"b.csv.{os.getpid()}.tmp", tmp_path / f"b.csv.{os.getpid()}.1.tmp"]
+        for p in stale:
+            p.write_text("stale")
+        assert main(["bounds", "--out", "ref.csv"]) == 0
+        assert main(["bounds", "--out", "b.csv"]) == 0
+        assert (tmp_path / "b.csv").read_text() == (tmp_path / "ref.csv").read_text()
+        assert [p.read_text() for p in stale] == ["stale", "stale"]
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(["b.csv", "ref.csv", *(p.name for p in stale)])
+
     def test_missing_config_file(self, tmp_path):
         assert main(["figure1", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "x.csv")]) == 2

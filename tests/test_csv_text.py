@@ -332,6 +332,20 @@ class TestFloatKernel:
         assert [c.tobytes().replace(b"\xff", b"").decode() for c in cells] == [
             "%.17g" % v for v in values]
 
+    def test_inputs_keep_their_bits(self):
+        # the kernel computes in place, on its own copies only, never on the caller's arrays
+        n = 2 * outputs._CHUNK_ROWS + 5
+        rng = np.random.default_rng(n)
+        x = 10.0 ** rng.uniform(-320, 308, n) * rng.choice([-1.0, 1.0], n)
+        x[:8] = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e16]
+        y = rng.permutation(x)
+        table = {"x": x, "k": np.arange(n), "y": y, "c": 0.5}
+        bits = [x.view(np.int64).copy(), y.view(np.int64).copy()]
+        csv_text(table)
+        outputs._float_cells(y)
+        np.testing.assert_array_equal(x.view(np.int64), bits[0])
+        np.testing.assert_array_equal(y.view(np.int64), bits[1])
+
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_floats(self, values):
         text, want = float_text(values)
