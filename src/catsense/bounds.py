@@ -13,30 +13,19 @@ numbers; the `qfi` column of `bounds_table` carries Var(G) itself (4 on
 the coherent row, its 1 / eps_min^2), and the oracle bridge in the test
 suite converts explicitly where the 4x convention is needed.
 
-`curve` is the one evaluator of a family at a photon budget: it evaluates
-the family over a whole grid as four float64 arrays (n_tot, alpha, eps_min,
-Var(G)) and is the one place each family's Var(G) is stated.  The cat
-forms in the amplitude alpha and `invert_ntot` take a scalar or a float64
-array and answer in kind (a float for a scalar).  `bounds_table` and
-`figure1_table` are the `catsense bounds` and `catsense figure1` tables.
-
-Baselines:
-    vacuum / coherent probe      eps_min = 1/2
-    squeezed vacuum (n_tot)      eps_min = 1 / sqrt(4 n_tot)
-    single-mode cat              eps_min = 1 / sqrt(1 + 4 n_tot)
-    N separable single cats      eps_min = 1 / sqrt(N + 4 n_tot)
-    N-mode entangled cat         eps_min = 1 / sqrt(N (1 + 4 N a^2 / (1 + e^{-2 N a^2})))
-
-The coherent baseline keeps its historical normalization eps_min = 1/2
-(signal-to-noise 2 eps = 1); the cat-family rows use the variance rule
-above.  Both conventions are exercised against the Fock oracle in the
-tests, with the factor bookkeeping spelled out there.
+`FAMILIES` is the one place a probe family is stated, one row each; `curve`
+evaluates a row over a grid, and it, the tables and the CLI read the rows,
+so a new family is a `FamilyKind` name and its row.  The cat forms in the
+amplitude alpha and `invert_ntot` take a scalar or a float64 array and
+answer in kind (a float for a scalar).  `bounds_table` and `figure1_table`
+are the `catsense bounds` and `catsense figure1` tables.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,10 +38,6 @@ class FamilyKind(str, Enum):
     SINGLE_CAT = "single-cat"
     SEPARABLE_CATS = "separable-cats"
     ENTANGLED_CAT = "entangled-cat"
-
-
-# The families whose mode/copy count may exceed 1; every other one is single-mode.
-MULTIMODE_FAMILIES = (FamilyKind.SEPARABLE_CATS, FamilyKind.ENTANGLED_CAT)
 
 
 def _out(x: np.ndarray) -> float | np.ndarray:
@@ -69,10 +54,7 @@ def _cat_u(alpha: float | np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def _eps_from_variance(var: float | np.ndarray, what: str, x) -> float | np.ndarray:
-    """1 / sqrt(Var(G)), refusing a variance past the largest double.
-
-    `what` and `x` name the input that gave each variance in the error.
-    """
+    """1 / sqrt(var); a var past the largest double is refused, naming its input `what` = `x`."""
     v = np.asarray(var)
     over = ~np.isfinite(v)
     if over.any():
@@ -83,12 +65,9 @@ def _eps_from_variance(var: float | np.ndarray, what: str, x) -> float | np.ndar
 def eps_min_squeezed_exact(r: float) -> float:
     """exp(-r)/2: the noise-limited displacement of a Y-squeezed probe.
 
-    Equals half the standard deviation of the squeezed quadrature, and
-    matches 1/sqrt(QFI) of the same probe computed in the Fock oracle.
-    The large-r photon-counting form, `curve`'s squeezed row 1/sqrt(4 n_tot)
-    at n_tot = sinh^2 r, sits a factor 2 above this; both are kept because
-    each matches a different published normalization, and the relation is
-    pinned down in the tests.
+    Half the squeezed quadrature's standard deviation, as 1/sqrt(QFI) in the
+    Fock oracle.  The squeezed row of `FAMILIES` (n_tot = sinh^2 r) sits a
+    factor 2 above it at large r: each matches a published normalization.
     """
     return 0.5 * math.exp(-float(require_nonnegative("r", r)))
 
@@ -152,40 +131,61 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     return _out(np.sqrt(u / n_modes))
 
 
-def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, ...]:
-    """Evaluate one family on a whole grid of total photon numbers.
+class Family(NamedTuple):  # a row of FAMILIES
+    multimode: bool  # takes n_modes > 1; every other family is single-mode
+    strict: bool  # its budget must be > 0, not only >= 0
+    form: Callable[[np.ndarray, int], tuple]  # (n_tot grid, N) -> grid-shaped (alpha, Var(G))
 
-    Returns the float64 arrays (n_tot, alpha, eps_min, Var(G)), aligned with
-    the grid (0-d for a scalar grid); alpha is the per-mode cat amplitude
-    that realizes each n_tot (NaN for families without one).  Only the
-    multimode families take n_modes > 1.  A grid point whose Var(G) is past
-    the largest double is refused.
+
+@np.errstate(over="ignore")  # 4 n_tot past the double range is inf, refused in curve
+def _squeezed(n: np.ndarray, m: int) -> tuple:
+    return np.full(n.shape, np.nan), 4.0 * n
+
+
+@np.errstate(over="ignore")  # as in _squeezed
+def _separable(n: np.ndarray, m: int) -> tuple:
+    return np.sqrt(n / m), m + 4.0 * n
+
+
+def _entangled(n: np.ndarray, m: int) -> tuple:
+    alpha = invert_ntot(n, m)  # n_tot stays the requested grid; the round trip gives it to ~1e-15
+    return alpha, entangled_cat_generator_variance(alpha, m)
+
+
+FAMILIES = {  # each row's bound eps_min = 1 / sqrt(Var(G)) is named beside it
+    # vacuum / coherent probe: eps_min = 1/2 (signal-to-noise 2 eps = 1), not the variance rule's 1
+    FamilyKind.COHERENT_SQL: Family(False, False, lambda n, m: (
+        np.full(n.shape, np.nan), np.full(n.shape, 4.0))),
+    FamilyKind.SQUEEZED: Family(False, True, _squeezed),  # squeezed vacuum: 1 / sqrt(4 n_tot)
+    FamilyKind.SINGLE_CAT: Family(False, False, _separable),  # one cat: 1 / sqrt(1 + 4 n_tot)
+    FamilyKind.SEPARABLE_CATS: Family(True, False, _separable),  # N cats: 1 / sqrt(N + 4 n_tot)
+    # N-mode entangled cat: eps_min = 1 / sqrt(N (1 + 4 N a^2 / (1 + e^{-2 N a^2})))
+    FamilyKind.ENTANGLED_CAT: Family(True, False, _entangled),
+}
+MULTIMODE_FAMILIES = tuple(kind for kind, row in FAMILIES.items() if row.multimode)
+
+
+def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, ...]:
+    """One family's row on a grid of total photon numbers, as float64 arrays.
+
+    Returns (n_tot, alpha, eps_min, Var(G)), 0-d for a scalar grid; alpha, the
+    per-mode cat amplitude holding each n_tot, is NaN for a family without
+    one.  A budget whose Var(G) is past the largest double is refused.
     """
     kind, m = FamilyKind(kind), require_int("n_modes", n_modes)
-    if kind not in MULTIMODE_FAMILIES and m != 1:
+    multimode, strict, form = FAMILIES[kind]
+    if not multimode and m != 1:
         raise ValueError(f"{kind.value} is a single-mode family")
-    n = require_nonnegative("n_tot", np.array(n_tot, np.float64), kind is FamilyKind.SQUEEZED)
-    # the sql row: the coherent floor eps_min = 1/2, which no coherent amplitude moves
-    alpha, var = np.full(n.shape, np.nan), np.full(n.shape, 4.0)
-    if kind is FamilyKind.ENTANGLED_CAT:
-        # n_tot stays the requested grid; the round trip through alpha gives it to ~1e-15
-        alpha = invert_ntot(n, m)
-        var = entangled_cat_generator_variance(alpha, m)
-    elif kind is not FamilyKind.COHERENT_SQL:
-        with np.errstate(over="ignore"):  # 4 n_tot past the double range is inf, refused below
-            if kind is FamilyKind.SQUEEZED:
-                var = 4.0 * n
-            else:  # the separable cats; the single cat is their m = 1 case
-                var, alpha = m + 4.0 * n, np.sqrt(n / m)
+    n = require_nonnegative("n_tot", np.array(n_tot, np.float64), strict)
+    alpha, var = form(n, m)
     eps = _eps_from_variance(var, "n_tot", n)
-    return (n, *(np.asarray(f, np.float64) for f in (alpha, eps, var)))
+    return n, np.asarray(alpha), np.asarray(eps), np.asarray(var)
 
 
 def bounds_table(family: FamilyKind | str, n_modes: int, n_tot) -> dict[str, object]:
     """The `catsense bounds` table of one family; a single-mode family reports n_modes 1."""
-    kind = FamilyKind(family)
-    n_modes = require_int("n_modes", n_modes)  # every family refuses a bad count
-    n_modes = n_modes if kind in MULTIMODE_FAMILIES else 1  # single-mode ones drop it
+    kind, n_modes = FamilyKind(family), require_int("n_modes", n_modes)  # every family checks it
+    n_modes = n_modes if kind in MULTIMODE_FAMILIES else 1  # single-mode ones then drop it
     n, alpha, eps, var = curve(kind, n_tot, n_modes)
     return {"family": kind.value, "n_modes": n_modes, "n_tot": n,
             "alpha": alpha, "eps_min": eps, "qfi": var}

@@ -7,9 +7,9 @@ subcommand without the leading dashes, ``#`` comments and blank lines
 ignored; a key that names no option of the subcommand is an error.  A rule
 on one value lives on its option's click type, which ``--help`` shows; the
 types of ``--replicates``, ``--qubit-list`` and ``--probe`` restate library
-rules to show them there and name the flag.  Every output file is written
-whole or not at all, so a failed run leaves none behind.  A command imports
-the library modules it runs inside its own functions, so it loads no others.
+rules to show them there and name the flag.  Outputs are staged all or none,
+then renamed one by one: no file is left partial, but a failure between two
+renames leaves the first new.  A command imports only the modules it runs.
 
 Exit codes: 0 success, 1 bad usage or bad domain input, 2 I/O failure,
 3 oracle capacity or tolerance failure.
@@ -33,7 +33,7 @@ _CONFIG_KEY = "catsense.config"  # the ctx.meta key holding the run's --config p
 
 
 def write_csv(path: str, table: Mapping[str, Any], also: Mapping[str, str] | None = None) -> int:
-    """Write a table's CSV, and any `also` path -> text files, all or none; returns its row count.
+    """Write a table's CSV, and any `also` path -> text files, staged all or none; returns rows.
 
     Every subcommand writes its files through this one call, which adds to
     `outputs.write_all` only the guard that needs the click context: an
@@ -165,7 +165,7 @@ def figure1_cmd(out, svg, n_modes, spacing, **grid):
 
 
 @cli.command("bounds")
-@click.option("--family", type=click.Choice([k.value for k in bounds.FamilyKind]),
+@click.option("--family", type=click.Choice([k.value for k in bounds.FAMILIES]),
               default="entangled-cat", help="bound family")
 @_grid_opts(points=50)
 @click.option("--out", type=str, default="bounds.csv", help="CSV path")

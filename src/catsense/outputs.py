@@ -1,4 +1,4 @@
-"""The output contract: a table's CSV text, and files written all or none, none named twice."""
+"""The output contract: a table's CSV text, and files staged all or none, none named twice."""
 
 import contextlib
 import errno
@@ -228,16 +228,16 @@ def csv_text(table: Mapping[str, object]) -> str:
 
 
 def write_all(docs: Sequence[tuple[str, str]]) -> None:
-    """Write each ``(path, text)`` pair with LF line endings, or none of them.
+    """Write each ``(path, text)`` pair with LF line endings: stage all or none, then rename.
 
     Two paths that name one file (by `os.path.realpath`: the same spelling, a
     ``./`` spelling or a symlink), an empty path and a directory are refused
-    before anything is staged.  Each text is staged in a new file beside its
-    target, ``{path}.{pid}.tmp`` or, where a file (a killed run's leftover)
-    holds that name, the first free ``{path}.{pid}.{n}.tmp``; such a file is
-    never reused or removed.  No target is replaced until all are staged; on
-    any error the staged files are removed.  An error while staging names the
-    target, with the errno it had.
+    before anything is staged.  Each text is staged beside its target in
+    ``{path}.{pid}.tmp`` or, past files holding that name (a killed run's
+    leftovers, never reused or removed), the first free ``{path}.{pid}.{n}.tmp``.
+    A failure while staging (an OSError names the target, with its errno) removes
+    the staged files and replaces no target.  The renames then run one by one: a
+    failure between two leaves earlier targets new, later ones as they were.
     """
     paths = [path for path, _ in docs]
     if len(paths) > 1 and len({os.path.realpath(p) for p in paths}) < len(paths):

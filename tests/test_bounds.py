@@ -20,7 +20,8 @@ from catsense.bounds import (
     eps_min_squeezed_exact,
     invert_ntot,
 )
-from catsense.cli import main
+from catsense.cli import bounds_cmd, main
+from catsense.errors import require_int, require_nonnegative
 
 
 class TestScalarBounds:
@@ -260,6 +261,66 @@ class TestCurve:
             curve(FamilyKind.COHERENT_SQL, [1.0, bad])
 
 
+def _branch_curve(kind, n_tot, n_modes=1):
+    """`curve` as it was before the family table: one branch per family, kept as a reference."""
+    kind, m = FamilyKind(kind), require_int("n_modes", n_modes)
+    if kind not in (FamilyKind.SEPARABLE_CATS, FamilyKind.ENTANGLED_CAT) and m != 1:
+        raise ValueError(f"{kind.value} is a single-mode family")
+    n = require_nonnegative("n_tot", np.array(n_tot, np.float64), kind is FamilyKind.SQUEEZED)
+    alpha, var = np.full(n.shape, np.nan), np.full(n.shape, 4.0)
+    if kind is FamilyKind.ENTANGLED_CAT:
+        alpha = invert_ntot(n, m)
+        var = entangled_cat_generator_variance(alpha, m)
+    elif kind is not FamilyKind.COHERENT_SQL:
+        with np.errstate(over="ignore"):
+            if kind is FamilyKind.SQUEEZED:
+                var = 4.0 * n
+            else:
+                var, alpha = m + 4.0 * n, np.sqrt(n / m)
+    eps = bounds._eps_from_variance(var, "n_tot", n)
+    return (n, *(np.asarray(f, np.float64) for f in (alpha, eps, var)))
+
+
+_MAX = float(np.finfo(np.float64).max)
+# budgets the rows take and refuse: 0, subnormals, Var(G)'s overflow edge, negatives, NaN, inf
+_budgets = st.one_of(
+    st.floats(0.0, _MAX), st.floats(),
+    st.sampled_from([0.0, 5e-324, 1e-310, _MAX / 4, math.nextafter(_MAX / 4, math.inf), _MAX]))
+_grids = st.one_of(
+    _budgets, st.integers(0, 10**6), st.lists(_budgets, max_size=5),
+    st.lists(_budgets, max_size=5).map(np.array),
+    st.lists(_budgets, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(2, 3)))
+
+
+class TestFamilyTable:
+    def test_the_table_has_one_row_per_family_and_the_cli_offers_each(self):
+        assert list(bounds.FAMILIES) == list(FamilyKind)
+        assert bounds.MULTIMODE_FAMILIES == (FamilyKind.SEPARABLE_CATS, FamilyKind.ENTANGLED_CAT)
+        family = next(p for p in bounds_cmd.params if p.name == "family")
+        assert list(family.type.choices) == [k.value for k in FamilyKind]
+
+    @given(kind=st.sampled_from([*FamilyKind, *(k.value for k in FamilyKind)]), grid=_grids,
+           n_modes=st.one_of(st.integers(1, 1000), st.sampled_from([0, 1, 2, 1000])))
+    @example(kind=FamilyKind.SQUEEZED, grid=0.0, n_modes=1)
+    @example(kind=FamilyKind.SINGLE_CAT, grid=1.0, n_modes=3)
+    @example(kind=FamilyKind.SEPARABLE_CATS, grid=[1.0, _MAX], n_modes=7)
+    @example(kind=FamilyKind.ENTANGLED_CAT, grid=np.array([0.0, 5e-324, 1e300]), n_modes=1000)
+    def test_curve_matches_the_branch_per_family_curve(self, kind, grid, n_modes):
+        try:
+            want = _branch_curve(kind, grid, n_modes)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                curve(kind, grid, n_modes)
+            assert str(got.value) == str(exc)
+            return
+        got = curve(kind, grid, n_modes)
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            assert type(a) is type(b) is np.ndarray
+            assert (a.shape, a.dtype, a.flags.writeable) == (b.shape, b.dtype, b.flags.writeable)
+            assert a.tobytes() == b.tobytes()  # bit for bit, NaN payloads and signed zeros too
+
+
 def _mp_entangled(n_tot: float, n_modes: int) -> tuple:
     """(alpha, eps_min, qfi) of the N-mode entangled cat holding n_tot photons, at 50 digits."""
     with mpmath.workdps(50):
@@ -473,6 +534,21 @@ class TestExtremeBudgetsThroughCli:
         assert main([cmd]) == 0
         digest = hashlib.sha256((tmp_path / f"{cmd}.csv").read_bytes()).hexdigest()
         assert digest.startswith(pin)
+
+    @pytest.mark.parametrize("args, pin", [
+        (["bounds", "--family", "sql"], "7eb0b5519cf3e03c"),
+        (["bounds", "--family", "squeezed"], "3e4f4233b143547d"),
+        (["bounds", "--family", "single-cat"], "6dc96071278fe1ad"),
+        (["bounds", "--family", "separable-cats"], "3b0dcf56c78bed14"),
+        (["figure1", "--modes", "1"], "053ca518dc06c3b5"),
+        (["figure1", "--modes", "2"], "1f7bbd25225f8cef"),
+        (["figure1", "--modes", "1000"], "8b4d5aeb9f1e5a10"),
+    ])
+    def test_other_default_csvs_unchanged(self, tmp_path, monkeypatch, args, pin):
+        # every family's bounds table and figure1 at one, two and many modes, at their defaults
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, "--out", "t.csv"]) == 0
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest().startswith(pin)
 
     def test_default_qfi_check_closed_form_columns_unchanged(self, tmp_path, monkeypatch):
         # the columns that need no eigh: the oracle columns' last bits depend on LAPACK

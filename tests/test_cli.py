@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from catsense import bounds, cli, fock
+from catsense import bounds, cli, fock, outputs
 from catsense.cli import main, write_csv
 
 
@@ -152,6 +152,51 @@ class TestIoErrors:
         assert [p.read_text() for p in stale] == ["stale", "stale"]
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == sorted(["b.csv", "ref.csv", *(p.name for p in stale)])
+
+    def test_an_interrupted_command_exits_1_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def interrupt(table):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "csv_text", interrupt)
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure1", "--points", "3", "--out", "f.csv", "--svg", "f.svg"]) == 1
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_interrupt_while_staging_replaces_no_target(self, tmp_path, monkeypatch):
+        def open_(path, *args, **kwargs):  # the second file's staging, after the first's
+            if path.startswith("f.svg."):
+                raise KeyboardInterrupt
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(outputs, "open", open_, raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.csv").write_text("old csv")
+        (tmp_path / "f.svg").write_text("old svg")
+        assert main(["figure1", "--points", "3", "--out", "f.csv", "--svg", "f.svg"]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "f.svg"]
+        assert [(tmp_path / n).read_text() for n in ("f.csv", "f.svg")] == ["old csv", "old svg"]
+
+    @pytest.mark.parametrize("exc, code", [(KeyboardInterrupt(), 1), (OSError(errno.EIO, "EIO"), 2)])
+    def test_a_failure_between_renames_leaves_the_first_target_new(self, tmp_path, monkeypatch,
+                                                                   exc, code):
+        # staging is all or none, but the renames run one after the other, with no rollback
+        renamed = []
+
+        def replace(src, dst):
+            if renamed:
+                raise exc
+            renamed.append(dst)
+            os.rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.svg").write_text("old svg")
+        assert main(["figure1", "--points", "3", "--out", "f.csv", "--svg", "f.svg"]) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "f.svg"]
+        assert (tmp_path / "f.csv").read_text().startswith("n_tot,")
+        assert (tmp_path / "f.svg").read_text() == "old svg"
 
     def test_missing_config_file(self, tmp_path):
         assert main(["figure1", "--config", str(tmp_path / "absent.cfg"),
