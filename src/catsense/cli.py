@@ -12,7 +12,7 @@ then renamed one by one: no file is left partial, but a failure between two
 renames leaves the first new.  A command imports only the modules it runs.
 
 Exit codes: 0 success, 1 bad usage or bad domain input, 2 I/O failure,
-3 oracle capacity or tolerance failure.
+3 oracle capacity or tolerance failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds  # at the top: the --family choices are read from it
 from .errors import CatsenseError, ToleranceFailure, require_int
-from .outputs import csv_text, write_all
+from .outputs import csv_chunks, write_all
 
 _CONFIG_KEY = "catsense.config"  # the ctx.meta key holding the run's --config path
 
@@ -38,7 +38,8 @@ def write_csv(path: str, table: Mapping[str, Any], also: Mapping[str, str] | Non
     Every subcommand writes its files through this one call, which adds to
     `outputs.write_all` only the guard that needs the click context: an
     output that names the run's ``--config`` file is refused before any file
-    is staged.
+    is staged.  The CSV is streamed into its staging file from
+    `outputs.csv_chunks`, a chunk at a time; each `also` text is encoded once.
     """
     also = also or {}
     ctx = click.get_current_context(silent=True)
@@ -48,7 +49,7 @@ def write_csv(path: str, table: Mapping[str, Any], also: Mapping[str, str] | Non
         clash = [p for p in (path, *also) if os.path.realpath(p) == real]
         if clash:
             raise ValueError(f"the output {clash[0]!r} names the config file {config!r}")
-    write_all([(path, csv_text(table)), *also.items()])
+    write_all([(path, csv_chunks(table)), *((p, [text.encode()]) for p, text in also.items())])
     return next((len(c) for c in table.values() if np.ndim(c)), 0)
 
 
@@ -248,8 +249,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except click.ClickException as exc:  # usage errors; the CLI opens no file through click
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1
-    except click.Abort:
-        return 1
+    except click.Abort:  # Ctrl-C: 128 + SIGINT, as a shell reports it
+        return 130
     except OSError as exc:
         click.echo(f"io error: {exc}", err=True)
         return 2

@@ -1,10 +1,10 @@
-"""The output contract: a table's CSV text, and files staged all or none, none named twice."""
+"""The output contract: a table's CSV bytes, and files staged all or none, none named twice."""
 
 import contextlib
 import errno
 import itertools
 import os
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -182,19 +182,20 @@ def _csv_format(v) -> str:
     return "%s"
 
 
-def csv_text(table: Mapping[str, object]) -> str:
-    """CSV text of a table, CSV header -> column, byte for byte Python's ``%`` of each cell.
+def csv_chunks(table: Mapping[str, object]) -> Iterator[bytes]:
+    """CSV bytes of a table, CSV header -> column, byte for byte Python's ``%`` of each cell.
 
     The header is the table's keys in order.  A column is a 1-D array or
     sequence, or one value repeated on every row; a column whose length
-    differs from the first is a ValueError, before any text is built.  A
-    column's first cell picks its format: ``%d`` for int and bool, ``%.17g``
-    for float, ``%s`` otherwise.  Float64 array columns go through
-    `_float_cells`; every other cell is formatted from its Python value.
-    Rows are formatted `_CHUNK_ROWS` at a time; what is the same in every
-    chunk (each column's format and separator, and the cell of a value
-    repeated on every row) is built once per table.  Holes (0xFF, never part
-    of UTF-8) pad every cell and are dropped from the text.  Lines end in LF.
+    differs from the first is a ValueError, raised by this call before any
+    chunk is made.  A column's first cell picks its format: ``%d`` for int
+    and bool, ``%.17g`` for float, ``%s`` otherwise.  Float64 array columns go
+    through `_float_cells`; every other cell is formatted from its Python
+    value.  The header line is the first chunk, each `_CHUNK_ROWS` rows the
+    next, each made only when asked for; what is the same in every chunk
+    (each column's format and separator, and the cell of a value repeated on
+    every row) is built once per table.  Holes (0xFF, never part of UTF-8)
+    pad every cell and are dropped from the bytes.  Lines end in LF.
     """
     cols = [c if isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype == np.float64
             else np.asarray(c, dtype=object) for c in table.values()]
@@ -202,9 +203,13 @@ def csv_text(table: Mapping[str, object]) -> str:
     for name, c in zip(table, cols):
         if c.ndim and c.shape != (n_rows,):
             raise ValueError(f"column {name!r} has shape {c.shape}, not ({n_rows},) like the first")
-    parts = [",".join(table) + "\n"]
+    return _chunks(",".join(table) + "\n", cols, n_rows)
+
+
+def _chunks(header: str, cols: list[np.ndarray], n_rows: int) -> Iterator[bytes]:
+    yield header.encode()
     if not n_rows:
-        return parts[0]
+        return
     fmts = [_csv_format(np.atleast_1d(c)[0]) for c in cols]
     ends = [b","] * (len(cols) - 1) + [b"\n"]
     floats = [j for j, c in enumerate(cols) if c.dtype == np.float64]
@@ -222,22 +227,25 @@ def csv_text(table: Mapping[str, object]) -> str:
                   else next(float_blocks) if c.dtype == np.float64
                   else _text_cells(c[start:start + rows].tolist(), fmts[j], end=ends[j])
                   for j, c in enumerate(cols)]
-        line = np.concatenate(blocks, axis=1)
-        parts.append(line.tobytes().translate(None, b"\xff").decode())
-    return "".join(parts)
+        yield np.concatenate(blocks, axis=1).tobytes().translate(None, b"\xff")
 
 
-def write_all(docs: Sequence[tuple[str, str]]) -> None:
-    """Write each ``(path, text)`` pair with LF line endings: stage all or none, then rename.
+def csv_text(table: Mapping[str, object]) -> str:
+    """The CSV text of a table: its `csv_chunks` joined and decoded."""
+    return b"".join(csv_chunks(table)).decode()
+
+
+def write_all(docs: Sequence[tuple[str, Iterable[bytes]]]) -> None:
+    """Write each ``(path, byte chunks)`` pair as it streams: stage all or none, then rename.
 
     Two paths that name one file (by `os.path.realpath`: the same spelling, a
     ``./`` spelling or a symlink), an empty path and a directory are refused
-    before anything is staged.  Each text is staged beside its target in
+    before anything is staged.  Each file is staged beside its target in
     ``{path}.{pid}.tmp`` or, past files holding that name (a killed run's
     leftovers, never reused or removed), the first free ``{path}.{pid}.{n}.tmp``.
-    A failure while staging (an OSError names the target, with its errno) removes
-    the staged files and replaces no target.  The renames then run one by one: a
-    failure between two leaves earlier targets new, later ones as they were.
+    A failure while staging, making a chunk or writing it (an OSError names the target,
+    with its errno), removes the staged files and replaces no target.  The renames then
+    run one by one: a failure between two leaves earlier targets new, later ones as they were.
     """
     paths = [path for path, _ in docs]
     if len(paths) > 1 and len({os.path.realpath(p) for p in paths}) < len(paths):
@@ -250,16 +258,17 @@ def write_all(docs: Sequence[tuple[str, str]]) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     staged: list[tuple[str, str]] = []
     try:
-        for path, text in docs:
+        for path, chunks in docs:
             try:
                 for n in itertools.count():  # pass over a name a killed run's staging file holds
                     tmp = f"{path}.{os.getpid()}.{n}.tmp" if n else f"{path}.{os.getpid()}.tmp"
                     with contextlib.suppress(FileExistsError):
-                        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+                        fh = open(tmp, "xb")
                         break
                 staged.append((tmp, path))
                 with fh:
-                    fh.write(text)
+                    for chunk in chunks:
+                        fh.write(chunk)
             except OSError as exc:  # name the file asked for, not its temporary
                 raise OSError(exc.errno, exc.strerror, path) from None
         for tmp, path in staged:

@@ -153,14 +153,14 @@ class TestIoErrors:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == sorted(["b.csv", "ref.csv", *(p.name for p in stale)])
 
-    def test_an_interrupted_command_exits_1_and_writes_nothing(self, tmp_path, monkeypatch,
-                                                              capsys):
+    def test_an_interrupted_command_exits_130_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                                capsys):
         def interrupt(table):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "csv_text", interrupt)
+        monkeypatch.setattr(cli, "csv_chunks", interrupt)
         monkeypatch.chdir(tmp_path)
-        assert main(["figure1", "--points", "3", "--out", "f.csv", "--svg", "f.svg"]) == 1
+        assert main(["figure1", "--points", "3", "--out", "f.csv", "--svg", "f.svg"]) == 130
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -174,11 +174,12 @@ class TestIoErrors:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.csv").write_text("old csv")
         (tmp_path / "f.svg").write_text("old svg")
-        assert main(["figure1", "--points", "3", "--out", "f.csv", "--svg", "f.svg"]) == 1
+        assert main(["figure1", "--points", "3", "--out", "f.csv", "--svg", "f.svg"]) == 130
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "f.svg"]
         assert [(tmp_path / n).read_text() for n in ("f.csv", "f.svg")] == ["old csv", "old svg"]
 
-    @pytest.mark.parametrize("exc, code", [(KeyboardInterrupt(), 1), (OSError(errno.EIO, "EIO"), 2)])
+    @pytest.mark.parametrize("exc, code", [(KeyboardInterrupt(), 130),
+                                           (OSError(errno.EIO, "EIO"), 2)])
     def test_a_failure_between_renames_leaves_the_first_target_new(self, tmp_path, monkeypatch,
                                                                    exc, code):
         # staging is all or none, but the renames run one after the other, with no rollback

@@ -179,7 +179,7 @@ def test_failed_csv_write_keeps_previous_file(old_files, full_disk):
 def test_failed_svg_write_keeps_previous_file(old_files, full_disk):
     with pytest.raises(OSError):
         svg = svgplot.figure1_svg(bounds.figure1_table(2, np.array([1.0, 2.0])), 2, True)
-        write_all([(str(old_files[1]), svg)])
+        write_all([(str(old_files[1]), [svg.encode()])])
     _assert_untouched(old_files)
 
 
@@ -214,7 +214,7 @@ def test_write_all_refuses_one_file_named_twice(alias, tmp_path, monkeypatch):
     (tmp_path / "link.csv").symlink_to("old.csv")
     message = f"the outputs 'old.csv', {alias!r} name one file"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        write_all([("old.csv", "new\n"), (alias, "other\n")])
+        write_all([("old.csv", [b"new\n"]), (alias, [b"other\n"])])
     assert (tmp_path / "old.csv").read_text() == "previous old.csv\n"
     assert (tmp_path / "link.csv").is_symlink()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "old.csv"]  # no *.tmp

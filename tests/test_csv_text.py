@@ -10,13 +10,14 @@ from `.tolist()` of each array column with repeated values copied per row.
 import math
 import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catsense import cli, outputs
+from catsense import bounds, cli, outputs
 from catsense.cli import main
 from catsense.outputs import csv_text
 
@@ -64,13 +65,13 @@ def assert_matches_reference(header, columns) -> None:
 def tables(monkeypatch):
     """Every (header, columns) pair the CLI formats while the fixture is active."""
     seen = []
-    real = csv_text
+    real = outputs.csv_chunks
 
     def record(table):
         seen.append((list(table), list(table.values())))
         return real(table)
 
-    monkeypatch.setattr(cli, "csv_text", record)
+    monkeypatch.setattr(cli, "csv_chunks", record)
     return seen
 
 
@@ -164,11 +165,57 @@ def test_ragged_tables_are_refused(header, columns, bad):
         csv_text(dict(zip(header, columns)))
 
 
-def test_write_csv_writes_no_ragged_table(tmp_path):
+def test_write_csv_writes_no_ragged_table(tmp_path, monkeypatch):
+    # the columns are checked when the chunks are asked for, not at the first chunk: a lazy
+    # check would open a staging file and remove it again
+    opened = []
+    monkeypatch.setattr(outputs, "open", lambda *args: opened.append(args) or open(*args),
+                        raising=False)
     out = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="column 'b'"):
         cli.write_csv(str(out), {"a": np.arange(3.0), "b": np.arange(5.0), "c": "family"})
     assert list(tmp_path.iterdir()) == []
+    assert opened == []
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, MemoryError])
+def test_a_failure_mid_stream_replaces_no_target(tmp_path, monkeypatch, exc, existing):
+    # the second chunk of three fails after the header and the first chunk were staged
+    table = bounds.figure1_table(2, np.geomspace(0.1, 100.0, 3 * outputs._CHUNK_ROWS))
+    real, calls, staged = outputs._float_cells, [], []
+
+    def fail_second(x):
+        calls.append(x.size)
+        if len(calls) < 2:
+            return real(x)
+        staged.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
+        raise exc
+
+    monkeypatch.setattr(outputs, "_float_cells", fail_second)
+    out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+    if existing:
+        out.write_bytes(b"old csv\n")
+    with pytest.raises(exc):
+        cli.write_csv(str(out), table, {str(svg): "<svg/>"})
+    assert len(calls) == 2 and len(staged) == 1 and staged[0] > 0  # the first chunk landed
+    assert [p.name for p in tmp_path.iterdir()] == (["f.csv"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"old csv\n"
+
+
+def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # the CSV streams into its staging file a chunk at a time; holding the table's text
+    # (9.5 MB here) would peak near twice its length
+    table = bounds.figure1_table(10, np.geomspace(0.1, 100.0, 100_000))
+    out = tmp_path / "f.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(out), table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4
 
 
 def exact_cells(decade: int):
