@@ -166,8 +166,8 @@ def test_ragged_tables_are_refused(header, columns, bad):
 
 
 def test_write_csv_writes_no_ragged_table(tmp_path, monkeypatch):
-    # the columns are checked when the chunks are asked for, not at the first chunk: a lazy
-    # check would open a staging file and remove it again
+    # the `csv_chunks` call checks the columns before any chunk is made: a check at the first
+    # chunk would open a staging file and remove it again
     opened = []
     monkeypatch.setattr(outputs, "open", lambda *args: opened.append(args) or open(*args),
                         raising=False)
