@@ -95,6 +95,9 @@ def eps_min_entangled_cat(alpha: float | np.ndarray, n_modes: int) -> float | np
     return _eps_from_variance(entangled_cat_generator_variance(alpha, n_modes), "alpha", alpha)
 
 
+_BELOW_MAX = np.nextafter(np.finfo(np.float64).max, 0.0)  # the last double with a finite ulp
+
+
 def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     """Per-mode amplitude alpha such that the N-mode cat holds n_tot photons.
 
@@ -112,21 +115,27 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     n = require_nonnegative("n_tot", n_tot)
     lo = np.maximum(n, np.sqrt(n))
     hi = lo + np.minimum(lo, 1.0)
-    u = lo
+    u, dg = lo, np.empty_like(n)
     for _ in range(64):  # a safety cap: no n_tot in 1e-323...1e308 needs more than 6 passes
         t = np.tanh(u)
-        g = u * t - n
+        g = u * t
+        g -= n
         lo = np.where(g < 0.0, u, lo)
         hi = np.where(g > 0.0, u, hi)
+        np.multiply(t, t, out=dg)  # g' = t + u (1 - t^2), each step rounded as written
+        np.subtract(1.0, dg, out=dg)
+        dg *= u
+        dg += t
         # g' > 0 except at u = 0, where n_tot = 0 and g = 0 give step 0
-        step = g / np.maximum(t + u * (1.0 - t * t), np.finfo(np.float64).tiny)
-        with np.errstate(over="ignore"):  # inf at the largest double, where every step is done
-            ulp = np.spacing(u)
-        done = (np.abs(step) <= ulp) | (hi - lo <= ulp)
+        step = np.divide(g, np.maximum(dg, np.finfo(np.float64).tiny, out=dg), out=dg)
+        # u is the largest double, whose ulp overflows, only at that n_tot, where step = 0
+        ulp = np.spacing(np.minimum(u, _BELOW_MAX))
+        width = hi - lo
+        done = (np.abs(step) <= ulp) | (width <= ulp)
         if done.all():
             break
         new = u - step
-        new = np.where((lo < new) & (new < hi), new, lo + 0.5 * (hi - lo))
+        new = np.where((lo < new) & (new < hi), new, lo + 0.5 * width)
         u = np.where(done, u, new)
     return _out(np.sqrt(u / n_modes))
 

@@ -99,9 +99,11 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     Every other cell (NaN, ±inf, ±0, magnitudes outside the range, near
     ties) is formatted by Python's ``%``, once per distinct bit pattern (a
     float dedupe would merge -0.0 into 0.0); its value never enters the
-    arithmetic.  The text half writes "0000000" and the 17 digits into three
-    words and the exponent text into a fourth, shifts the flat word array up
-    one byte once, and finishes each cell with its layout's rows of `_masks`.
+    arithmetic.  The text half splits the 17 digits into quads of four (a
+    floor division per quad and one multiply-subtract), writes "0000000" and
+    the digits into three words and the exponent text into a fourth, copies
+    the flat bytes up one place once, and finishes each cell with its
+    layout's rows of `_masks`.
     Both halves compute in place on arrays of their own, each dropped once no
     later stage reads it; ``x`` is only read.
     """
@@ -138,9 +140,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     k += up
     k -= _K_MIN
     quads = np.empty((5, x.size), np.int64)  # a plane per quad 1 to 5: "000d", then 4 x 4 digits
-    np.divmod(d, 10**16, out=(quads[0], d))
-    np.divmod(d, 10**8, out=(quads[1], quads[3]))
-    np.divmod(quads[1::2], 10**4, out=(quads[1::2], quads[2::2]))
+    for j in range(4):  # d's leading 1, 5, 9 and 13 digits, then d itself
+        np.floor_divide(d, 10 ** (16 - 4 * j), out=quads[j])
+    quads[4] = d
+    quads[1:] -= quads[:-1] * 10**4  # less the digits before each quad
     zeros = _QUAD_ZEROS.take(quads[1:])  # a quad's trailing zeros are cut if every later quad is 0
     more = zeros[2] + (quads[3] == 0) * (zeros[1] + (quads[2] == 0) * zeros[0])
     layout = _CLASS.take(k)
@@ -153,8 +156,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     halves[:, 1:6] = _QUAD_TEXT.take(quads).T
     out[:, 3] = _EXPONENT.take(k)
     del quads, k
-    shifted = out << 8  # each byte up one, the top byte of a word carried into the next
-    shifted.reshape(-1)[1:] |= out.reshape(-1)[:-1] >> 56
+    shifted = np.empty_like(out)  # each byte up one; byte 0, never kept, is left as it is
+    shifted.view(np.uint8).reshape(-1)[1:] = out.view(np.uint8).reshape(-1)[:-1]
     shifted &= _SHIFT.take(layout, axis=0)
     out &= _KEEP.take(layout, axis=0)
     out |= shifted

@@ -42,7 +42,9 @@ def _points_text(v: np.ndarray) -> str:
     t = np.where(ok, v, 0.0) * 100.0
     p = np.rint(t)
     ok &= np.abs(t - p) < 0.5 - 1e-6
-    units, cents = np.divmod(p.astype(np.intp), 100)
+    cents = p.astype(np.intp)
+    units = cents // 100
+    cents -= units * 100
     cents[1::2] += 100  # a y cell ends in " "
     cells = np.stack([_UNITS[units], _CENTS[cents]], axis=1).view(np.uint8)
     if not ok.all():
@@ -149,9 +151,12 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
                + (f' stroke-dasharray="{dash}"' if dash else "")
                for _, _, color, dash in _CURVES]
 
-    # curves
+    # curves: the x pixels, the same for every curve, then each curve's y pixels between them
+    xy = np.empty(2 * xs.size)
+    xy[::2] = to_px(xs, y_hi)[0]
     for y, stroke in zip(ys, strokes):
-        coords = _points_text(np.stack(to_px(xs, y), axis=1).ravel())
+        xy[1::2] = to_px(x_lo, y)[1]
+        coords = _points_text(xy)
         out.append(f'<polyline fill="none" {stroke} points="{coords}"/>')
 
     # legend, top right corner of the frame

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import mpmath
@@ -338,6 +339,66 @@ def _rel_err(got: float, want) -> float:
 
 # log10 of n_tot: log-uniform budgets over the whole range the bounds promise
 log_budgets = st.floats(-300.0, 300.0)
+
+
+def _newton_reference(n_tot, n_modes):
+    """`invert_ntot`'s Newton loop as it was before it updated its buffers in place, kept as a
+    reference: a fresh array per operation and an `np.errstate` on every pass."""
+    n_modes = require_int("n_modes", n_modes)
+    n = require_nonnegative("n_tot", n_tot)
+    lo = np.maximum(n, np.sqrt(n))
+    hi = lo + np.minimum(lo, 1.0)
+    u = lo
+    for _ in range(64):
+        t = np.tanh(u)
+        g = u * t - n
+        lo = np.where(g < 0.0, u, lo)
+        hi = np.where(g > 0.0, u, hi)
+        step = g / np.maximum(t + u * (1.0 - t * t), np.finfo(np.float64).tiny)
+        with np.errstate(over="ignore"):
+            ulp = np.spacing(u)
+        done = (np.abs(step) <= ulp) | (hi - lo <= ulp)
+        if done.all():
+            break
+        new = u - step
+        new = np.where((lo < new) & (new < hi), new, lo + 0.5 * (hi - lo))
+        u = np.where(done, u, new)
+    return bounds._out(np.sqrt(u / n_modes))
+
+
+def _same_answer(got, want) -> bool:
+    """Bit for bit, of one type, and of one shape and dtype for an array."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, float):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+    return (got.shape, got.dtype) == (want.shape, want.dtype) and got.tobytes() == want.tobytes()
+
+
+# n_tot from 1e-323 up to the largest double, log-uniform, with zero and the range's edges
+_ntots = st.one_of(
+    st.floats(-323.0, 308.25).map(lambda e: 10.0**e),  # 10^308.25 is 0.99 of the largest double
+    st.sampled_from([0.0, 5e-324, 1e-310, float(np.finfo(np.float64).tiny), 1e308,
+                     math.nextafter(_MAX, 0.0), _MAX]))
+_ntot_inputs = st.one_of(
+    _ntots, _ntots.map(np.array), st.lists(_ntots, min_size=1, max_size=30).map(np.array),
+    st.lists(_ntots, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(2, 3)))
+
+
+class TestNewtonSolve:
+    @given(n_tot=_ntot_inputs, n_modes=st.integers(1, 1000))
+    @example(n_tot=np.array([0.0, 5e-324, 1e-310, 1.0, 1e308, _MAX]), n_modes=1)
+    def test_invert_ntot_matches_the_reference_loop_bit_for_bit(self, n_tot, n_modes):
+        assert _same_answer(invert_ntot(n_tot, n_modes), _newton_reference(n_tot, n_modes))
+
+    @pytest.mark.parametrize("n_tot", [0.0, 5e-324, 1e308, _MAX])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_range_edges_raise_no_warning(self, n_tot, as_array):
+        n = np.array([n_tot, 1.0]) if as_array else n_tot
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any RuntimeWarning, overflow at the largest double too
+            got = invert_ntot(n, 7)
+        assert _same_answer(got, _newton_reference(n, 7))
 
 
 class TestHighPrecisionReference:

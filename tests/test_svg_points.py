@@ -2,7 +2,11 @@
 
 The reference is the one-liner the kernel replaced: one ``"%.2f,%.2f "``
 per point over the interleaved pixel coordinates, last space dropped.
+The pixels `figure1_svg` hands it have their own reference: its curve loop
+as it was, each curve's x and y pixels computed afresh and stacked.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -101,3 +105,32 @@ def test_axis_span_map_and_ticks(values, log, span, ticks):
     assert log or got[-1] == hi
     assert unit(np.array([lo, hi])).tolist() == [0.0, 1.0]
     assert all(lo <= t <= hi for t in got) and np.all(np.diff(unit(np.array(got))) > 0)
+
+
+def reference_polylines(table: dict, log_x: bool) -> list[str]:
+    """The points of `figure1_svg`'s three polylines as its curve loop once made them: each
+    curve's x and y pixels computed afresh and stacked, then written by `_points_text`."""
+    xs = table["n_tot"]
+    ys = [table[column] for _, column, _, _ in svgplot._CURVES]
+    _, _, tx, _ = svgplot._axis(xs, log_x)
+    _, _, ty, _ = svgplot._axis(np.concatenate(ys), True)
+    margin_l, margin_t, plot_w, plot_h = 72, 46, 720 - 72 - 24, 540 - 46 - 58
+
+    def to_px(x, y):
+        return margin_l + tx(x) * plot_w, margin_t + (1.0 - ty(y)) * plot_h
+
+    return [svgplot._points_text(np.stack(to_px(xs, y), axis=1).ravel()) for y in ys]
+
+
+@pytest.mark.filterwarnings("error")
+@given(points=st.integers(2, 10_000), n_modes=st.integers(1, 1000),
+       spacing=st.sampled_from(["log", "linear"]), log_lo=st.floats(-4.0, 5.0),
+       decades=st.floats(0.3, 10.0), from_zero=st.booleans())
+def test_figure1_svg_pixels_match_the_reference_curve_loop(points, n_modes, spacing, log_lo,
+                                                            decades, from_zero):
+    lo = 0.0 if from_zero and spacing == "linear" else 10.0**log_lo
+    table = bounds.figure1_table(n_modes, cli._make_grid(lo, 10.0 ** (log_lo + decades),
+                                                         points, spacing))
+    svg = svgplot.figure1_svg(table, n_modes, spacing == "log")
+    assert re.findall(r'<polyline [^>]* points="([^"]*)"/>', svg) == reference_polylines(
+        table, spacing == "log")
