@@ -146,12 +146,10 @@ class Family(NamedTuple):  # a row of FAMILIES
     form: Callable[[np.ndarray, int], tuple]  # (n_tot grid, N) -> grid-shaped (alpha, Var(G))
 
 
-@np.errstate(over="ignore")  # 4 n_tot past the double range is inf, refused in curve
 def _squeezed(n: np.ndarray, m: int) -> tuple:
     return np.full(n.shape, np.nan), 4.0 * n
 
 
-@np.errstate(over="ignore")  # as in _squeezed
 def _separable(n: np.ndarray, m: int) -> tuple:
     return np.sqrt(n / m), m + 4.0 * n
 
@@ -186,7 +184,8 @@ def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, 
     if not multimode and m != 1:
         raise ValueError(f"{kind.value} is a single-mode family")
     n = require_nonnegative("n_tot", np.array(n_tot, np.float64), strict)
-    alpha, var = form(n, m)
+    with np.errstate(over="ignore"):  # a Var(G) past the double range is inf, refused below
+        alpha, var = form(n, m)
     eps = _eps_from_variance(var, "n_tot", n)
     return n, np.asarray(alpha), np.asarray(eps), np.asarray(var)
 

@@ -55,15 +55,13 @@ def write_csv(path: str, table: Mapping[str, Any], also: Mapping[str, str] | Non
 
 def _make_grid(ntot_min: float, ntot_max: float, points: int, spacing: str) -> np.ndarray:
     require_int("points", points)  # the ceiling; click's IntRange would echo a huge value
-    if not (math.isfinite(ntot_min) and math.isfinite(ntot_max) and ntot_min < ntot_max):
+    if not (ntot_min < ntot_max and math.isfinite(ntot_max - ntot_min)):  # NaN, ±inf, overflow
         raise click.UsageError(f"need finite ntot-min < ntot-max, got {ntot_min} and {ntot_max}")
-    if spacing == "linear":
-        return np.linspace(ntot_min, ntot_max, points)
-    if ntot_min <= 0.0:
+    if spacing == "log" and ntot_min <= 0.0:
         raise click.UsageError("log spacing needs ntot-min > 0")
-    # near the largest double, geomspace overflows only in the endpoint it then sets to stop
+    # near the largest double, each builder overflows only in the endpoint it then sets to stop
     with np.errstate(over="ignore"):
-        return np.geomspace(ntot_min, ntot_max, points)
+        return (np.geomspace if spacing == "log" else np.linspace)(ntot_min, ntot_max, points)
 
 
 # ---------------------------------------------------------------- click wiring

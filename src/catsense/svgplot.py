@@ -62,7 +62,8 @@ def _axis(values: np.ndarray, log: bool):
     five even ticks ending exactly at hi; an axis with no tick inside is ticked at its two ends.
     """
     lo, hi = float(values.min()), float(values.max())
-    if lo == hi:  # degenerate; widen a hair so the map is defined
+    f = np.log10 if log else np.asarray
+    if not f(hi) > f(lo):  # degenerate on the axis's own scale; widen a hair so the map is defined
         pad = abs(lo) * 0.05 or 0.5
         lo, hi = (lo / (1 + 0.1), hi * (1 + 0.1)) if log else (lo - pad, hi + pad)
     if log:
@@ -72,7 +73,6 @@ def _axis(values: np.ndarray, log: bool):
         ticks = [10.0**k for k in range(first, last + 1, every)]
     else:
         ticks = np.linspace(lo, hi, 5).tolist()
-    f = np.log10 if log else np.asarray
     f_lo = f(lo)
     f_span = f(hi) - f_lo
     ticks = [t for t in ticks if lo <= t <= hi] or [lo, hi]

@@ -68,6 +68,9 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
         "--ntot-max", "1.7e308"], 1, None)
       for family in ("squeezed", "single-cat", "separable-cats")],
     (["figure1", "--spacing", "linear", "--ntot-min", "1e307", "--ntot-max", "1.7e308"], 1, None),
+    # finite bounds whose span ntot-max - ntot-min overflows
+    (["bounds", "--family", "sql", "--spacing", "linear", "--ntot-min", "-1.7976931348623157e308",
+      "--ntot-max", "1.7976931348623157e308"], 1, None),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
@@ -82,10 +85,12 @@ def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_log_grid_ending_at_the_largest_double(tmp_path):
-    # geomspace's power step overflows in the endpoint it then replaces with stop
+@pytest.mark.parametrize("spacing, ntot_min", [("log", "1e308"), ("linear", "0")])
+def test_log_grid_ending_at_the_largest_double(tmp_path, spacing, ntot_min):
+    # geomspace's power step and linspace's last multiple of the step overflow in the endpoint
+    # each then replaces with stop
     out = tmp_path / "out.csv"
-    assert main(["bounds", "--family", "sql", "--ntot-min", "1e308",
+    assert main(["bounds", "--family", "sql", "--spacing", spacing, "--ntot-min", ntot_min,
                  "--ntot-max", "1.7976931348623157e308", "--points", "4", "--out", str(out)]) == 0
     n_tot = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
     assert len(n_tot) == 4 and all(math.isfinite(n) for n in n_tot)

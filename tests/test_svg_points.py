@@ -6,11 +6,12 @@ The pixels `figure1_svg` hands it have their own reference: its curve loop
 as it was, each curve's x and y pixels computed afresh and stacked.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from catsense import bounds, cli, svgplot
@@ -134,3 +135,25 @@ def test_figure1_svg_pixels_match_the_reference_curve_loop(points, n_modes, spac
     svg = svgplot.figure1_svg(table, n_modes, spacing == "log")
     assert re.findall(r'<polyline [^>]* points="([^"]*)"/>', svg) == reference_polylines(
         table, spacing == "log")
+
+
+@pytest.mark.filterwarnings("error")
+@given(points=st.integers(2, 50), n_modes=st.integers(1, 1000),
+       spacing=st.sampled_from(["log", "linear"]), lo=st.floats(5e-324, 1e290),
+       log2_ulps=st.floats(0.0, 56.0))
+@example(points=2, n_modes=1, spacing="log", lo=5.0, log2_ulps=0.0)  # 5 to 5.000000000000001
+def test_figure1_svg_points_stay_in_the_frame(points, n_modes, spacing, lo, log2_ulps):
+    # hi is k >= 1 ulps above lo: from one ulp, where log10 may round both ends alike, up to
+    # 2^56 ulps, sixteen binades or nearly five decades; lo stops where 1000 modes would put
+    # Var(G) past the largest double, which figure1_table refuses
+    k = int(2.0**log2_ulps)
+    hi = float((np.float64(lo).view(np.int64) + k).view(np.float64))
+    table = bounds.figure1_table(n_modes, cli._make_grid(lo, hi, points, spacing))
+    svg = svgplot.figure1_svg(table, n_modes, spacing == "log")
+    polylines = re.findall(r'<polyline [^>]* points="([^"]*)"/>', svg)
+    assert len(polylines) == 3
+    for text in polylines:
+        for pair in text.split(" "):
+            x, y = map(float, pair.split(","))
+            assert math.isfinite(x) and 72.0 <= x <= 720.0 - 24.0
+            assert math.isfinite(y) and 46.0 <= y <= 540.0 - 58.0
