@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import click
 import numpy as np
@@ -32,14 +32,16 @@ from .outputs import csv_chunks, write_all
 _CONFIG_KEY = "catsense.config"  # the ctx.meta key holding the run's --config path
 
 
-def write_csv(path: str, table: Mapping[str, Any], also: Mapping[str, str] | None = None) -> int:
-    """Write a table's CSV, and any `also` path -> text files, staged all or none; returns rows.
+def write_csv(path: str, table: Mapping[str, Any],
+              also: Mapping[str, Iterable[bytes]] | None = None) -> int:
+    """Write a table's CSV and each `also` path's byte chunks, staged all or none; returns rows.
 
     Every subcommand writes its files through this one call, which adds to
     `outputs.write_all` only the guard that needs the click context: an
     output that names the run's ``--config`` file is refused before any file
     is staged.  The CSV is streamed into its staging file from
-    `outputs.csv_chunks`, a chunk at a time; each `also` text is encoded once.
+    `outputs.csv_chunks`, a chunk at a time, and then each `also` file from
+    its chunks (a generator such as `svgplot.figure1_svg` runs only then).
     """
     also = also or {}
     ctx = click.get_current_context(silent=True)
@@ -49,7 +51,7 @@ def write_csv(path: str, table: Mapping[str, Any], also: Mapping[str, str] | Non
         clash = [p for p in (path, *also) if os.path.realpath(p) == real]
         if clash:
             raise ValueError(f"the output {clash[0]!r} names the config file {config!r}")
-    write_all([(path, csv_chunks(table)), *((p, [text.encode()]) for p, text in also.items())])
+    write_all([(path, csv_chunks(table)), *also.items()])
     return next((len(c) for c in table.values() if np.ndim(c)), 0)
 
 

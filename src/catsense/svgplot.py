@@ -10,10 +10,11 @@ a plain text file that diffs cleanly.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
-from .outputs import _text_cells
+from .outputs import _CHUNK_ROWS, _text_cells
 
 # label (formatted with the mode count), column, colour, dash pattern
 _CURVES = (
@@ -27,8 +28,8 @@ _UNITS = np.frombuffer(b"".join(b"%4d" % k for k in range(1000)).replace(b" ", b
 _CENTS = np.frombuffer(b"".join(b".%02d%c" % (k, s) for s in b", " for k in range(100)), "<u4")
 
 
-def _points_text(v: np.ndarray) -> str:
-    """``" ".join("%.2f,%.2f" % xy)`` for the interleaved x and y values v, byte for byte.
+def _points_text(v: np.ndarray) -> bytes:
+    """``" ".join("%.2f,%.2f" % xy)`` for the interleaved x and y values v, UTF-8 byte for byte.
 
     A cell is certified when 0 <= v < 999 with a clear sign bit and
     t = fl(100 v) lies more than 1e-6 from a half-integer.  Below 1000, t
@@ -46,13 +47,16 @@ def _points_text(v: np.ndarray) -> str:
     units = cents // 100
     cents -= units * 100
     cents[1::2] += 100  # a y cell ends in " "
-    cells = np.stack([_UNITS[units], _CENTS[cents]], axis=1).view(np.uint8)
+    cells = np.empty((v.size, 2), "<u4")
+    _UNITS.take(units, out=cells[:, 0], mode="clip")  # in range; "raise" would buffer the out
+    _CENTS.take(cents, out=cells[:, 1], mode="clip")
+    cells = cells.view(np.uint8)
     if not ok.all():
         text = _text_cells(v[~ok].tolist(), "%.2f", 8, b"\xff")  # the last byte of a row is a hole
         cells = np.pad(cells, ((0, 0), (0, text.shape[1] - 8)), constant_values=0xFF)
         cells[~ok] = text
         cells[~ok, -1] = np.frombuffer(b", ", np.uint8)[np.flatnonzero(~ok) & 1]
-    return cells.tobytes().translate(None, b"\xff")[:-1].decode()
+    return cells.tobytes().translate(None, b"\xff")[:-1]
 
 
 def _axis(values: np.ndarray, log: bool):
@@ -79,11 +83,15 @@ def _axis(values: np.ndarray, log: bool):
     return lo, hi, lambda v: (f(v) - f_lo) / f_span, ticks
 
 
-def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
-    """A complete standalone SVG document plotting a `bounds.figure1_table` table.
+def figure1_svg(table: dict, n_modes: int, log_x: bool) -> Iterator[bytes]:
+    """A complete standalone SVG document plotting a `bounds.figure1_table` table, as UTF-8 pieces.
 
     Each eps column is 1/sqrt(Var(G)) of a Var(G) that `bounds.curve` has
     checked to be finite and positive, so every point lies on a log y axis.
+    The pieces are made only when asked for: the head (everything before the
+    first polyline), then per curve its opening ``points="``, its points text
+    `outputs._CHUNK_ROWS` points at a time, and its closing ``"/>``, then the
+    legend and ``</svg>``.  Joined, they are the document byte for byte.
     """
     xs = table["n_tot"]
     ys = [table[column] for _, column, _, _ in _CURVES]
@@ -151,15 +159,21 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
                + (f' stroke-dasharray="{dash}"' if dash else "")
                for _, _, color, dash in _CURVES]
 
+    yield ("\n".join(out) + "\n").encode()
+
     # curves: the x pixels, the same for every curve, then each curve's y pixels between them
     xy = np.empty(2 * xs.size)
     xy[::2] = to_px(xs, y_hi)[0]
+    piece = 2 * _CHUNK_ROWS
     for y, stroke in zip(ys, strokes):
         xy[1::2] = to_px(x_lo, y)[1]
-        coords = _points_text(xy)
-        out.append(f'<polyline fill="none" {stroke} points="{coords}"/>')
+        yield f'<polyline fill="none" {stroke} points="'.encode()
+        for start in range(0, xy.size, piece):
+            yield (b" " if start else b"") + _points_text(xy[start:start + piece])
+        yield b'"/>\n'
 
     # legend, top right corner of the frame
+    out = []
     for i, ((label, _, _, _), stroke) in enumerate(zip(_CURVES, strokes)):
         ly = margin_t + 16 + 18 * i
         lx = margin_l + plot_w - 190
@@ -167,5 +181,5 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> str:
         out.append(f'<text x="{lx + 42}" y="{ly + 4}">{label.format(n_modes)}</text>')
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    yield ("\n".join(out) + "\n").encode()
 

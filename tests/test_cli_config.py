@@ -178,8 +178,8 @@ def test_failed_csv_write_keeps_previous_file(old_files, full_disk):
 
 def test_failed_svg_write_keeps_previous_file(old_files, full_disk):
     with pytest.raises(OSError):
-        svg = svgplot.figure1_svg(bounds.figure1_table(2, np.array([1.0, 2.0])), 2, True)
-        write_all([(str(old_files[1]), [svg.encode()])])
+        svg = b"".join(svgplot.figure1_svg(bounds.figure1_table(2, np.array([1.0, 2.0])), 2, True))
+        write_all([(str(old_files[1]), [svg])])
     _assert_untouched(old_files)
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from catsense import bounds, cli, outputs
+from catsense import bounds, cli, outputs, svgplot
 from catsense.cli import main
 from catsense.outputs import csv_text
 
@@ -197,11 +197,39 @@ def test_a_failure_mid_stream_replaces_no_target(tmp_path, monkeypatch, exc, exi
     if existing:
         out.write_bytes(b"old csv\n")
     with pytest.raises(exc):
-        cli.write_csv(str(out), table, {str(svg): "<svg/>"})
+        cli.write_csv(str(out), table, {str(svg): [b"<svg/>"]})
     assert len(calls) == 2 and len(staged) == 1 and staged[0] > 0  # the first chunk landed
     assert [p.name for p in tmp_path.iterdir()] == (["f.csv"] if existing else [])
     if existing:
         assert out.read_bytes() == b"old csv\n"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, MemoryError])
+def test_a_failure_mid_svg_replaces_no_target(tmp_path, monkeypatch, exc, existing):
+    # the SVG's second points piece of nine fails; the whole CSV was staged before any of it
+    table = bounds.figure1_table(2, np.geomspace(0.1, 100.0, 3 * outputs._CHUNK_ROWS))
+    real, calls, staged = svgplot._points_text, [], {}
+
+    def fail_second(v):
+        calls.append(v.size)
+        if len(calls) < 2:
+            return real(v)
+        staged.update((p.name.split(".")[1], p.read_bytes()) for p in tmp_path.glob("*.tmp"))
+        raise exc
+
+    monkeypatch.setattr(svgplot, "_points_text", fail_second)
+    out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+    if existing:
+        out.write_bytes(b"old csv\n")
+        svg.write_bytes(b"old svg\n")
+    with pytest.raises(exc):
+        cli.write_csv(str(out), table, {str(svg): svgplot.figure1_svg(table, 2, True)})
+    assert sorted(staged) == ["csv", "svg"] and staged["csv"] == csv_text(table).encode()
+    assert calls == [2 * outputs._CHUNK_ROWS] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["f.csv", "f.svg"] if existing else [])
+    if existing:
+        assert (out.read_bytes(), svg.read_bytes()) == (b"old csv\n", b"old svg\n")
 
 
 def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
@@ -216,6 +244,20 @@ def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < out.stat().st_size / 4
+
+
+def test_write_csv_memory_with_the_svg_stays_below_the_svg(tmp_path):
+    # the SVG streams into its staging file after the CSV, its points text a piece at a time;
+    # rendered whole before staging, it peaked at about four times the file's size
+    table = bounds.figure1_table(10, np.geomspace(0.1, 100.0, 100_000))
+    out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(out), table, {str(svg): svgplot.figure1_svg(table, 10, True)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < svg.stat().st_size
 
 
 def exact_cells(decade: int):

@@ -3,7 +3,9 @@
 The reference is the one-liner the kernel replaced: one ``"%.2f,%.2f "``
 per point over the interleaved pixel coordinates, last space dropped.
 The pixels `figure1_svg` hands it have their own reference: its curve loop
-as it was, each curve's x and y pixels computed afresh and stacked.
+as it was, each curve's x and y pixels computed afresh and stacked, and
+written by one kernel call per curve where `figure1_svg` writes pieces of
+`outputs._CHUNK_ROWS` points.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from catsense import bounds, cli, svgplot
+from catsense import bounds, cli, outputs, svgplot
 
 
 def reference_points(v) -> str:
@@ -26,7 +28,12 @@ def points_text(values) -> tuple[str, str]:
     """(kernel, reference) text of the values, then of their negatives, as x, y pairs."""
     v = np.asarray(values, dtype=np.float64)
     v = np.concatenate([v, -v])
-    return svgplot._points_text(v), reference_points(v)
+    return svgplot._points_text(v).decode(), reference_points(v)
+
+
+def render(table: dict, n_modes: int, log_x: bool) -> str:
+    """The SVG document `figure1_svg` yields, joined and decoded."""
+    return b"".join(svgplot.figure1_svg(table, n_modes, log_x)).decode()
 
 
 def around(edges, ulps: int = 64) -> np.ndarray:
@@ -78,9 +85,9 @@ def test_figure1_svg_matches_the_reference_render(monkeypatch, spacing, n_modes)
         lo = 10.0 ** rng.uniform(-4.0, 5.0)
         hi = lo * 10.0 ** rng.uniform(0.3, 10.0)
         tables.append(bounds.figure1_table(n_modes, cli._make_grid(lo, hi, points, spacing)))
-    got = [svgplot.figure1_svg(t, n_modes, spacing == "log") for t in tables]
-    monkeypatch.setattr(svgplot, "_points_text", reference_points)
-    assert got == [svgplot.figure1_svg(t, n_modes, spacing == "log") for t in tables]
+    got = [render(t, n_modes, spacing == "log") for t in tables]
+    monkeypatch.setattr(svgplot, "_points_text", lambda v: reference_points(v).encode())
+    assert got == [render(t, n_modes, spacing == "log") for t in tables]
 
 
 @pytest.mark.filterwarnings("error")
@@ -110,7 +117,7 @@ def test_axis_span_map_and_ticks(values, log, span, ticks):
 
 def reference_polylines(table: dict, log_x: bool) -> list[str]:
     """The points of `figure1_svg`'s three polylines as its curve loop once made them: each
-    curve's x and y pixels computed afresh and stacked, then written by `_points_text`."""
+    curve's x and y pixels computed afresh and stacked, then written by one `_points_text` call."""
     xs = table["n_tot"]
     ys = [table[column] for _, column, _, _ in svgplot._CURVES]
     _, _, tx, _ = svgplot._axis(xs, log_x)
@@ -120,19 +127,23 @@ def reference_polylines(table: dict, log_x: bool) -> list[str]:
     def to_px(x, y):
         return margin_l + tx(x) * plot_w, margin_t + (1.0 - ty(y)) * plot_h
 
-    return [svgplot._points_text(np.stack(to_px(xs, y), axis=1).ravel()) for y in ys]
+    return [svgplot._points_text(np.stack(to_px(xs, y), axis=1).ravel()).decode() for y in ys]
 
 
 @pytest.mark.filterwarnings("error")
 @given(points=st.integers(2, 10_000), n_modes=st.integers(1, 1000),
        spacing=st.sampled_from(["log", "linear"]), log_lo=st.floats(-4.0, 5.0),
        decades=st.floats(0.3, 10.0), from_zero=st.booleans())
+@example(points=outputs._CHUNK_ROWS, n_modes=10, spacing="log", log_lo=-1.0, decades=3.0,
+         from_zero=False)  # one whole piece per curve
+@example(points=outputs._CHUNK_ROWS + 1, n_modes=10, spacing="linear", log_lo=-1.0,
+         decades=3.0, from_zero=True)  # a whole piece, then a piece of one point
 def test_figure1_svg_pixels_match_the_reference_curve_loop(points, n_modes, spacing, log_lo,
                                                             decades, from_zero):
     lo = 0.0 if from_zero and spacing == "linear" else 10.0**log_lo
     table = bounds.figure1_table(n_modes, cli._make_grid(lo, 10.0 ** (log_lo + decades),
                                                          points, spacing))
-    svg = svgplot.figure1_svg(table, n_modes, spacing == "log")
+    svg = render(table, n_modes, spacing == "log")
     assert re.findall(r'<polyline [^>]* points="([^"]*)"/>', svg) == reference_polylines(
         table, spacing == "log")
 
@@ -149,7 +160,7 @@ def test_figure1_svg_points_stay_in_the_frame(points, n_modes, spacing, lo, log2
     k = int(2.0**log2_ulps)
     hi = float((np.float64(lo).view(np.int64) + k).view(np.float64))
     table = bounds.figure1_table(n_modes, cli._make_grid(lo, hi, points, spacing))
-    svg = svgplot.figure1_svg(table, n_modes, spacing == "log")
+    svg = render(table, n_modes, spacing == "log")
     polylines = re.findall(r'<polyline [^>]* points="([^"]*)"/>', svg)
     assert len(polylines) == 3
     for text in polylines:
