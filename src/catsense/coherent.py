@@ -111,17 +111,19 @@ class SuperpositionState:
 def _gram(s: SuperpositionState, t: SuperpositionState) -> np.ndarray:
     """W_ij = conj(c_i) d_j <L_i|K_j> for s = sum c_i |L_i> and t = sum d_j |K_j>.
 
-    With D = L_i - K_j and P = (L_i + K_j) / 2, log <L_i|K_j> is written
-    sum_k -|D_k|^2 / 2 - i Im(conj(P_k) D_k): it does not cancel for large,
-    close labels, and swapping the labels conjugates it exactly, so W of a
-    state with itself is Hermitian to the last bit.  Below the double range
-    an overlap underflows to 0.
+    With D = L_i - K_j and P = L_i / 2 + K_j / 2, log <L_i|K_j> is written
+    sum_k -|D_k|^2 / 2 - i Im(conj(P_k) D_k): it does not cancel for large, close labels, and
+    swapping the labels conjugates it exactly, so W of a state with itself is Hermitian to the
+    last bit.  Below the double range an overlap underflows to 0.  Past it `_store`'s rule holds:
+    a pair whose |D_k|^2 overflows in some mode is far apart, with phase 0 and overlap 0.
     """
     if s.mode_count != t.mode_count:
         raise DimensionMismatch(f"overlap of {s.mode_count}- and {t.mode_count}-mode states")
     bra, ket = s.labels[:, None, :], t.labels[None, :, :]
-    diff, mid = bra - ket, 0.5 * (bra + ket)
-    z = np.sum(-0.5 * (diff.real**2 + diff.imag**2) - 1j * (mid.conj() * diff).imag, axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 only in a phase set to 0
+        diff, mid = bra - ket, 0.5 * bra + 0.5 * ket  # a midpoint of doubles is a double
+        gap = diff.real**2 + diff.imag**2
+        z = np.sum(-0.5 * gap - 1j * np.where(gap < np.inf, (mid.conj() * diff).imag, 0.0), axis=2)
     return s.coeffs.conj()[:, None] * t.coeffs[None, :] * np.exp(z)
 
 
@@ -181,13 +183,13 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
     kicks = require_finite("kick", [complex(b) for b in betas])
     if kicks.shape != (s.mode_count,):
         raise DimensionMismatch(f"{len(kicks)} kicks for a {s.mode_count}-mode state")
-    with np.errstate(over="ignore"):  # a sum past the double range is rejected just below
+    # a label or phase past the double range is refused below; an unused real part may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
         moved = s.labels + kicks
-    require_finite("displaced label amplitude", moved)  # TwoSum below warns on inf
-    part = moved - s.labels
-    err = (s.labels - (moved - part)) + (kicks - part)
-    with np.errstate(over="ignore", invalid="ignore"):  # an unused real part may overflow
+        part = moved - s.labels
+        err = (s.labels - (moved - part)) + (kicks - part)  # TwoSum
         phase = np.sum((kicks * s.labels.conj()).imag + (err * moved.conj()).imag, axis=1)
+    require_finite("displaced label amplitude", moved)
     require_finite("displacement phase Im(beta conj(g))", phase)
     out = object.__new__(SuperpositionState)  # arrays in hand, no term list to convert
     out._store(s.coeffs * np.exp(1j * phase), moved)

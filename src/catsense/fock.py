@@ -133,6 +133,14 @@ def _check_tail(amps: np.ndarray, what: str, tol: float = TAIL_TOL) -> None:
         )
 
 
+def _require_amplitude(fn: str, name: str, z: complex) -> tuple[complex, float]:
+    """The oracle's one amplitude rule: z finite and |z|^2 a double; returns z and |z|^2."""
+    z = complex(require_finite(name, z))
+    if not abs(z) < 2.0**512:  # (2^512)^2 = 2^1024, one past the largest double
+        raise TruncationError(f"{fn}({name}={z}): |{name}|^2 overflows, past every cutoff")
+    return z, abs(z) ** 2
+
+
 def coherent_vector(alpha: complex, dim: int) -> FockVector:
     """|alpha> truncated to dim levels and renormalized.
 
@@ -140,15 +148,10 @@ def coherent_vector(alpha: complex, dim: int) -> FockVector:
     [exp(-|alpha|^2/2), alpha/sqrt(1), ..., alpha/sqrt(dim-1)], the Gaussian factor first so
     that every partial product is an amplitude (at most 1) and cannot overflow.  Raises
     TruncationError when the top of the basis still holds mass, instead of silently clipping,
-    or when |alpha|^2 overflows; a NaN or infinite alpha is a ValueError.
+    or when |alpha|^2 overflows; a NaN or infinite alpha is a ValueError (`_require_amplitude`).
     """
     _require_capacity(dim, 1)
-    a = complex(require_finite("alpha", alpha))
-    try:
-        mean = abs(a) ** 2
-    except OverflowError:
-        raise TruncationError(f"coherent_vector(alpha={a}): |alpha|^2 overflows, "
-                              "past every cutoff") from None
+    a, mean = _require_amplitude("coherent_vector", "alpha", alpha)
     c = np.cumprod(np.concatenate(([math.exp(-0.5 * mean)], a / np.sqrt(np.arange(1, dim)))))
     if dim >= 2:
         _check_tail(c, f"coherent_vector(alpha={a})")
@@ -227,10 +230,11 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
 
     Computed as exp(-i H) with the Hermitian H = i(beta a* - conj(beta) a)
     through its eigendecomposition, so the result is unitary to roundoff
-    (a Taylor series on a truncated a would not be).  A NaN or infinite
-    beta is a ValueError, raised before anything is built.
+    (a Taylor series on a truncated a would not be).  A NaN or infinite beta is a
+    ValueError and one whose |beta|^2 overflows a TruncationError, both raised before
+    anything is built (`_require_amplitude`, the rule of `coherent_vector`'s alpha).
     """
-    b = complex(require_finite("beta", beta))
+    b = _require_amplitude("displacement_matrix", "beta", beta)[0]
     a = annihilation(dim)
     h = 1j * (b * a.conj().T - b.conjugate() * a)
     w, v = np.linalg.eigh(h)

@@ -26,6 +26,8 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
     (["qfi-check", "--modes-list", "0", "--alpha-list", "0.5"], 1, None),
     # alpha^2 overflows: infinitely many levels, past the oracle caps
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e200"], 3, None),
+    # the finite-difference kick 1e308j: its |beta|^2 overflows, refused before eigh runs
+    (["qfi-check", "--modes-list", "1", "--alpha-list", "0.5", "--fd-step", "1e308"], 3, None),
     # alpha^2 is finite but 4 N alpha^2 is not, and the level count is a double
     (["qfi-check", "--modes-list", "1", "--alpha-list", "1e154"], 3, None),
     # the level count is the double 1e200, whose square overflows: refused, not OverflowError

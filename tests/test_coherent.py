@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catsense import coherent, fock
 from catsense.coherent import (
@@ -88,6 +89,14 @@ class TestOverlap:
         # not a range error
         assert overlap(label(60.0), label(-60.0)) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [1e154, 1e308, 1.7976931348623157e308])
+    def test_labels_at_the_edge_of_the_double_range(self, x):
+        # |2x|^2 overflows: the pair is far apart, overlap exactly 0; a label with itself has the
+        # midpoint x / 2 + x / 2 = x, a double, and overlap exactly 1
+        assert overlap(label(x), label(-x)) == 0
+        assert overlap(label(x), label(x)) == 1
+
     def test_mode_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             overlap(label(1.0), label(1.0, 0.0))
@@ -109,6 +118,45 @@ class TestOverlap:
         dim = fock.recommended_dim(max(abs(a), abs(b)))
         brute = np.vdot(fock.coherent_vector(a, dim).amplitudes, fock.coherent_vector(b, dim).amplitudes)
         assert brute == pytest.approx(exact, abs=5e-11)
+
+
+def _plain_gram(s, t):
+    """The Gram matrix by the plain formula, midpoint (L + K) / 2 and no range rule: what
+    `_gram` must reproduce bit for bit while every label, sum and difference is a normal double."""
+    bra, ket = s.labels[:, None, :], t.labels[None, :, :]
+    diff, mid = bra - ket, 0.5 * (bra + ket)
+    z = np.sum(-0.5 * (diff.real**2 + diff.imag**2) - 1j * (mid.conj() * diff).imag, axis=2)
+    return s.coeffs.conj()[:, None] * t.coeffs[None, :] * np.exp(z)
+
+
+# a label component: 0, or of either sign with magnitude 1e-8 to 1e6, log-uniform
+wide_part = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
+                                              st.sampled_from([1.0, -1.0]), st.floats(-8.0, 6.0)))
+
+coefficient = st.builds(lambda r, phi: r * cmath.exp(1j * phi),
+                        st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi))
+
+
+@st.composite
+def state_pairs(draw):
+    """Two states of one mode count (1..4), each of 1..20 terms, labels built from `wide_part`."""
+    modes = draw(st.integers(1, 4))
+
+    def state():
+        n = draw(st.integers(1, 20))
+        parts = draw(arrays(np.float64, (n, modes, 2), elements=wide_part))
+        coeffs = draw(arrays(np.complex128, n, elements=coefficient))
+        return SuperpositionState([(c, label(*row)) for c, row in zip(coeffs, parts @ [1, 1j])])
+
+    return state(), state()
+
+
+@pytest.mark.filterwarnings("error")
+@given(state_pairs())
+def test_gram_is_the_plain_formula_inside_the_double_range(pair):
+    s, t = pair
+    for bra, ket in ((s, t), (s, s), (t, s)):
+        assert coherent._gram(bra, ket).tobytes() == _plain_gram(bra, ket).tobytes()
 
 
 @st.composite
@@ -221,6 +269,15 @@ class TestEntangledCat:
         assert norm_squared(cat) == pytest.approx(
             1.0 + math.exp(-2.0 * n * alpha**2), rel=1e-13
         )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [1e154, 1e200, 1e308, 1.7976931348623157e308])
+    def test_norm_squared_past_the_double_range(self, alpha, n):
+        # the labels are 2 alpha apart in every mode, so the cross overlaps are exactly 0, as at
+        # alpha = 30, where exp(-2 N alpha^2) already underflows
+        far = make_entangled_cat(30.0, n)
+        assert norm_squared(make_entangled_cat(alpha, n)) == norm_squared(far)
 
     def test_zero_amplitude_collapses_to_vacuum(self):
         for zero in (0.0, -0.0):

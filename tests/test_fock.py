@@ -454,6 +454,31 @@ class TestDisplacement:
         kicked = fock.displace_fock(psi, [1e-3j])
         assert np.linalg.norm(kicked.amplitudes) == pytest.approx(np.linalg.norm(psi.amplitudes), abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1e155j, 1e308j, 1.7976931348623157e308])
+    def test_kick_whose_square_overflows_refused(self, beta):
+        # |beta|^2 past the largest double: no cutoff holds D(beta)|psi>, refused before eigh
+        # runs, whose entries near |beta| sqrt(dim) would overflow or fail to converge
+        psi = fock.coherent_vector(0.5, 21)
+        with pytest.raises(TruncationError, match=r"\|beta\|\^2 overflows, past every cutoff"):
+            fock.displacement_matrix(beta, 20)
+        with pytest.raises(TruncationError, match="past every cutoff"):
+            fock.displace_fock(psi, [beta])
+        with pytest.raises(TruncationError, match="past every cutoff"):
+            fock.qfi_fidelity_fd(psi, [beta], 1.0)
+        with pytest.raises(TruncationError, match="past every cutoff"):
+            fock.qfi_fidelity_fd(psi, [1j], 1e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_amplitude_rule_refuses_exactly_the_overflowing_squares(self):
+        below = math.nextafter(2.0**512, 0.0)
+        assert fock._require_amplitude("f", "z", below) == (below, below**2)
+        for z in (2.0**512, complex(1e154, 1e154)):
+            with pytest.raises(OverflowError):
+                abs(z) ** 2
+            with pytest.raises(TruncationError, match=r"^f\(z=.*\): \|z\|\^2 overflows"):
+                fock._require_amplitude("f", "z", z)
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf, complex(0.0, -math.inf),
                                       complex(math.nan, 1.0)])
     def test_non_finite_kick_refused(self, monkeypatch, beta):
