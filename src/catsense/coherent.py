@@ -20,6 +20,7 @@ what separates one probe family from another.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -108,33 +109,39 @@ class SuperpositionState:
         return len(self.coeffs)
 
 
-def _gram(s: SuperpositionState, t: SuperpositionState) -> np.ndarray:
-    """W_ij = conj(c_i) d_j <L_i|K_j> for s = sum c_i |L_i> and t = sum d_j |K_j>.
+def _gram(s: SuperpositionState, t: SuperpositionState) -> tuple[np.ndarray, complex]:
+    """W_ij = conj(c_i) d_j <L_i|K_j> for s = sum c_i |L_i> and t = sum d_j |K_j>, and <s|t>.
 
     With D = L_i - K_j and P = L_i / 2 + K_j / 2, log <L_i|K_j> is written
     sum_k -|D_k|^2 / 2 - i Im(conj(P_k) D_k): it does not cancel for large, close labels, and
     swapping the labels conjugates it exactly, so W of a state with itself is Hermitian to the
-    last bit.  Below the double range an overlap underflows to 0.  Past it `_store`'s rule holds:
-    a pair whose |D_k|^2 overflows in some mode is far apart, with phase 0 and overlap 0.
+    last bit.  Each W_ij and <s|t> is a double or ValueError: a pair of magnitude 0 is 0 whatever
+    its phase or coefficients; any other whose phase or coefficient product overflows is refused.
     """
     if s.mode_count != t.mode_count:
         raise DimensionMismatch(f"overlap of {s.mode_count}- and {t.mode_count}-mode states")
     bra, ket = s.labels[:, None, :], t.labels[None, :, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 only in a phase set to 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the sum <s|t> reads every inf and NaN
         diff, mid = bra - ket, 0.5 * bra + 0.5 * ket  # a midpoint of doubles is a double
-        gap = diff.real**2 + diff.imag**2
-        z = np.sum(-0.5 * gap - 1j * np.where(gap < np.inf, (mid.conj() * diff).imag, 0.0), axis=2)
-    return s.coeffs.conj()[:, None] * t.coeffs[None, :] * np.exp(z)
+        log = np.empty(diff.shape, np.complex128)  # set by parts: 1j * inf has a NaN real part
+        log.real, log.imag = -0.5 * (diff.real**2 + diff.imag**2), 0.0 - (mid.conj() * diff).imag
+        z = np.sum(log, axis=2)
+        w = s.coeffs.conj()[:, None] * t.coeffs[None, :] * np.exp(z)
+        if not cmath.isfinite(total := complex(np.sum(w))):  # a pair of magnitude 0 is 0
+            w[~np.isfinite(w) & (np.exp(z.real) == 0)] = 0.0
+            if not cmath.isfinite(total := complex(np.sum(w))):
+                raise ValueError("<s|t> = sum_ij conj(c_i) d_j <L_i|K_j> is past the double range")
+    return w, total
 
 
 def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
     """<a|b> = exp( sum_k  -|a_k|^2/2 - |b_k|^2/2 + conj(a_k) b_k )."""
-    return complex(_gram(SuperpositionState([(1.0, a)]), SuperpositionState([(1.0, b)]))[0, 0])
+    return inner(SuperpositionState([(1.0, a)]), SuperpositionState([(1.0, b)]))
 
 
 def inner(s: SuperpositionState, t: SuperpositionState) -> complex:
     """<s|t> expanded over all label pairs."""
-    return complex(np.sum(_gram(s, t)))
+    return _gram(s, t)[1]
 
 
 def _positive_norm(s: SuperpositionState, v: complex) -> float:
@@ -142,7 +149,8 @@ def _positive_norm(s: SuperpositionState, v: complex) -> float:
     n2 = require_real("norm^2", v)
     # Relative floor: coefficients of unit size with norm^2 ~ 1e-12 mean the
     # labels nearly cancel and any moment would amplify roundoff.
-    floor = 1e-12 * max(float(np.sum(np.abs(s.coeffs) ** 2)), 1e-300)
+    with np.errstate(over="ignore"):  # squares summing past the double range: an inf floor refuses
+        floor = 1e-12 * max(float(np.sum(np.abs(s.coeffs) ** 2)), 1e-300)
     if n2 <= floor:
         raise DegenerateState(f"norm^2 = {n2} is not safely positive")
     return n2
@@ -198,13 +206,17 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
 
 def _weights(s: SuperpositionState) -> np.ndarray:
     """W / <s|s>: the Gram matrix of s as weights, so <O> = sum_ij W_ij O_ij."""
-    w = _gram(s, s)
-    return w / _positive_norm(s, complex(np.sum(w)))
+    w, total = _gram(s, s)
+    return w / _positive_norm(s, total)
 
 
-def _expect(w: np.ndarray, element: np.ndarray) -> float:
-    """The weighted sum of label-pair elements: a Hermitian expectation value."""
-    return require_real("Hermitian expectation", complex(np.sum(w * element)))
+def _moment(name: str, z: complex, mean: bool = False) -> float:
+    """Moment `name` from its sum z: finite, real and, unless a mean, >= 0 (within TOL_HERM)."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} of the state is past the largest double")
+    if (x := require_real(name, complex(z))) < -TOL_HERM and not mean:
+        raise ConsistencyError(f"{name} = {x} < 0 beyond tolerance")
+    return x if mean else max(x, 0.0)
 
 
 def _generator_element(s: SuperpositionState) -> np.ndarray:
@@ -218,7 +230,8 @@ def _generator_element(s: SuperpositionState) -> np.ndarray:
 
 def expect_generator(s: SuperpositionState) -> float:
     """Mean of the collective quadrature  G = sum_k (a_k + a_k*)."""
-    return _expect(_weights(s), _generator_element(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # the moment gate reads every inf and NaN
+        return _moment("<G>", np.sum(_weights(s) * _generator_element(s)), mean=True)
 
 
 def variance_generator(s: SuperpositionState) -> float:
@@ -232,12 +245,10 @@ def variance_generator(s: SuperpositionState) -> float:
     and with m = <G> the element of (G - m)^2 is (e1 - m)^2 + M, which
     never cancels against m^2 however far the state sits from the origin.
     """
-    w = _weights(s)
-    e1 = _generator_element(s)
-    var = _expect(w, (e1 - _expect(w, e1)) ** 2 + s.mode_count)
-    if var < -TOL_HERM:
-        raise ConsistencyError(f"variance {var} < 0 beyond tolerance")
-    return max(var, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, e1 = _weights(s), _generator_element(s)
+        m = _moment("<G>", np.sum(w * e1), mean=True)
+        return _moment("Var(G)", np.sum(w * ((e1 - m) ** 2 + s.mode_count)))
 
 
 def mean_photon_number(s: SuperpositionState) -> float:
@@ -246,10 +257,7 @@ def mean_photon_number(s: SuperpositionState) -> float:
     Taken as |mu|^2 + <(a - mu)* . (a - mu)> with mu_k = <a_k>, whose
     label-pair element is conj(L_i - mu) . (L_j - mu).
     """
-    w = _weights(s)
-    mu = np.sum(w, axis=0) @ s.labels
-    dev = s.labels - mu
-    n = float(np.sum(np.abs(mu) ** 2)) + _expect(w, dev.conj() @ dev.T)
-    if n < -TOL_HERM:
-        raise ConsistencyError(f"photon number {n} < 0 beyond tolerance")
-    return max(n, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _weights(s)
+        dev = s.labels - (mu := np.sum(w, axis=0) @ s.labels)
+        return _moment("<n>", np.sum(np.abs(mu) ** 2) + np.sum(w * (dev.conj() @ dev.T)))

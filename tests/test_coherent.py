@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,7 +22,14 @@ from catsense.coherent import (
     overlap,
     variance_generator,
 )
-from catsense.errors import ConsistencyError, DegenerateState, DimensionMismatch
+from catsense.errors import (
+    TOL_HERM,
+    CatsenseError,
+    ConsistencyError,
+    DegenerateState,
+    DimensionMismatch,
+    require_real,
+)
 
 # reusable strategies: amplitudes small enough that overlaps stay far from
 # underflow and fock cross-checks stay cheap
@@ -97,6 +104,21 @@ class TestOverlap:
         assert overlap(label(x), label(-x)) == 0
         assert overlap(label(x), label(x)) == 1
 
+    @pytest.mark.parametrize("x,y", [(1e308, 1e308 + 38j), (1.7e308, 1.7e308 + 1.1j)])
+    def test_a_phase_past_the_double_range_is_refused(self, x, y):
+        # |D|^2 = 1444 and 1.21: the magnitudes exp(-722) and exp(-0.605) are doubles, the phases
+        # Im(conj(P) D) ~ -3.8e309 and -1.9e308 are not
+        with pytest.raises(ValueError, match=r"^<s\|t> = .* is past the double range$"):
+            overlap(label(x), label(y))
+
+    def test_a_pair_of_magnitude_zero_is_zero_whatever_its_phase(self):
+        # |D|^2 = 3600: exp(-1800) underflows, so the phase ~ -1e310 is never needed
+        assert overlap(label(1.7e308), label(1.7e308 + 60j)) == 0
+
+    def test_a_coefficient_product_past_the_double_range_is_refused(self):
+        with pytest.raises(ValueError, match=r"^<s\|t> = .* is past the double range$"):
+            norm_squared(SuperpositionState([(1e200, label(0.0))]))
+
     def test_mode_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             overlap(label(1.0), label(1.0, 0.0))
@@ -156,7 +178,117 @@ def state_pairs(draw):
 def test_gram_is_the_plain_formula_inside_the_double_range(pair):
     s, t = pair
     for bra, ket in ((s, t), (s, s), (t, s)):
-        assert coherent._gram(bra, ket).tobytes() == _plain_gram(bra, ket).tobytes()
+        assert coherent._gram(bra, ket)[0].tobytes() == _plain_gram(bra, ket).tobytes()
+
+
+# a label or kick component anywhere in the double range, zeros and both extremes included
+any_part = st.one_of(st.sampled_from([0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+                     st.floats(-1.7976931348623157e308, 1.7976931348623157e308))
+huge_coefficient = st.builds(complex, *[st.one_of(st.just(0.0), st.floats(-1e300, 1e300))] * 2)
+
+
+@st.composite
+def double_range_cases(draw):
+    """(s, t, kicks): two states of 1..6 terms on one mode count (1..3) and one kick per mode,
+    components from `any_part` and coefficients from `huge_coefficient`."""
+    modes = draw(st.integers(1, 3))
+    amps = st.lists(st.builds(complex, any_part, any_part), min_size=modes, max_size=modes)
+    terms = st.lists(st.tuples(huge_coefficient, amps.map(CoherentLabel)), min_size=1, max_size=6)
+    return SuperpositionState(draw(terms)), SuperpositionState(draw(terms)), draw(amps)
+
+
+def _double_or_named(call, *names):
+    """call()'s value once every entry is finite, or None once it is refused naming one of names."""
+    try:
+        value = call()
+    except (ValueError, CatsenseError) as e:
+        assert any(name in str(e) for name in names), repr(e)
+        return None
+    assert np.all(np.isfinite(value)), value
+    return value
+
+
+def _one(amps):
+    return SuperpositionState([(1.0, label(*amps))])
+
+
+@pytest.mark.filterwarnings("error")
+@given(double_range_cases())
+@example((make_entangled_cat(1e154, 1), make_entangled_cat(1e154, 1), [0.0]))
+@example((make_entangled_cat(1e155, 1), make_entangled_cat(1e155, 1), [0.0]))
+@example((displace(make_entangled_cat(1.0, 2), [1.7e308] * 2), make_entangled_cat(1.0, 2), [0.0] * 2))
+@example((_one([1e308]), _one([1e308 + 38j]), [0.0]))
+@example((_one([1.7e308]), _one([1.7e308 + 1.1j]), [0.0]))
+@example((_one([1.7e308]), _one([1.7e308 + 60j]), [0.0]))
+@example((SuperpositionState([(1e200, label(0.0))]), _one([0.0]), [0.0]))
+def test_every_call_is_a_double_or_refused_by_name(case):
+    s, t, kicks = case
+    gram, norm = "<s|t>", ("<s|t>", "norm^2")
+    a, b = CoherentLabel(s.labels[0]), CoherentLabel(t.labels[0])
+    ab = _double_or_named(lambda: overlap(a, b), gram)
+    ba = _double_or_named(lambda: overlap(b, a), gram)
+    assert (ab is None) == (ba is None)
+    if ab is not None:
+        assert ab == ba.conjugate()
+    _double_or_named(lambda: inner(s, t), gram)
+    _double_or_named(lambda: norm_squared(s), *norm)
+
+    def moved():
+        out = displace(s, kicks)
+        return np.append(out.coeffs, out.labels)
+
+    _double_or_named(moved, "displaced label amplitude", "displacement phase")
+    _double_or_named(lambda: expect_generator(s), *norm, "<G>")
+    _double_or_named(lambda: variance_generator(s), *norm, "<G>", "Var(G)")
+    _double_or_named(lambda: mean_photon_number(s), *norm, "<n>")
+
+
+def _frozen_weights(s):
+    w = _plain_gram(s, s)
+    return w / coherent._positive_norm(s, complex(np.sum(w)))
+
+
+def _frozen_expect(w, element):
+    return require_real("Hermitian expectation", complex(np.sum(w * element)))
+
+
+def _frozen_expect_generator(s):
+    return _frozen_expect(_frozen_weights(s), coherent._generator_element(s))
+
+
+def _frozen_variance_generator(s):
+    w = _frozen_weights(s)
+    e1 = coherent._generator_element(s)
+    var = _frozen_expect(w, (e1 - _frozen_expect(w, e1)) ** 2 + s.mode_count)
+    if var < -TOL_HERM:
+        raise ConsistencyError(f"variance {var} < 0 beyond tolerance")
+    return max(var, 0.0)
+
+
+def _frozen_mean_photon_number(s):
+    w = _frozen_weights(s)
+    mu = np.sum(w, axis=0) @ s.labels
+    dev = s.labels - mu
+    n = float(np.sum(np.abs(mu) ** 2)) + _frozen_expect(w, dev.conj() @ dev.T)
+    if n < -TOL_HERM:
+        raise ConsistencyError(f"photon number {n} < 0 beyond tolerance")
+    return max(n, 0.0)
+
+
+def _outcome(call, s):
+    try:
+        return call(s).hex()
+    except CatsenseError as e:
+        return type(e)
+
+
+@given(state_pairs())
+def test_moments_keep_their_bits_inside_the_double_range(pair):
+    # the three moments as they were before the moment gate, on the plain Gram formula
+    for s in pair:
+        assert _outcome(expect_generator, s) == _outcome(_frozen_expect_generator, s)
+        assert _outcome(variance_generator, s) == _outcome(_frozen_variance_generator, s)
+        assert _outcome(mean_photon_number, s) == _outcome(_frozen_mean_photon_number, s)
 
 
 @st.composite
@@ -389,14 +521,20 @@ class TestMoments:
         s = SuperpositionState([(1.0, label(0.5, -0.3j, 1.0))])
         assert variance_generator(s) == pytest.approx(3.0, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_moments_past_the_double_range_raise(self):
-        # the +-1e155 cat's moments overflow the double range
+        # refused by name, with no warning: the +-1e155 cat's <n> and Var(G), the 1e154 and 1e155
+        # cats', and <G> = 6.8e308 of two terms moved to (1.7e308, 1.7e308), where they merge
         s = SuperpositionState([(1.0, label(1e155)), (1.0, label(-1e155))])
-        with pytest.raises(ConsistencyError, match="not a finite real number"):
+        with pytest.raises(ValueError, match=r"^<n> of the state is past the largest double$"):
             mean_photon_number(s)
-        with pytest.raises(ConsistencyError, match="not a finite real number"):
+        with pytest.raises(ValueError, match=r"^Var\(G\) of the state is past the largest double$"):
             variance_generator(s)
+        with pytest.raises(ValueError, match=r"^Var\(G\) of the state is past the largest double$"):
+            variance_generator(make_entangled_cat(1e154, 1))
+        with pytest.raises(ValueError, match=r"^<n> of the state is past the largest double$"):
+            mean_photon_number(make_entangled_cat(1e155, 1))
+        with pytest.raises(ValueError, match=r"^<G> of the state is past the largest double$"):
+            expect_generator(displace(make_entangled_cat(1.0, 2), [1.7e308, 1.7e308]))
 
     def test_degenerate_moment_raises(self):
         s = SuperpositionState([(1.0, label(1.0)), (-1.0, label(1.0 + 1e-13))])
