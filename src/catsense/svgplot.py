@@ -59,13 +59,12 @@ def _points_text(v: np.ndarray) -> bytes:
     return cells.tobytes().translate(None, b"\xff")[:-1]
 
 
-def _axis(values: np.ndarray, log: bool):
-    """An axis over `values`: its span lo, hi, the span's map onto [0, 1] and the ticks inside it.
+def _axis(lo: float, hi: float, log: bool):
+    """An axis over [lo, hi]: its span lo, hi, the span's map onto [0, 1] and the ticks inside it.
 
     A log axis maps through log10 and is ticked at its decades (at most 11), a linear one at
     five even ticks ending exactly at hi; an axis with no tick inside is ticked at its two ends.
     """
-    lo, hi = float(values.min()), float(values.max())
     f = np.log10 if log else np.asarray
     if not f(hi) > f(lo):  # degenerate on the axis's own scale; widen a hair so the map is defined
         pad = abs(lo) * 0.05 or 0.5
@@ -96,8 +95,8 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> Iterator[bytes]:
     xs = table["n_tot"]
     ys = [table[column] for _, column, _, _ in _CURVES]
 
-    x_lo, _, tx, x_ticks = _axis(xs, log_x)
-    _, y_hi, ty, y_ticks = _axis(np.concatenate(ys), True)
+    x_lo, _, tx, x_ticks = _axis(xs.min(), xs.max(), log_x)
+    _, y_hi, ty, y_ticks = _axis(min(y.min() for y in ys), max(y.max() for y in ys), True)
 
     margin_l, margin_r, margin_t, margin_b = 72, 24, 46, 58
     plot_w = _WIDTH - margin_l - margin_r

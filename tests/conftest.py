@@ -11,6 +11,9 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# pytester runs a scratch session under the repo's pyproject.toml (test_warnings_policy.py)
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def report(capsys):

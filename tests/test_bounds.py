@@ -2,7 +2,6 @@ import csv
 import hashlib
 import math
 import re
-import warnings
 import xml.etree.ElementTree as ET
 
 import mpmath
@@ -395,9 +394,7 @@ class TestNewtonSolve:
     @pytest.mark.parametrize("as_array", [False, True])
     def test_range_edges_raise_no_warning(self, n_tot, as_array):
         n = np.array([n_tot, 1.0]) if as_array else n_tot
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any RuntimeWarning, overflow at the largest double too
-            got = invert_ntot(n, 7)
+        got = invert_ntot(n, 7)  # the suite's filterwarnings fails any warning, overflow too
         assert _same_answer(got, _newton_reference(n, 7))
 
 
@@ -444,7 +441,6 @@ class TestHighPrecisionReference:
                 1.0 / math.sqrt(n_modes + 4.0 * n))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind, n_modes", [
     (FamilyKind.SQUEEZED, 1), (FamilyKind.SINGLE_CAT, 1), (FamilyKind.SEPARABLE_CATS, 10),
     (FamilyKind.ENTANGLED_CAT, 1), (FamilyKind.ENTANGLED_CAT, 10), (FamilyKind.ENTANGLED_CAT, 1000),
@@ -524,7 +520,6 @@ class TestExtremeBudgetsThroughCli:
         assert float(first["eps_entangled"]) == 1.0 / math.sqrt(10.0)
         assert float(first["eps_single_cat"]) == 1.0
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_svg_of_an_overflowing_variance_is_refused(self, tmp_path, capsys):
         # the refusal names the budget, not the plot's "strictly positive y values"
         out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
@@ -569,7 +564,6 @@ class TestExtremeBudgetsThroughCli:
         digest = hashlib.sha256((tmp_path / "figure1.svg").read_bytes()).hexdigest()
         assert digest.startswith("e39933fe03ddaf99")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("args, pin", [
         # every eps is 1.0: the y axis takes _axis's widening of a degenerate range
         (["--modes", "1", "--ntot-min", "1e-300", "--ntot-max", "2e-300", "--points", "5"],

