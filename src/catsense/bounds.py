@@ -169,7 +169,6 @@ FAMILIES = {  # each row's bound eps_min = 1 / sqrt(Var(G)) is named beside it
     # N-mode entangled cat: eps_min = 1 / sqrt(N (1 + 4 N a^2 / (1 + e^{-2 N a^2})))
     FamilyKind.ENTANGLED_CAT: Family(True, False, _entangled),
 }
-MULTIMODE_FAMILIES = tuple(kind for kind, row in FAMILIES.items() if row.multimode)
 
 
 def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, ...]:
@@ -193,7 +192,7 @@ def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, 
 def bounds_table(family: FamilyKind | str, n_modes: int, n_tot) -> dict[str, object]:
     """The `catsense bounds` table of one family; a single-mode family reports n_modes 1."""
     kind, n_modes = FamilyKind(family), require_int("n_modes", n_modes)  # every family checks it
-    n_modes = n_modes if kind in MULTIMODE_FAMILIES else 1  # single-mode ones then drop it
+    n_modes = n_modes if FAMILIES[kind].multimode else 1  # single-mode ones then drop it
     n, alpha, eps, var = curve(kind, n_tot, n_modes)
     return {"family": kind.value, "n_modes": n_modes, "n_tot": n,
             "alpha": alpha, "eps_min": eps, "qfi": var}

@@ -1,4 +1,4 @@
-"""The output contract: a table's CSV bytes, and files staged all or none, none named twice."""
+"""The output contract: CSV and SVG-points bytes, and files staged all or none, none named twice."""
 
 import contextlib
 import errno
@@ -76,6 +76,9 @@ _DECADES = range(_K_MIN, _K_MAX + 2)
 _CLASS = np.array([(k + 4 if -4 <= k <= 16 else 21) * 17 for k in _DECADES])
 _EXPONENT = np.frombuffer(b"".join((b"\xff" if -4 <= k <= 16 else b"\xffe%+03d" % k)
                                    .ljust(8, b"\xff") for k in _DECADES), _WORD)
+# "%.2f" words: the integer part 0...999 after holes (0xFF), and ".dd" then "," (x) or " " (y)
+_UNITS = np.frombuffer(b"".join(b"%4d" % k for k in range(1000)).replace(b" ", b"\xff"), "<u4")
+_CENTS = np.frombuffer(b"".join(b".%02d%c" % (k, s) for s in b", " for k in range(100)), "<u4")
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -175,6 +178,37 @@ def _text_cells(values: list, fmt: str, width: int = 0, end: bytes = b"") -> np.
     width = max([width, *map(len, data)])
     cells = np.frombuffer(b"".join(t.ljust(width, b"\xff") for t in data), np.uint8)
     return cells.reshape(len(data), width)
+
+
+def points_text(v: np.ndarray) -> bytes:
+    """``" ".join("%.2f,%.2f" % xy)`` for the interleaved x and y values v, UTF-8 byte for byte.
+
+    A cell is certified when 0 <= v < 999 with a clear sign bit and
+    t = fl(100 v) lies more than 1e-6 from a half-integer.  Below 1000, t
+    is 100 v to within half an ulp of 10^5, under 1e-11, so p = rint(t) is
+    100 v correctly rounded, the digits ``'%.2f'`` prints.  Every other cell
+    (NaN, ±inf, negatives, -0.0, 999 and above, ties and near ties, exact
+    binary ones such as k/8 among them) is formatted by Python's ``%``; its
+    value never enters the arithmetic.
+    """
+    ok = (v >= 0.0) & (v < 999.0) & ~np.signbit(v)  # NaN compares False
+    t = np.where(ok, v, 0.0) * 100.0
+    p = np.rint(t)
+    ok &= np.abs(t - p) < 0.5 - 1e-6
+    cents = p.astype(np.intp)
+    units = cents // 100
+    cents -= units * 100
+    cents[1::2] += 100  # a y cell ends in " "
+    cells = np.empty((v.size, 2), "<u4")
+    _UNITS.take(units, out=cells[:, 0], mode="clip")  # in range; "raise" would buffer the out
+    _CENTS.take(cents, out=cells[:, 1], mode="clip")
+    cells = cells.view(np.uint8)
+    if not ok.all():
+        text = _text_cells(v[~ok].tolist(), "%.2f", 8, b"\xff")  # the last byte of a row is a hole
+        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - 8)), constant_values=0xFF)
+        cells[~ok] = text
+        cells[~ok, -1] = np.frombuffer(b", ", np.uint8)[np.flatnonzero(~ok) & 1]
+    return cells.tobytes().translate(None, b"\xff")[:-1]
 
 
 def _csv_format(v) -> str:

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .outputs import _CHUNK_ROWS, _text_cells
+from .outputs import points_text
 
 # label (formatted with the mode count), column, colour, dash pattern
 _CURVES = (
@@ -23,40 +23,7 @@ _CURVES = (
     ("single-mode cat", "eps_single_cat", "#2ca02c", "8 5"),
 )
 _WIDTH, _HEIGHT = 720, 540
-# "%.2f" words: the integer part 0...999 after holes (0xFF), and ".dd" then "," (x) or " " (y)
-_UNITS = np.frombuffer(b"".join(b"%4d" % k for k in range(1000)).replace(b" ", b"\xff"), "<u4")
-_CENTS = np.frombuffer(b"".join(b".%02d%c" % (k, s) for s in b", " for k in range(100)), "<u4")
-
-
-def _points_text(v: np.ndarray) -> bytes:
-    """``" ".join("%.2f,%.2f" % xy)`` for the interleaved x and y values v, UTF-8 byte for byte.
-
-    A cell is certified when 0 <= v < 999 with a clear sign bit and
-    t = fl(100 v) lies more than 1e-6 from a half-integer.  Below 1000, t
-    is 100 v to within half an ulp of 10^5, under 1e-11, so p = rint(t) is
-    100 v correctly rounded, the digits ``'%.2f'`` prints.  Every other cell
-    (NaN, ±inf, negatives, -0.0, 999 and above, ties and near ties, exact
-    binary ones such as k/8 among them) is formatted by Python's ``%``; its
-    value never enters the arithmetic.
-    """
-    ok = (v >= 0.0) & (v < 999.0) & ~np.signbit(v)  # NaN compares False
-    t = np.where(ok, v, 0.0) * 100.0
-    p = np.rint(t)
-    ok &= np.abs(t - p) < 0.5 - 1e-6
-    cents = p.astype(np.intp)
-    units = cents // 100
-    cents -= units * 100
-    cents[1::2] += 100  # a y cell ends in " "
-    cells = np.empty((v.size, 2), "<u4")
-    _UNITS.take(units, out=cells[:, 0], mode="clip")  # in range; "raise" would buffer the out
-    _CENTS.take(cents, out=cells[:, 1], mode="clip")
-    cells = cells.view(np.uint8)
-    if not ok.all():
-        text = _text_cells(v[~ok].tolist(), "%.2f", 8, b"\xff")  # the last byte of a row is a hole
-        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - 8)), constant_values=0xFF)
-        cells[~ok] = text
-        cells[~ok, -1] = np.frombuffer(b", ", np.uint8)[np.flatnonzero(~ok) & 1]
-    return cells.tobytes().translate(None, b"\xff")[:-1]
+_PIECE = 2048  # x and y values formatted at a time, which bounds the kernel's scratch arrays
 
 
 def _axis(lo: float, hi: float, log: bool):
@@ -89,8 +56,8 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> Iterator[bytes]:
     checked to be finite and positive, so every point lies on a log y axis.
     The pieces are made only when asked for: the head (everything before the
     first polyline), then per curve its opening ``points="``, its points text
-    `outputs._CHUNK_ROWS` points at a time, and its closing ``"/>``, then the
-    legend and ``</svg>``.  Joined, they are the document byte for byte.
+    `_PIECE` values (half as many points) at a time, and its closing ``"/>``,
+    then the legend and ``</svg>``.  Joined, they are the document byte for byte.
     """
     xs = table["n_tot"]
     ys = [table[column] for _, column, _, _ in _CURVES]
@@ -163,12 +130,11 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> Iterator[bytes]:
     # curves: the x pixels, the same for every curve, then each curve's y pixels between them
     xy = np.empty(2 * xs.size)
     xy[::2] = to_px(xs, y_hi)[0]
-    piece = 2 * _CHUNK_ROWS
     for y, stroke in zip(ys, strokes):
         xy[1::2] = to_px(x_lo, y)[1]
         yield f'<polyline fill="none" {stroke} points="'.encode()
-        for start in range(0, xy.size, piece):
-            yield (b" " if start else b"") + _points_text(xy[start:start + piece])
+        for start in range(0, xy.size, _PIECE):
+            yield (b" " if start else b"") + points_text(xy[start:start + _PIECE])
         yield b'"/>\n'
 
     # legend, top right corner of the frame

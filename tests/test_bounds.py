@@ -225,7 +225,7 @@ class TestCurve:
 
     @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_scalar_grid_gives_0d_float64_arrays(self, kind):
-        n_modes = 3 if kind in bounds.MULTIMODE_FAMILIES else 1
+        n_modes = 3 if bounds.FAMILIES[kind].multimode else 1
         one, grid = curve(kind, 3.0, n_modes), curve(kind, [3.0], n_modes)
         for field, value, column in zip(("n_tot", "alpha", "eps_min", "qfi"), one, grid):
             assert type(value) is np.ndarray and value.dtype == np.float64, field
@@ -248,7 +248,7 @@ class TestCurve:
     @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_bounds_table_reports_one_mode_for_single_mode_families(self, kind):
         table = bounds.bounds_table(kind.value, 3, self.grid)
-        multimode = kind in bounds.MULTIMODE_FAMILIES
+        multimode = bounds.FAMILIES[kind].multimode
         assert (table["family"], table["n_modes"]) == (kind.value, 3 if multimode else 1)
         n_tot, alpha, eps, qfi = curve(kind, self.grid, table["n_modes"])
         got = table["n_tot"], table["alpha"], table["eps_min"], table["qfi"]
@@ -295,7 +295,8 @@ _grids = st.one_of(
 class TestFamilyTable:
     def test_the_table_has_one_row_per_family_and_the_cli_offers_each(self):
         assert list(bounds.FAMILIES) == list(FamilyKind)
-        assert bounds.MULTIMODE_FAMILIES == (FamilyKind.SEPARABLE_CATS, FamilyKind.ENTANGLED_CAT)
+        multimode = tuple(kind for kind, row in bounds.FAMILIES.items() if row.multimode)
+        assert multimode == (FamilyKind.SEPARABLE_CATS, FamilyKind.ENTANGLED_CAT)
         family = next(p for p in bounds_cmd.params if p.name == "family")
         assert list(family.type.choices) == [k.value for k in FamilyKind]
 

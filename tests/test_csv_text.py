@@ -209,7 +209,7 @@ def test_a_failure_mid_stream_replaces_no_target(tmp_path, monkeypatch, exc, exi
 def test_a_failure_mid_svg_replaces_no_target(tmp_path, monkeypatch, exc, existing):
     # the SVG's second points piece of nine fails; the whole CSV was staged before any of it
     table = bounds.figure1_table(2, np.geomspace(0.1, 100.0, 3 * outputs._CHUNK_ROWS))
-    real, calls, staged = svgplot._points_text, [], {}
+    real, calls, staged = outputs.points_text, [], {}
 
     def fail_second(v):
         calls.append(v.size)
@@ -218,7 +218,7 @@ def test_a_failure_mid_svg_replaces_no_target(tmp_path, monkeypatch, exc, existi
         staged.update((p.name.split(".")[1], p.read_bytes()) for p in tmp_path.glob("*.tmp"))
         raise exc
 
-    monkeypatch.setattr(svgplot, "_points_text", fail_second)
+    monkeypatch.setattr(svgplot, "points_text", fail_second)
     out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
     if existing:
         out.write_bytes(b"old csv\n")
@@ -226,7 +226,7 @@ def test_a_failure_mid_svg_replaces_no_target(tmp_path, monkeypatch, exc, existi
     with pytest.raises(exc):
         cli.write_csv(str(out), table, {str(svg): svgplot.figure1_svg(table, 2, True)})
     assert sorted(staged) == ["csv", "svg"] and staged["csv"] == csv_text(table).encode()
-    assert calls == [2 * outputs._CHUNK_ROWS] * 2
+    assert calls == [svgplot._PIECE] * 2
     assert sorted(p.name for p in tmp_path.iterdir()) == (["f.csv", "f.svg"] if existing else [])
     if existing:
         assert (out.read_bytes(), svg.read_bytes()) == (b"old csv\n", b"old svg\n")

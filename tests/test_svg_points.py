@@ -5,7 +5,7 @@ per point over the interleaved pixel coordinates, last space dropped.
 The pixels `figure1_svg` hands it have their own reference: its curve loop
 as it was, each curve's x and y pixels computed afresh and stacked, and
 written by one kernel call per curve where `figure1_svg` writes pieces of
-`outputs._CHUNK_ROWS` points.
+`svgplot._PIECE` values.
 """
 
 import math
@@ -28,7 +28,7 @@ def points_text(values) -> tuple[str, str]:
     """(kernel, reference) text of the values, then of their negatives, as x, y pairs."""
     v = np.asarray(values, dtype=np.float64)
     v = np.concatenate([v, -v])
-    return svgplot._points_text(v).decode(), reference_points(v)
+    return outputs.points_text(v).decode(), reference_points(v)
 
 
 def render(table: dict, n_modes: int, log_x: bool) -> str:
@@ -84,7 +84,7 @@ def test_figure1_svg_matches_the_reference_render(monkeypatch, spacing, n_modes)
         hi = lo * 10.0 ** rng.uniform(0.3, 10.0)
         tables.append(bounds.figure1_table(n_modes, cli._make_grid(lo, hi, points, spacing)))
     got = [render(t, n_modes, spacing == "log") for t in tables]
-    monkeypatch.setattr(svgplot, "_points_text", lambda v: reference_points(v).encode())
+    monkeypatch.setattr(svgplot, "points_text", lambda v: reference_points(v).encode())
     assert got == [render(t, n_modes, spacing == "log") for t in tables]
 
 
@@ -114,7 +114,8 @@ def test_axis_span_map_and_ticks(values, log, span, ticks):
 
 def reference_polylines(table: dict, log_x: bool) -> list[str]:
     """The points of `figure1_svg`'s three polylines as its curve loop once made them: each
-    curve's x and y pixels computed afresh and stacked, then written by one `_points_text` call."""
+    curve's x and y pixels computed afresh and stacked, then written by one
+    `outputs.points_text` call."""
     xs = table["n_tot"]
     ys = [table[column] for _, column, _, _ in svgplot._CURVES]
     _, _, tx, _ = svgplot._axis(xs.min(), xs.max(), log_x)
@@ -125,15 +126,15 @@ def reference_polylines(table: dict, log_x: bool) -> list[str]:
     def to_px(x, y):
         return margin_l + tx(x) * plot_w, margin_t + (1.0 - ty(y)) * plot_h
 
-    return [svgplot._points_text(np.stack(to_px(xs, y), axis=1).ravel()).decode() for y in ys]
+    return [outputs.points_text(np.stack(to_px(xs, y), axis=1).ravel()).decode() for y in ys]
 
 
 @given(points=st.integers(2, 10_000), n_modes=st.integers(1, 1000),
        spacing=st.sampled_from(["log", "linear"]), log_lo=st.floats(-4.0, 5.0),
        decades=st.floats(0.3, 10.0), from_zero=st.booleans())
-@example(points=outputs._CHUNK_ROWS, n_modes=10, spacing="log", log_lo=-1.0, decades=3.0,
+@example(points=svgplot._PIECE // 2, n_modes=10, spacing="log", log_lo=-1.0, decades=3.0,
          from_zero=False)  # one whole piece per curve
-@example(points=outputs._CHUNK_ROWS + 1, n_modes=10, spacing="linear", log_lo=-1.0,
+@example(points=svgplot._PIECE // 2 + 1, n_modes=10, spacing="linear", log_lo=-1.0,
          decades=3.0, from_zero=True)  # a whole piece, then a piece of one point
 def test_figure1_svg_pixels_match_the_reference_curve_loop(points, n_modes, spacing, log_lo,
                                                             decades, from_zero):
