@@ -96,6 +96,7 @@ def eps_min_entangled_cat(alpha: float | np.ndarray, n_modes: int) -> float | np
 
 
 _BELOW_MAX = np.nextafter(np.finfo(np.float64).max, 0.0)  # the last double with a finite ulp
+_SLICE = 1 << 16  # entries solved at a time: the solve's scratch is ~90 B an entry, ~6 MB a slice
 
 
 def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
@@ -108,36 +109,34 @@ def invert_ntot(n_tot: float | np.ndarray, n_modes: int) -> float | np.ndarray:
     m + 1 gives g(u) >= u - 2u e^{-2u} > u - 1 = n.  Newton steps (g' =
     tanh u + u sech^2 u) start at the lower end, a step that leaves the
     bracket is replaced by bisection, and an entry stops once its step or
-    bracket is below one ulp of u.  Each entry takes the same path alone
-    as inside an array, so scalar and array calls agree bit for bit.
+    bracket is below one ulp of u.  A grid is solved `_SLICE` entries at a
+    time; each entry's path is its own, alone or in any slice, so no bit moves.
     """
     n_modes = require_int("n_modes", n_modes)
     n = require_nonnegative("n_tot", n_tot)
-    lo = np.maximum(n, np.sqrt(n))
-    hi = lo + np.minimum(lo, 1.0)
-    u, dg = lo, np.empty_like(n)
-    for _ in range(64):  # a safety cap: no n_tot in 1e-323...1e308 needs more than 6 passes
-        t = np.tanh(u)
-        g = u * t
-        g -= n
-        lo = np.where(g < 0.0, u, lo)
-        hi = np.where(g > 0.0, u, hi)
-        np.multiply(t, t, out=dg)  # g' = t + u (1 - t^2), each step rounded as written
-        np.subtract(1.0, dg, out=dg)
-        dg *= u
-        dg += t
-        # g' > 0 except at u = 0, where n_tot = 0 and g = 0 give step 0
-        step = np.divide(g, np.maximum(dg, np.finfo(np.float64).tiny, out=dg), out=dg)
-        # u is the largest double, whose ulp overflows, only at that n_tot, where step = 0
-        ulp = np.spacing(np.minimum(u, _BELOW_MAX))
-        width = hi - lo
-        done = (np.abs(step) <= ulp) | (width <= ulp)
-        if done.all():
-            break
-        new = u - step
-        new = np.where((lo < new) & (new < hi), new, lo + 0.5 * width)
-        u = np.where(done, u, new)
-    return _out(np.sqrt(u / n_modes))
+    flat, alpha = n.ravel(), np.empty(n.size)
+    for i in range(0, n.size, _SLICE):
+        part = flat[i:i + _SLICE]
+        lo = u = np.maximum(part, np.sqrt(part))
+        hi = lo + np.minimum(lo, 1.0)
+        for _ in range(64):  # a safety cap: no n_tot in 1e-323...1e308 needs more than 6 passes
+            t = np.tanh(u)
+            g = u * t - part
+            lo = np.where(g < 0.0, u, lo)
+            hi = np.where(g > 0.0, u, hi)
+            # g' > 0 except at u = 0, where n_tot = 0 and g = 0 give step 0
+            step = g / np.maximum(t + u * (1.0 - t * t), np.finfo(np.float64).tiny)
+            # u is the largest double, whose ulp overflows, only at that n_tot, where step = 0
+            ulp = np.spacing(np.minimum(u, _BELOW_MAX))
+            width = hi - lo
+            done = (np.abs(step) <= ulp) | (width <= ulp)
+            if done.all():
+                break
+            new = u - step
+            new = np.where((lo < new) & (new < hi), new, lo + 0.5 * width)
+            u = np.where(done, u, new)
+        alpha[i:i + _SLICE] = np.sqrt(u / n_modes)
+    return _out(alpha.reshape(n.shape))
 
 
 class Family(NamedTuple):  # a row of FAMILIES

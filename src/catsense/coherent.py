@@ -96,7 +96,9 @@ class SuperpositionState:
             root = root[root]
         keep, group = np.unique(root, return_inverse=True)
         merged = np.zeros(len(keep), dtype=np.complex128)
-        np.add.at(merged, group, coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum past the double range is inf
+            np.add.at(merged, group, coeffs)
+        require_finite("merged coefficient", merged)
         for name, value in (("coeffs", merged), ("labels", labels[keep])):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -197,10 +199,11 @@ def displace(s: SuperpositionState, betas: Sequence[ComplexLike]) -> Superpositi
         part = moved - s.labels
         err = (s.labels - (moved - part)) + (kicks - part)  # TwoSum
         phase = np.sum((kicks * s.labels.conj()).imag + (err * moved.conj()).imag, axis=1)
+        coeffs = s.coeffs * np.exp(1j * phase)  # one past the double range is refused by _store
     require_finite("displaced label amplitude", moved)
     require_finite("displacement phase Im(beta conj(g))", phase)
     out = object.__new__(SuperpositionState)  # arrays in hand, no term list to convert
-    out._store(s.coeffs * np.exp(1j * phase), moved)
+    out._store(coeffs, moved)
     return out
 
 

@@ -367,6 +367,16 @@ class TestSuperpositionState:
         with pytest.raises(ValueError, match=message):
             SuperpositionState([(1.0, label(0.5)), (bad, label(0.5))])  # merged terms too
 
+    def test_merged_coefficient_past_the_double_range_rejected(self):
+        # two finite coefficients on one label whose sum overflows: refused, not stored as inf
+        with pytest.raises(ValueError, match=r"^merged coefficient must be finite, got \(inf\+0j\)$"):
+            SuperpositionState([(1.7e308, label(0.5)), (1.7e308, label(0.5))])
+
+    def test_displaced_coefficient_past_the_double_range_rejected(self):
+        # a finite coefficient that its phase factor carries past the double range
+        with pytest.raises(ValueError, match=r"^coefficient must be finite, got \(.*\+infj\)$"):
+            displace(SuperpositionState([(1.7e308 + 1.7e308j, label(1.0))]), [0.7j])
+
     def test_overflowing_kick_rejected_before_arithmetic(self):
         # finite labels and a finite kick whose sum leaves the double range
         with pytest.raises(ValueError, match=r"^displaced label amplitude must be finite, got \(inf\+0j\)$"):
