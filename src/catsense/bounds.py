@@ -173,15 +173,15 @@ FAMILIES = {  # each row's bound eps_min = 1 / sqrt(Var(G)) is named beside it
 def curve(kind: FamilyKind | str, n_tot, n_modes: int = 1) -> tuple[np.ndarray, ...]:
     """One family's row on a grid of total photon numbers, as float64 arrays.
 
-    Returns (n_tot, alpha, eps_min, Var(G)), 0-d for a scalar grid; alpha, the
-    per-mode cat amplitude holding each n_tot, is NaN for a family without
-    one.  A budget whose Var(G) is past the largest double is refused.
+    Returns (n_tot, alpha, eps_min, Var(G)), 0-d for a scalar grid; a float64 grid
+    comes back as itself, not a copy.  alpha, the per-mode cat amplitude holding each
+    n_tot, is NaN for a family without one; a Var(G) past the largest double is refused.
     """
     kind, m = FamilyKind(kind), require_int("n_modes", n_modes)
     multimode, strict, form = FAMILIES[kind]
     if not multimode and m != 1:
         raise ValueError(f"{kind.value} is a single-mode family")
-    n = require_nonnegative("n_tot", np.array(n_tot, np.float64), strict)
+    n = require_nonnegative("n_tot", np.asarray(n_tot, np.float64), strict)
     with np.errstate(over="ignore"):  # a Var(G) past the double range is inf, refused below
         alpha, var = form(n, m)
     eps = _eps_from_variance(var, "n_tot", n)
@@ -199,7 +199,7 @@ def bounds_table(family: FamilyKind | str, n_modes: int, n_tot) -> dict[str, obj
 
 def figure1_table(n_modes: int, n_tot) -> dict[str, object]:
     """The `catsense figure1` table: the three cat-probe bounds on one photon-budget grid."""
-    n, alpha, ent, _ = curve(FamilyKind.ENTANGLED_CAT, n_tot, n_modes)
+    n, alpha, ent = curve(FamilyKind.ENTANGLED_CAT, n_tot, n_modes)[:3]
     sep = curve(FamilyKind.SEPARABLE_CATS, n, n_modes)[2]
     one = curve(FamilyKind.SINGLE_CAT, n)[2]
     return {"n_tot": n, "eps_entangled": ent, "eps_separable": sep, "eps_single_cat": one,

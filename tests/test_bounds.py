@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from catsense import bounds, coherent, fock
+from catsense import bounds, coherent, fock, outputs, svgplot
 from catsense.bounds import (
     FamilyKind,
     curve,
@@ -261,6 +261,24 @@ class TestCurve:
         with pytest.raises(ValueError, match="finite and >= 0"):
             curve(FamilyKind.COHERENT_SQL, [1.0, bad])
 
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_a_float64_grid_comes_back_as_itself(self, kind):
+        assert curve(kind, self.grid)[0] is self.grid
+
+    def test_a_read_only_grid_runs_through_every_table_and_output(self):
+        # nothing writes into the caller's grid: a frozen one gives the bytes of a writable copy
+        frozen = self.grid.copy()
+        frozen.setflags(write=False)
+
+        def texts(grid):
+            tables = [bounds.bounds_table(kind, 3, grid) for kind in FamilyKind]
+            fig = bounds.figure1_table(3, grid)
+            svg = b"".join(svgplot.figure1_svg(fig, 3, log_x=True))
+            return [outputs.csv_text(table) for table in (*tables, fig)], svg
+
+        assert texts(frozen) == texts(self.grid.copy())
+        assert frozen.tobytes() == self.grid.tobytes()
+
 
 def _branch_curve(kind, n_tot, n_modes=1):
     """`curve` as it was before the family table: one branch per family, kept as a reference."""
@@ -407,6 +425,23 @@ class TestNewtonSolve:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+    @pytest.mark.parametrize("table, limit", [
+        # four 8 MB columns beside the caller's grid peak at 57 MB; a grid copy per curve call
+        # and the held entangled Var(G) made it 81 MB
+        (lambda grid: bounds.figure1_table(10, grid), 66e6),
+        # three columns beside the caller's grid peak at 40 MB; with the grid copied, 48 MB
+        (lambda grid: bounds.bounds_table("entangled-cat", 10, grid), 44e6),
+    ], ids=["figure1_table", "bounds_table"])
+    def test_a_table_copies_no_grid_and_holds_no_unprinted_column(self, table, limit):
+        grid = np.geomspace(0.1, 100.0, 10**6)
+        tracemalloc.start()
+        try:
+            table(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
     @pytest.mark.parametrize("n_tot", [0.0, 5e-324, 1e308, _MAX])
     @pytest.mark.parametrize("as_array", [False, True])

@@ -346,6 +346,10 @@ class TestSuperpositionState:
         with pytest.raises(DimensionMismatch):
             SuperpositionState([(1.0, label(1.0)), (1.0, label(1.0, 0.0))])
 
+    def test_a_label_of_no_modes_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"^a coherent label needs at least one mode$"):
+            CoherentLabel(())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_nonfinite_label_rejected_wherever_a_state_is_made(self, bad):
         # one finiteness rule: the state's store (constructor, overlap) and
@@ -542,6 +546,11 @@ class TestMoments:
         s = SuperpositionState([(1.0, label(1.0)), (-1.0, label(1.0 + 1e-13))])
         with pytest.raises(DegenerateState):
             expect_generator(s)
+
+    def test_a_moment_below_zero_beyond_tolerance_is_refused(self):
+        # no state found gives such a sum, so the refusal is fed one: -1e-6 is past -TOL_HERM
+        with pytest.raises(ConsistencyError, match=r"^Var\(G\) = -1e-06 < 0 beyond tolerance$"):
+            coherent._moment("Var(G)", -1e-6 + 0j)
 
     @given(
         a=small_amp,

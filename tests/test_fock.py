@@ -216,6 +216,16 @@ class TestToFock:
         with pytest.raises(TruncationError):
             fock.to_fock(cat, dim=15)
 
+    def test_a_cutoff_below_the_first_kept_level_fails_the_norm_gate(self):
+        # 54 coherent states |4 w^k>, w = e^{2 pi i / 54}, cancel every level but 0, 54, 108, ...:
+        # at 54 levels each one passes its own tail check, yet level 54's share of the norm is cut
+        ring = coherent.SuperpositionState(
+            [(1.0, coherent.CoherentLabel([4.0 * cmath.exp(2j * math.pi * k / 54)])) for k in range(54)])
+        with pytest.raises(TruncationError,
+                           match=r"^truncated norm \S+ vs exact \S+, cutoff too small$"):
+            fock.to_fock(ring, 54)
+        fock.to_fock(ring, 60)  # level 54 kept: the gate passes
+
 
 class TestOperators:
     def test_annihilation_entries(self):
