@@ -180,35 +180,39 @@ def _text_cells(values: list, fmt: str, width: int = 0, end: bytes = b"") -> np.
     return cells.reshape(len(data), width)
 
 
-def points_text(v: np.ndarray) -> bytes:
-    """``" ".join("%.2f,%.2f" % xy)`` for the interleaved x and y values v, UTF-8 byte for byte.
+def points_text(x: np.ndarray, y: np.ndarray) -> Iterator[bytes]:
+    """``" ".join("%.2f,%.2f" % xy)`` over the pairs of x and y, UTF-8, `_CHUNK_ROWS` pairs a piece.
 
-    A cell is certified when 0 <= v < 999 with a clear sign bit and
-    t = fl(100 v) lies more than 1e-6 from a half-integer.  Below 1000, t
-    is 100 v to within half an ulp of 10^5, under 1e-11, so p = rint(t) is
-    100 v correctly rounded, the digits ``'%.2f'`` prints.  Every other cell
-    (NaN, ±inf, negatives, -0.0, 999 and above, ties and near ties, exact
-    binary ones such as k/8 among them) is formatted by Python's ``%``; its
-    value never enters the arithmetic.
+    A piece, its pairs interleaved in one buffer a piece long, is made when asked for; each
+    after the first starts with the space joining it to the one before.  A cell is certified
+    when 0 <= v < 999 with a clear sign bit and t = fl(100 v) lies more than 1e-6 from a
+    half-integer.  Below 1000, t is 100 v to within half an ulp of 10^5, under 1e-11, so
+    p = rint(t) is 100 v correctly rounded, the digits ``'%.2f'`` prints.  Every other cell
+    (NaN, ±inf, negatives, -0.0, 999 and above, ties and near ties, exact binary ones such as
+    k/8 among them) is formatted by Python's ``%``; its value never enters the arithmetic.
     """
-    ok = (v >= 0.0) & (v < 999.0) & ~np.signbit(v)  # NaN compares False
-    t = np.where(ok, v, 0.0) * 100.0
-    p = np.rint(t)
-    ok &= np.abs(t - p) < 0.5 - 1e-6
-    cents = p.astype(np.intp)
-    units = cents // 100
-    cents -= units * 100
-    cents[1::2] += 100  # a y cell ends in " "
-    cells = np.empty((v.size, 2), "<u4")
-    _UNITS.take(units, out=cells[:, 0], mode="clip")  # in range; "raise" would buffer the out
-    _CENTS.take(cents, out=cells[:, 1], mode="clip")
-    cells = cells.view(np.uint8)
-    if not ok.all():
-        text = _text_cells(v[~ok].tolist(), "%.2f", 8, b"\xff")  # the last byte of a row is a hole
-        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - 8)), constant_values=0xFF)
-        cells[~ok] = text
-        cells[~ok, -1] = np.frombuffer(b", ", np.uint8)[np.flatnonzero(~ok) & 1]
-    return cells.tobytes().translate(None, b"\xff")[:-1]
+    xy = np.empty(2 * min(x.size, _CHUNK_ROWS))
+    for start in range(0, x.size, _CHUNK_ROWS):
+        v = xy[:2 * (x.size - start)]  # the whole buffer but for the last piece
+        v[::2], v[1::2] = x[start:start + _CHUNK_ROWS], y[start:start + _CHUNK_ROWS]
+        ok = (v >= 0.0) & (v < 999.0) & ~np.signbit(v)  # NaN compares False
+        t = np.where(ok, v, 0.0) * 100.0
+        p = np.rint(t)
+        ok &= np.abs(t - p) < 0.5 - 1e-6
+        cents = p.astype(np.intp)
+        units = cents // 100
+        cents -= units * 100
+        cents[1::2] += 100  # a y cell ends in " "
+        cells = np.empty((v.size, 2), "<u4")
+        _UNITS.take(units, out=cells[:, 0], mode="clip")  # in range; "raise" would buffer the out
+        _CENTS.take(cents, out=cells[:, 1], mode="clip")
+        cells = cells.view(np.uint8)
+        if not ok.all():
+            text = _text_cells(v[~ok].tolist(), "%.2f", 8, b"\xff")  # a row's last byte is a hole
+            cells = np.pad(cells, ((0, 0), (0, text.shape[1] - 8)), constant_values=0xFF)
+            cells[~ok] = text
+            cells[~ok, -1] = np.frombuffer(b", ", np.uint8)[np.flatnonzero(~ok) & 1]
+        yield (b" " if start else b"") + cells.tobytes().translate(None, b"\xff")[:-1]
 
 
 def _csv_format(v) -> str:

@@ -23,7 +23,6 @@ _CURVES = (
     ("single-mode cat", "eps_single_cat", "#2ca02c", "8 5"),
 )
 _WIDTH, _HEIGHT = 720, 540
-_PIECE = 2048  # x and y values formatted at a time, which bounds the kernel's scratch arrays
 
 
 def _axis(lo: float, hi: float, log: bool):
@@ -55,8 +54,8 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> Iterator[bytes]:
     Each eps column is 1/sqrt(Var(G)) of a Var(G) that `bounds.curve` has
     checked to be finite and positive, so every point lies on a log y axis.
     The pieces are made only when asked for: the head (everything before the
-    first polyline), then per curve its opening ``points="``, its points text
-    `_PIECE` values (half as many points) at a time, and its closing ``"/>``,
+    first polyline), then per curve its opening ``points="``, the
+    `outputs.points_text` pieces of its x and y pixel columns, its closing ``"/>``,
     then the legend and ``</svg>``.  Joined, they are the document byte for byte.
     """
     xs = table["n_tot"]
@@ -127,14 +126,11 @@ def figure1_svg(table: dict, n_modes: int, log_x: bool) -> Iterator[bytes]:
 
     yield ("\n".join(out) + "\n").encode()
 
-    # curves: the x pixels, the same for every curve, then each curve's y pixels between them
-    xy = np.empty(2 * xs.size)
-    xy[::2] = to_px(xs, y_hi)[0]
+    # curves: the x pixels, the same for every curve, and each curve's own y pixels
+    px = to_px(xs, y_hi)[0]
     for y, stroke in zip(ys, strokes):
-        xy[1::2] = to_px(x_lo, y)[1]
         yield f'<polyline fill="none" {stroke} points="'.encode()
-        for start in range(0, xy.size, _PIECE):
-            yield (b" " if start else b"") + points_text(xy[start:start + _PIECE])
+        yield from points_text(px, to_px(x_lo, y)[1])
         yield b'"/>\n'
 
     # legend, top right corner of the frame

@@ -211,12 +211,14 @@ def test_a_failure_mid_svg_replaces_no_target(tmp_path, monkeypatch, exc, existi
     table = bounds.figure1_table(2, np.geomspace(0.1, 100.0, 3 * outputs._CHUNK_ROWS))
     real, calls, staged = outputs.points_text, [], {}
 
-    def fail_second(v):
-        calls.append(v.size)
-        if len(calls) < 2:
-            return real(v)
-        staged.update((p.name.split(".")[1], p.read_bytes()) for p in tmp_path.glob("*.tmp"))
-        raise exc
+    def fail_second(x, y):
+        for piece in real(x, y):
+            calls.append(piece.count(b","))  # one comma a pair
+            if len(calls) == 2:
+                staged.update((p.name.split(".")[1], p.read_bytes())
+                              for p in tmp_path.glob("*.tmp"))
+                raise exc
+            yield piece
 
     monkeypatch.setattr(svgplot, "points_text", fail_second)
     out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
@@ -226,7 +228,7 @@ def test_a_failure_mid_svg_replaces_no_target(tmp_path, monkeypatch, exc, existi
     with pytest.raises(exc):
         cli.write_csv(str(out), table, {str(svg): svgplot.figure1_svg(table, 2, True)})
     assert sorted(staged) == ["csv", "svg"] and staged["csv"] == csv_text(table).encode()
-    assert calls == [svgplot._PIECE] * 2
+    assert calls == [outputs._CHUNK_ROWS] * 2
     assert sorted(p.name for p in tmp_path.iterdir()) == (["f.csv", "f.svg"] if existing else [])
     if existing:
         assert (out.read_bytes(), svg.read_bytes()) == (b"old csv\n", b"old svg\n")
@@ -258,6 +260,21 @@ def test_write_csv_memory_with_the_svg_stays_below_the_svg(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < svg.stat().st_size
+
+
+def test_figure1_svg_memory_holds_no_whole_curve_buffer():
+    # draining the SVG holds the x pixels and one curve's y pixels beside pieces of
+    # outputs._CHUNK_ROWS pairs: 2.41 MB at 10^5 points, where interleaving each curve's
+    # pixels into one whole-grid buffer first peaked at 3.21 MB
+    table = bounds.figure1_table(10, np.geomspace(0.1, 100.0, 100_000))
+    tracemalloc.start()
+    try:
+        for _ in svgplot.figure1_svg(table, 10, True):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.7e6
 
 
 def exact_cells(decade: int):

@@ -2,10 +2,10 @@
 
 The reference is the one-liner the kernel replaced: one ``"%.2f,%.2f "``
 per point over the interleaved pixel coordinates, last space dropped.
-The pixels `figure1_svg` hands it have their own reference: its curve loop
-as it was, each curve's x and y pixels computed afresh and stacked, and
-written by one kernel call per curve where `figure1_svg` writes pieces of
-`svgplot._PIECE` values.
+The kernel takes a curve's x and y columns and yields its text in pieces of
+`outputs._CHUNK_ROWS` pairs.  The pixels `figure1_svg` hands it have their
+own reference: its curve loop as it was, each curve's x and y pixels
+computed afresh from the table's columns.
 """
 
 import math
@@ -28,7 +28,7 @@ def points_text(values) -> tuple[str, str]:
     """(kernel, reference) text of the values, then of their negatives, as x, y pairs."""
     v = np.asarray(values, dtype=np.float64)
     v = np.concatenate([v, -v])
-    return outputs.points_text(v).decode(), reference_points(v)
+    return b"".join(outputs.points_text(v[::2], v[1::2])).decode(), reference_points(v)
 
 
 def render(table: dict, n_modes: int, log_x: bool) -> str:
@@ -73,6 +73,19 @@ class TestPointsKernel:
         text, want = points_text(values)
         assert text == want
 
+    @pytest.mark.parametrize("n", [1, outputs._CHUNK_ROWS - 1, outputs._CHUNK_ROWS,
+                                   outputs._CHUNK_ROWS + 1, 3 * outputs._CHUNK_ROWS + 5])
+    def test_pieces_of_chunk_rows_pairs_join_to_the_text(self, n):
+        # uncertified values among the pairs: k/8 ties, 999 and negatives take Python's %
+        rng = np.random.default_rng(n)
+        x = rng.choice([0.125, 0.375, 998.875, 999.0, 1234.5, -0.5, -0.0, 12.345], n)
+        y = rng.uniform(-5.0, 1005.0, n)
+        pieces = list(outputs.points_text(x, y))
+        assert [p.count(b",") for p in pieces] == [
+            min(outputs._CHUNK_ROWS, n - start) for start in range(0, n, outputs._CHUNK_ROWS)]
+        assert [p[:1] == b" " for p in pieces] == [False] + [True] * (len(pieces) - 1)
+        assert b"".join(pieces).decode() == reference_points(np.stack([x, y], axis=1).ravel())
+
 
 @pytest.mark.parametrize("spacing", ["log", "linear"])
 @pytest.mark.parametrize("n_modes", [1, 10, 1000])
@@ -84,7 +97,8 @@ def test_figure1_svg_matches_the_reference_render(monkeypatch, spacing, n_modes)
         hi = lo * 10.0 ** rng.uniform(0.3, 10.0)
         tables.append(bounds.figure1_table(n_modes, cli._make_grid(lo, hi, points, spacing)))
     got = [render(t, n_modes, spacing == "log") for t in tables]
-    monkeypatch.setattr(svgplot, "points_text", lambda v: reference_points(v).encode())
+    monkeypatch.setattr(svgplot, "points_text",
+                        lambda x, y: [reference_points(np.stack([x, y], axis=1).ravel()).encode()])
     assert got == [render(t, n_modes, spacing == "log") for t in tables]
 
 
@@ -126,15 +140,15 @@ def reference_polylines(table: dict, log_x: bool) -> list[str]:
     def to_px(x, y):
         return margin_l + tx(x) * plot_w, margin_t + (1.0 - ty(y)) * plot_h
 
-    return [outputs.points_text(np.stack(to_px(xs, y), axis=1).ravel()).decode() for y in ys]
+    return [b"".join(outputs.points_text(*to_px(xs, y))).decode() for y in ys]
 
 
 @given(points=st.integers(2, 10_000), n_modes=st.integers(1, 1000),
        spacing=st.sampled_from(["log", "linear"]), log_lo=st.floats(-4.0, 5.0),
        decades=st.floats(0.3, 10.0), from_zero=st.booleans())
-@example(points=svgplot._PIECE // 2, n_modes=10, spacing="log", log_lo=-1.0, decades=3.0,
+@example(points=outputs._CHUNK_ROWS, n_modes=10, spacing="log", log_lo=-1.0, decades=3.0,
          from_zero=False)  # one whole piece per curve
-@example(points=svgplot._PIECE // 2 + 1, n_modes=10, spacing="linear", log_lo=-1.0,
+@example(points=outputs._CHUNK_ROWS + 1, n_modes=10, spacing="linear", log_lo=-1.0,
          decades=3.0, from_zero=True)  # a whole piece, then a piece of one point
 def test_figure1_svg_pixels_match_the_reference_curve_loop(points, n_modes, spacing, log_lo,
                                                             decades, from_zero):
